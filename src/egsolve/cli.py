@@ -216,6 +216,9 @@ def cmd_sweep(args) -> int:
     if not c0s or not c1s:
         raise _UsageError("--c0 and --c1 grids must be non-empty")
     x0 = parse_x0(args.x0, op.dim, args.seed)
+    if float((x0 - op.solution) @ (x0 - op.solution)) == 0.0:
+        raise _UsageError(f"sweep: x0 is the root of '{op.label}'; the relative error "
+                          f"||x_k - x*||^2 / ||x0 - x*||^2 is undefined")
     cells = [(c0, c1) for c0 in c0s for c1 in c1s]
     results = _run_cells(op, cells, x0, args.iters, args.tol)
     out = _ensure_out(args.out)

@@ -40,9 +40,10 @@ class IterationState:
     next_x: np.ndarray
 
 
-def _one_step(F: OperatorInstance, x: np.ndarray, policy: StepSizePolicy, k: int) -> IterationState:
-    F_x = F(x)
-    g = gamma(policy, norm(F_x), s=F.smoothness, m=F.monotonicity)
+def _one_step(F: OperatorInstance, x: np.ndarray, policy: StepSizePolicy, k: int,
+              F_x: np.ndarray, norm_F_x: float) -> IterationState:
+    # F(x) and its norm come from the caller, so a step evaluates F only at xhat
+    g = gamma(policy, norm_F_x, s=F.smoothness, m=F.monotonicity)
     xhat = x - g * F_x
     F_xhat = F(xhat)
     if policy.omega_rule is OmegaRule.PETHICK and float(F_xhat @ F_xhat) == 0.0:
@@ -58,7 +59,9 @@ def _one_step(F: OperatorInstance, x: np.ndarray, policy: StepSizePolicy, k: int
 
 def eg_step(F: OperatorInstance, x_k, policy: StepSizePolicy, k: int = 0) -> IterationState:
     """Run one extragradient step from x_k under the given policy."""
-    return _one_step(F, vec(x_k, F.dim, what="x_k"), policy, k)
+    x = vec(x_k, F.dim, what="x_k")
+    F_x = F(x)
+    return _one_step(F, x, policy, k, F_x, norm(F_x))
 
 
 def check_policy_compat(F: OperatorInstance, policy: StepSizePolicy,
@@ -90,10 +93,11 @@ def solve(F: OperatorInstance, policy: StepSizePolicy, cfg: SolveConfig,
           force: bool = False) -> SolveTrace:
     """Iterate until ||F(x_k)|| <= stop_tol or the budget runs out.
 
-    The stopping iterate still gets a trace row (so minima and plots include
-    it) but is not updated; `final_x` is then that iterate. A non-finite
-    iterate or evaluation raises NonFiniteIterate carrying the partial trace
-    on its `trace` attribute and the offending index on `k`.
+    Each iteration evaluates F twice, at x_k and at xhat_k. The stopping
+    iterate still gets a trace row (so minima and plots include it) but is
+    not updated; `final_x` is then that iterate. A non-finite iterate or
+    evaluation raises NonFiniteIterate carrying the partial trace on its
+    `trace` attribute and the offending index on `k`.
     """
     check_policy_compat(F, policy, force=force)
     x = np.array(cfg.x0, dtype=np.float64)
@@ -120,43 +124,37 @@ def solve(F: OperatorInstance, policy: StepSizePolicy, cfg: SolveConfig,
         err.trace = tr
         return err
 
-    for k in range(cfg.max_iters):
-        F_x = F(x)
-        nfx = norm(F_x)
-        if not math.isfinite(nfx):
-            raise _fail(k, "non-finite operator value")
-        d2 = float((x - xstar) @ (x - xstar)) if xstar is not None else None
-        if nfx <= cfg.stop_tol:
-            g = gamma(policy, nfx, s=F.smoothness, m=F.monotonicity)
-            xhat = x - g * F_x
-            F_xhat = F(xhat)
-            if policy.omega_rule is OmegaRule.PETHICK and float(F_xhat @ F_xhat) == 0.0:
-                w = g
-            else:
-                m = F.monotonicity
-                w = omega(policy, g, F_xhat=F_xhat, x_minus_xhat=x - xhat,
-                          rho=m.rho if m is not None else None)
-            _record(TraceRow(k=k, x_k=x.copy(), xhat_k=xhat, gamma_k=g, omega_k=w,
-                             norm_F_x=nfx, norm_F_xhat=norm(F_xhat), dist_sq=d2))
-            tr.iterations_run = k
-            tr.reason = "stop_tol"
-            tr.final_x = x
-            tr.final_dist_sq = d2
-            return tr
-        st = _one_step(F, x, policy, k)
-        nfxh = norm(st.F_xhat)
-        if not math.isfinite(nfxh):
-            raise _fail(k, "non-finite operator value at extrapolation point")
-        _record(TraceRow(k=k, x_k=x.copy(), xhat_k=st.xhat, gamma_k=st.gamma_k,
-                         omega_k=st.omega_k, norm_F_x=nfx, norm_F_xhat=nfxh, dist_sq=d2))
-        x = st.next_x
-        if not np.all(np.isfinite(x)):
-            raise _fail(k + 1, "non-finite iterate")
+    # overflow on the way to a non-finite iterate is reported as
+    # NonFiniteIterate below, not as a numpy RuntimeWarning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(cfg.max_iters):
+            F_x = F(x)
+            nfx = norm(F_x)
+            if not math.isfinite(nfx):
+                raise _fail(k, "non-finite operator value")
+            d2 = float((x - xstar) @ (x - xstar)) if xstar is not None else None
+            st = _one_step(F, x, policy, k, F_x, nfx)
+            nfxh = norm(st.F_xhat)
+            row = TraceRow(k=k, x_k=x.copy(), xhat_k=st.xhat, gamma_k=st.gamma_k,
+                           omega_k=st.omega_k, norm_F_x=nfx, norm_F_xhat=nfxh, dist_sq=d2)
+            if nfx <= cfg.stop_tol:
+                _record(row)
+                tr.iterations_run = k
+                tr.reason = "stop_tol"
+                tr.final_x = x
+                tr.final_dist_sq = d2
+                return tr
+            if not math.isfinite(nfxh):
+                raise _fail(k, "non-finite operator value at extrapolation point")
+            _record(row)
+            x = st.next_x
+            if not np.isfinite(x).all():
+                raise _fail(k + 1, "non-finite iterate")
 
-    tr.iterations_run = cfg.max_iters
-    tr.final_x = x
-    if xstar is not None:
-        tr.final_dist_sq = float((x - xstar) @ (x - xstar))
+        tr.iterations_run = cfg.max_iters
+        tr.final_x = x
+        if xstar is not None:
+            tr.final_dist_sq = float((x - xstar) @ (x - xstar))
     return tr
 
 

@@ -136,6 +136,13 @@ class TestSweep:
                            "--out", str(tmp_path))
         assert code == 1 and err
 
+    def test_rejects_x0_at_root(self, tmp_path, capsys):
+        code, out, err = run(capsys, "sweep", "--op", "quadratic", "--x0", "0,0",
+                             "--c0", "10", "--c1", "0", "--out", str(tmp_path))
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and "relative error" in err
+        assert not (tmp_path / "sweep.csv").exists()
+
 
 class TestVerify:
     def test_declared_constants_pass(self, tmp_path, capsys):

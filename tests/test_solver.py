@@ -4,14 +4,18 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from egsolve.core import (
     EmptyTrace,
     IncompatiblePolicy,
     MonotoneClass,
     NonFiniteIterate,
+    OperatorInstance,
     SmoothnessParams,
     SolveConfig,
+    norm,
 )
 from egsolve.operators import build
 from egsolve.solver import (
@@ -143,6 +147,97 @@ class TestSolve:
         assert err.trace.reason == "nonfinite"
         assert len(err.trace.rows) >= 1
         assert all(math.isfinite(r.norm_F_x) for r in err.trace.rows)
+
+
+def _counting(op):
+    """Wrap op.fn so that every operator evaluation bumps calls[0]."""
+    calls = [0]
+    fn = op.fn
+
+    def counted(x):
+        calls[0] += 1
+        return fn(x)
+    op.fn = counted
+    return calls
+
+
+class TestEvaluationCount:
+    def test_two_evaluations_per_budget_iteration(self):
+        op = build("quadratic")
+        calls = _counting(op)
+        solve(op, parse_policy("thm3"), SolveConfig(max_iters=10, x0=[1.0, 1.0], stop_tol=0.0))
+        assert calls[0] == 20
+
+    def test_stop_tol_terminal_row_costs_two_evaluations(self):
+        op = build("quadratic")
+        calls = _counting(op)
+        tr = solve(op, parse_policy("thm3"), SolveConfig(max_iters=1000, x0=[1.0, 1.0]))
+        assert tr.reason == "stop_tol" and tr.iterations_run == 117
+        assert calls[0] == 2 * 117 + 2
+
+
+_ENTRY = st.floats(-2.0, 2.0)
+
+
+@st.composite
+def _affine_runs(draw):
+    """A random F(x) = M x on R^2..R^4, a start x0 and a const/adaptive policy."""
+    d = draw(st.integers(2, 4))
+    M = np.array(draw(st.lists(_ENTRY, min_size=d * d, max_size=d * d))).reshape(d, d)
+    x0 = np.array(draw(st.lists(_ENTRY, min_size=d, max_size=d)))
+    if draw(st.booleans()):
+        policy = StepSizePolicy(kind=PolicyKind.CONSTANT, step=draw(st.floats(0.01, 0.2)))
+    else:
+        policy = StepSizePolicy(kind=PolicyKind.ADAPTIVE, c0=draw(st.floats(2.0, 20.0)),
+                                c1=draw(st.floats(0.0, 5.0)), alpha=draw(st.floats(0.25, 1.0)))
+    return M, x0, policy
+
+
+def _affine(M):
+    return OperatorInstance(dim=M.shape[0], fn=lambda x: M @ x,
+                            solution=np.zeros(M.shape[0]), label="affine")
+
+
+def _assert_rows_replay_eg_step(op, x0, policy, tr):
+    x = x0
+    for r in tr.rows:
+        s = eg_step(op, x, policy, k=r.k)
+        assert np.array_equal(r.x_k, x)
+        assert r.gamma_k == s.gamma_k and r.omega_k == s.omega_k
+        assert np.array_equal(r.xhat_k, s.xhat)
+        assert r.norm_F_x == norm(s.F_x) and r.norm_F_xhat == norm(s.F_xhat)
+        x = s.next_x
+    if tr.reason == "max_iters":
+        assert np.array_equal(tr.final_x, x)
+
+
+class TestSolveMatchesStepReplay:
+    @settings(max_examples=60, deadline=None)
+    @given(_affine_runs())
+    def test_budget_rows_equal_eg_step_replay(self, run):
+        M, x0, policy = run
+        op = _affine(M)
+        tr = solve(op, policy, SolveConfig(max_iters=30, x0=x0, stop_tol=0.0))
+        # F(x0) = 0 (x0 = 0 or M x0 = 0) stops at once on the terminal row
+        assert len(tr.rows) == (30 if tr.reason == "max_iters" else tr.iterations_run + 1)
+        _assert_rows_replay_eg_step(op, x0, policy, tr)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 4), st.floats(0.5, 2.0), st.data())
+    def test_stop_tol_rows_equal_eg_step_replay(self, d, mu, data):
+        # mu I plus a skew part is strongly monotone, so a 0.1 step converges
+        K = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=d * d,
+                                        max_size=d * d))).reshape(d, d)
+        op = _affine(mu * np.eye(d) + (K - K.T) / 2)
+        x0 = np.ones(d)
+        policy = StepSizePolicy(kind=PolicyKind.CONSTANT, step=0.1)
+        tol = 1e-3 * norm(op(x0))
+        tr = solve(op, policy, SolveConfig(max_iters=5000, x0=x0, stop_tol=tol))
+        assert tr.reason == "stop_tol"
+        last = tr.rows[-1]
+        assert last.k == tr.iterations_run and last.norm_F_x <= tol
+        assert np.array_equal(tr.final_x, last.x_k)
+        _assert_rows_replay_eg_step(op, x0, policy, tr)
 
 
 class TestInvariants:
