@@ -7,7 +7,7 @@ import csv
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -46,6 +46,30 @@ def box_bounds(box: BoxLike, dim: int) -> Tuple[np.ndarray, np.ndarray]:
     if np.any(arr[:, 0] >= arr[:, 1]):
         raise ValueError("box must have lo < hi on every axis")
     return arr[:, 0].copy(), arr[:, 1].copy()
+
+
+MAX_GRID_POINTS = 10 ** 6
+
+
+def check_grid(dim: int, n: int) -> None:
+    """Raise ValueError unless an n-per-axis grid in dim dimensions has at
+    least 2 points per axis and at most MAX_GRID_POINTS points."""
+    if n < 2:
+        raise ValueError(f"a grid needs at least 2 points per axis, got {n}")
+    if n ** dim > MAX_GRID_POINTS:
+        raise ValueError(f"a grid of {n}^{dim} points exceeds the limit of "
+                         f"{MAX_GRID_POINTS} points")
+
+
+def grid_points(box: BoxLike, dim: int, n: int) -> Iterator[np.ndarray]:
+    """The n^dim points of the uniform grid over the box, last axis fastest.
+
+    Checks the grid size (check_grid) and the box before yielding a point.
+    """
+    check_grid(dim, n)
+    lo, hi = box_bounds(box, dim)
+    axes = [np.linspace(lo[i], hi[i], n) for i in range(dim)]
+    return (np.array(pt) for pt in itertools.product(*axes))
 
 
 # ---------------------------------------------------------------------------
@@ -106,15 +130,10 @@ def verify_condition(F: OperatorInstance, s: SmoothnessParams, box: BoxLike,
     Returns a fit echoing s whose max_violation is the grid minimum of the
     slack; the minimum location enters the sample list with index -1.
     """
-    if grid_n < 2:
-        raise ValueError(f"grid_n must be >= 2, got {grid_n}")
-    lo, hi = box_bounds(box, F.dim)
-    axes = [np.linspace(lo[i], hi[i], grid_n) for i in range(F.dim)]
     worst = math.inf
     worst_sample = None
     samples = []
-    for pt in itertools.product(*axes):
-        x = np.array(pt)
+    for x in grid_points(box, F.dim, grid_n):
         nf = norm(F(x))
         nj = spectral_norm(F.jacobian_at(x))
         sm = ScatterSample(norm_F=nf, norm_J=nj)

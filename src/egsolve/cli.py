@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
-import itertools
 import math
 import os
 import sys
@@ -102,15 +101,15 @@ def _ensure_out(path: str) -> str:
     return path
 
 
-def _max_workers(n_jobs: int) -> int:
-    env = os.environ.get("EG_SOLVE_THREADS", "")
-    if env:
-        cap = int(env)
-        if cap < 1:
-            raise _UsageError(f"EG_SOLVE_THREADS must be >= 1, got {env}")
-    else:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, n_jobs))
+def _grid_n(args, dim: int, default: int) -> int:
+    """Points per axis from --grid (or the default), checked against the grid
+    limits before any evaluation."""
+    n = args.grid if args.grid is not None else default
+    try:
+        analysis.check_grid(dim, n)
+    except ValueError as e:
+        raise _UsageError(f"--grid {n}: {e}") from None
+    return n
 
 
 def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> None:
@@ -180,10 +179,16 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _sweep_cell(op, c0: float, c1: float, x0: np.ndarray, iters: int,
+def _cell_policies(cells) -> List[StepSizePolicy]:
+    """Adaptive policies 1/(c0 + c1*||F||) for (c0, c1) cells; c1 = 0 is a
+    constant step 1/c0. A bad cell raises before any cell runs."""
+    return [StepSizePolicy(kind=PolicyKind.ADAPTIVE, c0=c0, c1=c1) for c0, c1 in cells]
+
+
+def _sweep_cell(op, policy: StepSizePolicy, x0: np.ndarray, iters: int,
                 rel_tol: float) -> Tuple[float, float, int, float]:
-    """Run one adaptive cell (c1 = 0 is a constant step 1/c0)."""
-    policy = StepSizePolicy(kind=PolicyKind.ADAPTIVE, c0=c0, c1=c1)
+    """Run one adaptive cell: (c0, c1, iters_to_tol, final_relerr)."""
+    c0, c1 = policy.c0, policy.c1
     d20 = float((x0 - op.solution) @ (x0 - op.solution))
     cfg = SolveConfig(max_iters=iters, x0=x0, stop_tol=0.0)
     try:
@@ -196,11 +201,12 @@ def _sweep_cell(op, c0: float, c1: float, x0: np.ndarray, iters: int,
     return (c0, c1, _first_hit(tr.rows, d20, rel_tol), relerr)
 
 
-def _run_cells(op, cells, x0, iters, rel_tol):
-    with ThreadPoolExecutor(max_workers=_max_workers(len(cells))) as pool:
-        futs = [pool.submit(_sweep_cell, op, c0, c1, x0, iters, rel_tol)
-                for c0, c1 in cells]
-        return [f.result() for f in futs]   # input order, written by the coordinator only
+def _run_cells(op, policies, x0, iters, rel_tol):
+    # one worker runs the GIL-bound cells in input order (two threads measured
+    # slower); the pool stays only as the cell boundary perfbench/layers.py traces
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        futs = [pool.submit(_sweep_cell, op, p, x0, iters, rel_tol) for p in policies]
+        return [f.result() for f in futs]
 
 
 def cmd_sweep(args) -> int:
@@ -219,8 +225,8 @@ def cmd_sweep(args) -> int:
     if float((x0 - op.solution) @ (x0 - op.solution)) == 0.0:
         raise _UsageError(f"sweep: x0 is the root of '{op.label}'; the relative error "
                           f"||x_k - x*||^2 / ||x0 - x*||^2 is undefined")
-    cells = [(c0, c1) for c0 in c0s for c1 in c1s]
-    results = _run_cells(op, cells, x0, args.iters, args.tol)
+    policies = _cell_policies([(c0, c1) for c0 in c0s for c1 in c1s])
+    results = _run_cells(op, policies, x0, args.iters, args.tol)
     out = _ensure_out(args.out)
     path = os.path.join(out, "sweep.csv")
     _write_csv(path, ["c0", "c1", "iters_to_tol", "final_relerr"],
@@ -244,7 +250,7 @@ def cmd_verify(args) -> int:
     else:
         raise _UsageError(f"'{op.label}' declares no constants; pass --alpha/--L0/--L1")
     box = args.box if args.box is not None else operators.default_box(op.label, op.dim)
-    grid_n = args.grid if args.grid is not None else (201 if op.dim <= 2 else 7)
+    grid_n = _grid_n(args, op.dim, 201 if op.dim <= 2 else 7)
     fit = analysis.verify_condition(op, s, box, grid_n)
     seg = analysis.verify_segment_condition(op, s, pairs=args.pairs, box=box,
                                             seed=args.seed)
@@ -262,12 +268,10 @@ def cmd_estimate(args) -> int:
     alphas = [float(v) for v in args.alphas.split(",") if v.strip()]
     if args.from_grid:
         box = args.box if args.box is not None else operators.default_box(op.label, op.dim)
-        grid_n = args.grid if args.grid else 21
-        lo, hi = analysis.box_bounds(box, op.dim)
-        axes = [np.linspace(lo[i], hi[i], grid_n) for i in range(op.dim)]
+        grid_n = _grid_n(args, op.dim, 21)
         samples = [analysis.ScatterSample(norm_F=norm(op(x)),
                                           norm_J=spectral_norm(op.jacobian_at(x)))
-                   for pt in itertools.product(*axes) for x in (np.array(pt),)]
+                   for x in analysis.grid_points(box, op.dim, grid_n)]
     else:
         if args.policy is None:
             raise _UsageError("estimate needs --from-grid or --policy (trace source)")
@@ -368,8 +372,8 @@ def _reproduce_fig4(out: str, iters: int, seed: int) -> int:
     rng = np.random.default_rng(seed)
     u = rng.standard_normal(op.dim)
     x0 = 1000.0 * u / norm(u)
-    cells = [(c, 0.0) for c in _FIG4_CONSTS] + _FIG4_GRID
-    results = _run_cells(op, cells, x0, iters, 1e-8)
+    policies = _cell_policies([(c, 0.0) for c in _FIG4_CONSTS] + _FIG4_GRID)
+    results = _run_cells(op, policies, x0, iters, 1e-8)
     _write_csv(os.path.join(out, "sweep.csv"),
                ["c0", "c1", "iters_to_tol", "final_relerr"],
                [[_fmt(c0), _fmt(c1), it, _fmt(fr)] for c0, c1, it, fr in results])
@@ -513,7 +517,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--L0", type=float)
     p.add_argument("--L1", type=float)
     p.add_argument("--box", type=float, help="halfwidth; default from the registry")
-    p.add_argument("--grid", type=int, help="points per axis (default 201, 7 if dim > 2)")
+    p.add_argument("--grid", type=int,
+                   help="points per axis (default 201, 7 if dim > 2; at most 10**6 points)")
     p.add_argument("--pairs", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="egsolve-out")
@@ -525,7 +530,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--policy", help="trace source policy (when not --from-grid)")
     p.add_argument("--x0", default="1,1")
     p.add_argument("--iters", type=int, default=200)
-    p.add_argument("--grid", type=int)
+    p.add_argument("--grid", type=int,
+                   help="points per axis with --from-grid (default 21; at most 10**6 points)")
     p.add_argument("--box", type=float)
     p.add_argument("--alphas", default="0.25,0.5,0.75,1.0")
     p.add_argument("--seed", type=int, default=0)

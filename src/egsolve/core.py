@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy import linalg as la
@@ -96,7 +96,10 @@ def vec(x, dim: Optional[int] = None, what: str = "vector") -> np.ndarray:
 
 
 def norm(x) -> float:
-    return float(la.norm(np.asarray(x, dtype=np.float64)))
+    """2-norm (Frobenius for a matrix), bit-identical to `np.linalg.norm`:
+    the same dot and the same correctly rounded sqrt, without its dispatch."""
+    a = np.asarray(x, dtype=np.float64).ravel(order="K")
+    return math.sqrt(float(a.dot(a)))
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +232,9 @@ class OperatorInstance:
 
     `fn` is the raw callable; calling the instance validates the output
     (finite, right dimension). If `solution` is given it must satisfy
-    ||F(solution)|| <= 1e-12 at registration.
+    ||F(solution)|| <= 1e-12 at registration. `matrices` holds the matrices
+    an operator was built from, when its builder exposes them (cubicRd:
+    (A, B, C)).
     """
     dim: int
     fn: Callable[[np.ndarray], np.ndarray]
@@ -238,6 +243,7 @@ class OperatorInstance:
     smoothness: Optional[SmoothnessParams] = None
     monotonicity: Optional[MonotonicityParams] = None
     label: str = ""
+    matrices: Optional[Tuple[np.ndarray, ...]] = None
 
     def __post_init__(self):
         if self.dim < 1:

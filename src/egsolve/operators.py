@@ -153,11 +153,18 @@ def cubicRd(d: int = 2, seed: int = 0, scale: float = 1.0) -> OperatorInstance:
     L1 = chat / 2.0
     L0 = float(la.norm(B, 2)) + chat / 2.0
 
+    # one mat-vec gives (A w1, C w2, B w2, -B^T w1)
+    Z = np.zeros((d, d))
+    M = np.block([[A, Z], [Z, C], [Z, B], [-B.T, Z]])
+
     def fn(x):
-        w1, w2 = x[:d], x[d:]
-        s = math.sqrt(float(w1 @ A @ w1))
-        t = math.sqrt(float(w2 @ C @ w2))
-        return np.concatenate([s * (A @ w1) + B @ w2, t * (C @ w2) - B.T @ w1])
+        y = M @ x
+        Aw1, Cw2 = y[:d], y[d:2 * d]
+        s = math.sqrt(float(x[:d] @ Aw1))
+        t = math.sqrt(float(x[d:] @ Cw2))
+        Aw1 *= s
+        Cw2 *= t
+        return y[:2 * d] + y[2 * d:]
 
     def jac(x):
         w1, w2 = x[:d], x[d:]
@@ -168,14 +175,13 @@ def cubicRd(d: int = 2, seed: int = 0, scale: float = 1.0) -> OperatorInstance:
         D2 = t * C + np.outer(C @ w2, C @ w2) / t if t > 0 else np.zeros((d, d))
         return np.block([[D1, B], [-B.T, D2]])
 
-    op = OperatorInstance(
+    return OperatorInstance(
         dim=2 * d, fn=fn, jacobian=jac, solution=np.zeros(2 * d),
         smoothness=SmoothnessParams(1.0, L0, L1),
         monotonicity=MonotonicityParams(MonotoneClass.MONOTONE),
         label=f"cubicRd(d={d},seed={seed},scale={scale:g})",
+        matrices=(A, B, C),
     )
-    op.matrices = (A, B, C)
-    return op
 
 
 def power(p: float = 2.0, B: Sequence[Sequence[float]] = ((1.0,),), tau1: float = 1.0) -> OperatorInstance:

@@ -64,6 +64,13 @@ def eg_step(F: OperatorInstance, x_k, policy: StepSizePolicy, k: int = 0) -> Ite
     return _one_step(F, x, policy, k, F_x, norm(F_x))
 
 
+def _dist_sq(x: np.ndarray, xstar: Optional[np.ndarray]) -> Optional[float]:
+    if xstar is None:
+        return None
+    e = x - xstar
+    return float(e @ e)
+
+
 def check_policy_compat(F: OperatorInstance, policy: StepSizePolicy,
                         force: bool = False) -> None:
     """Reject policies whose guarantee does not cover the operator's class.
@@ -132,7 +139,7 @@ def solve(F: OperatorInstance, policy: StepSizePolicy, cfg: SolveConfig,
             nfx = norm(F_x)
             if not math.isfinite(nfx):
                 raise _fail(k, "non-finite operator value")
-            d2 = float((x - xstar) @ (x - xstar)) if xstar is not None else None
+            d2 = _dist_sq(x, xstar)
             st = _one_step(F, x, policy, k, F_x, nfx)
             nfxh = norm(st.F_xhat)
             row = TraceRow(k=k, x_k=x.copy(), xhat_k=st.xhat, gamma_k=st.gamma_k,
@@ -153,8 +160,7 @@ def solve(F: OperatorInstance, policy: StepSizePolicy, cfg: SolveConfig,
 
         tr.iterations_run = cfg.max_iters
         tr.final_x = x
-        if xstar is not None:
-            tr.final_dist_sq = float((x - xstar) @ (x - xstar))
+        tr.final_dist_sq = _dist_sq(x, xstar)
     return tr
 
 

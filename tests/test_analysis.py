@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 
 from egsolve.analysis import (
+    MAX_GRID_POINTS,
     BoundReport,
     ScatterSample,
     box_bounds,
+    check_grid,
     fit_constants,
+    grid_points,
     prop1_rhs,
     read_fit_csv,
     read_scatter_csv,
@@ -151,6 +154,30 @@ class TestVerifyCondition:
         op = build("quadratic")
         with pytest.raises(ValueError):
             verify_condition(op, op.smoothness, 50.0, 1)
+
+
+class TestGridPoints:
+    def test_points_in_lexicographic_order(self):
+        pts = list(grid_points([(-1.0, 1.0), (0.0, 2.0)], 2, 3))
+        assert [p.tolist() for p in pts] == [[a, b] for a in (-1.0, 0.0, 1.0)
+                                             for b in (0.0, 1.0, 2.0)]
+
+    def test_size_limits(self):
+        check_grid(2, 1000)   # exactly MAX_GRID_POINTS
+        assert 1000 ** 2 == MAX_GRID_POINTS
+        for dim, n in [(2, 1), (2, 0), (2, -3), (2, 1001), (20, 7)]:
+            with pytest.raises(ValueError):
+                check_grid(dim, n)
+            with pytest.raises(ValueError):
+                grid_points(1.0, dim, n)
+
+    def test_oversized_grid_raises_before_any_evaluation(self):
+        calls = []
+        op = OperatorInstance(dim=20, fn=lambda x: calls.append(x) or x,
+                              jacobian=lambda x: calls.append(x) or np.eye(20))
+        with pytest.raises(ValueError):
+            verify_condition(op, SmoothnessParams(1.0, 1.0, 1.0), 1.0, 7)
+        assert calls == []
 
 
 class TestPairChecks:

@@ -4,7 +4,9 @@ import re
 
 import pytest
 
+from egsolve import solver
 from egsolve.cli import main
+from egsolve.core import OperatorInstance
 from egsolve.solver import read_trace_csv
 
 
@@ -142,6 +144,40 @@ class TestSweep:
         assert code == 1 and out == ""
         assert len(err.splitlines()) == 1 and "relative error" in err
         assert not (tmp_path / "sweep.csv").exists()
+
+    def test_bad_cell_fails_before_any_solve(self, tmp_path, capsys, monkeypatch):
+        solves = []
+        real = solver.solve
+        monkeypatch.setattr(solver, "solve",
+                            lambda *a, **kw: solves.append(a) or real(*a, **kw))
+        code, out, err = run(capsys, "sweep", "--op", "quadratic", "--x0", "1,1",
+                             "--c0", "100,0", "--c1", "0", "--iters", "10",
+                             "--out", str(tmp_path))
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and "c0 > 0" in err
+        assert solves == []
+        assert not (tmp_path / "sweep.csv").exists()
+
+
+class TestGridLimits:
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--op", "cubicRd:d=10"],                   # default 7^20 points
+        ["verify", "--op", "quadratic", "--grid", "1"],
+        ["estimate", "--op", "cubicRd:d=10", "--from-grid"],  # default 21^20 points
+        ["estimate", "--op", "quadratic", "--from-grid", "--grid", "0"],
+    ])
+    def test_bad_grid_exits_1_before_any_evaluation(self, argv, tmp_path, capsys,
+                                                    monkeypatch):
+        evals = []
+        for name in ("__call__", "jacobian_at"):
+            real = getattr(OperatorInstance, name)
+            monkeypatch.setattr(OperatorInstance, name,
+                                lambda self, *a, _real=real, **kw:
+                                evals.append(a) or _real(self, *a, **kw))
+        code, out, err = run(capsys, *argv, "--out", str(tmp_path))
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and "--grid" in err
+        assert evals == []
 
 
 class TestVerify:

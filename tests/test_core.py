@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from egsolve.core import (
     ConvergenceFailure,
@@ -42,6 +45,19 @@ class TestVec:
 
     def test_norm(self):
         assert norm([3.0, 4.0]) == 5.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, max_side=8),
+                      elements=st.one_of(st.floats(width=64),
+                                         st.floats(1e153, 1e155),
+                                         st.floats(-1e155, -1e153))))
+    def test_norm_is_bit_identical_to_numpy(self, x):
+        # entries near 1e154 square to near the float64 maximum; inf and nan
+        # come from st.floats. Both sides warn alike on overflow.
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = norm(x), float(np.linalg.norm(x))
+        assert type(got) is float
+        assert got == want or (math.isnan(got) and math.isnan(want))
 
 
 class TestSpectralNorm:

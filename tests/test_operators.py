@@ -1,9 +1,16 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from egsolve.core import MonotoneClass, finite_diff_jacobian, spectral_norm
+from egsolve.core import (
+    MonotoneClass,
+    OperatorInstance,
+    finite_diff_jacobian,
+    norm,
+    spectral_norm,
+)
 from egsolve.operators import ZOO, build, default_box
 
 SQ2 = math.sqrt(2.0)
@@ -124,6 +131,12 @@ class TestHandValues:
         A2, B2, C2 = build("cubicRd", d=3, seed=9).matrices
         assert np.array_equal(A1, A2) and np.array_equal(B1, B2) and np.array_equal(C1, C2)
 
+    def test_matrices_is_a_declared_field(self):
+        assert "matrices" in {f.name for f in dataclasses.fields(OperatorInstance)}
+        assert build("quadratic").matrices is None
+        A, B, C = build("cubicRd", d=3).matrices
+        assert A.shape == B.shape == C.shape == (3, 3)
+
     def test_bilinear_constants_scale_with_radius(self):
         op = build("bilinear", R=5.0)
         assert op.smoothness.L0 == pytest.approx(11.0)
@@ -151,3 +164,26 @@ class TestMonotonicityDeclarations:
             y = rng.uniform(-5.0, 5.0, 2)
             lhs = float((op(x) - op(y)) @ (x - y))
             assert lhs >= 1.0 * float((x - y) @ (x - y)) - 1e-9
+
+
+def _cubicRd_by_definition(op, x):
+    """(||w1||_A A w1 + B w2, ||w2||_C C w2 - B^T w1) from the built matrices."""
+    A, B, C = op.matrices
+    d = A.shape[0]
+    w1, w2 = x[:d], x[d:]
+    s = math.sqrt(w1 @ A @ w1)
+    t = math.sqrt(w2 @ C @ w2)
+    return np.concatenate([s * (A @ w1) + B @ w2, t * (C @ w2) - B.T @ w1])
+
+
+@pytest.mark.parametrize("d", [1, 2, 10])
+@pytest.mark.parametrize("seed,scale", [(0, 1.0), (7, 1.0), (42, 5.0)])
+def test_cubicRd_fn_matches_definition(d, seed, scale):
+    op = build("cubicRd", d=d, seed=seed, scale=scale)
+    rng = np.random.default_rng(1000 + seed)
+    points = [rng.standard_normal(2 * d) * 10.0 ** rng.uniform(-3, 3) for _ in range(30)]
+    w, z = rng.standard_normal(d), np.zeros(d)
+    points += [np.concatenate([z, w]), np.concatenate([w, z]), np.zeros(2 * d)]
+    for x in points:
+        want = _cubicRd_by_definition(op, x)
+        assert norm(op(x) - want) <= 1e-12 * norm(want)
