@@ -4,7 +4,6 @@ experiment harness."""
 
 from .core import (
     BracketFailure,
-    ConvergenceFailure,
     DegenerateSamples,
     DimensionMismatch,
     EgsolveError,

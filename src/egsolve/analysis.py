@@ -236,6 +236,9 @@ def fit_constants(samples: Sequence[ScatterSample],
     ties keep the earlier grid entry. Heuristic, not a guarantee.
     """
     samples = list(samples)
+    alpha_grid = list(alpha_grid)
+    if not alpha_grid:
+        raise ValueError("the alpha grid is empty; give at least one alpha in (0, 1]")
     if len(samples) < 3:
         raise DegenerateSamples(f"need >= 3 samples to fit, got {len(samples)}")
     nf = np.array([sm.norm_F for sm in samples])

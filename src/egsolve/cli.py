@@ -369,9 +369,7 @@ _FIG4_GRID = [(c0, c1) for c0 in (10.0, 100.0, 1000.0) for c1 in (0.1, 1.0, 10.0
 
 def _reproduce_fig4(out: str, iters: int, seed: int) -> int:
     op = operators.build("cubicRd", d=10, seed=42, scale=5.0)
-    rng = np.random.default_rng(seed)
-    u = rng.standard_normal(op.dim)
-    x0 = 1000.0 * u / norm(u)
+    x0 = parse_x0("rand:1000", op.dim, seed)
     policies = _cell_policies([(c, 0.0) for c in _FIG4_CONSTS] + _FIG4_GRID)
     results = _run_cells(op, policies, x0, iters, 1e-8)
     _write_csv(os.path.join(out, "sweep.csv"),
@@ -568,7 +566,11 @@ def _apply_config(argv: List[str]) -> List[str]:
     if not os.path.exists(path):
         raise _UsageError(f"config file not found: {path}")
     ini = configparser.ConfigParser()
-    ini.read(path)
+    try:
+        ini.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as e:
+        # configparser's messages span lines; the CLI reports one
+        raise _UsageError(f"bad config file {path}: {' '.join(str(e).split())}") from None
     cmd = rest[0]
     tokens: List[str] = []
     if ini.has_section(cmd):

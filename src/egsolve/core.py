@@ -37,10 +37,6 @@ class NonFiniteIterate(EgsolveError):
         self.k = k
 
 
-class ConvergenceFailure(EgsolveError):
-    """An iterative numerical routine did not reach its tolerance."""
-
-
 class BracketFailure(EgsolveError):
     """Bisection bracket does not enclose a sign change."""
 
@@ -177,49 +173,19 @@ def finite_diff_jacobian(fn: Callable[[np.ndarray], np.ndarray], x, h: float = 1
     return np.stack(cols, axis=1)
 
 
-def _lambda_max_sym2(S: np.ndarray) -> float:
-    # largest eigenvalue of a symmetric 2x2, closed form
-    a, b, d = S[0, 0], S[0, 1], S[1, 1]
-    return 0.5 * ((a + d) + math.sqrt((a - d) ** 2 + 4.0 * b * b))
+def spectral_norm(M) -> float:
+    """Largest singular value of M, from LAPACK's SVD.
 
-
-def spectral_norm(M, seed: int = 0, max_iter: int = 10000, tol: float = 1e-10) -> float:
-    """Largest singular value of M.
-
-    1x1 and 2x2 cases use closed forms; larger matrices use seeded power
-    iteration on M^T M with relative tolerance `tol`, raising
-    ConvergenceFailure after `max_iter` sweeps.
+    Equal bit for bit to `np.linalg.norm(M, 2)`: both take the first of
+    LAPACK's descending singular values, and calling `svd` directly skips the
+    norm wrapper's dispatch.
     """
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2:
         raise DimensionMismatch(f"spectral_norm expects a matrix, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
         raise NonFiniteEvaluation("spectral_norm: non-finite matrix")
-    n, m = M.shape
-    if n == 1 and m == 1:
-        return abs(float(M[0, 0]))
-    S = M.T @ M
-    if S.shape == (2, 2):
-        lam = _lambda_max_sym2(S)
-        return math.sqrt(max(lam, 0.0))
-    scale = float(np.max(np.abs(S)))
-    if scale == 0.0:
-        return 0.0
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(S.shape[0])
-    v /= la.norm(v)
-    lam_prev = 0.0
-    for _ in range(max_iter):
-        w = S @ v
-        lam = float(v @ w)
-        nw = la.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        if abs(lam - lam_prev) <= tol * max(abs(lam), 1.0):
-            return math.sqrt(max(lam, 0.0))
-        lam_prev = lam
-    raise ConvergenceFailure(f"power iteration did not converge in {max_iter} sweeps")
+    return float(la.svd(M, compute_uv=False)[0])
 
 
 # ---------------------------------------------------------------------------

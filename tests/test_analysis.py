@@ -288,6 +288,8 @@ class TestFitConstants:
         from egsolve.core import InvalidAlpha
         with pytest.raises(InvalidAlpha):
             fit_constants(s, [1.5])
+        with pytest.raises(ValueError, match="alpha grid is empty"):
+            fit_constants(s, [])
 
 
 class TestTheoreticalBounds:

@@ -107,6 +107,19 @@ class TestX0AndConfig:
         assert code == 0
         assert "iters=5" in out
 
+    @pytest.mark.parametrize("content", [b"not an ini",
+                                         b"[solve]\nop = quadratic\nop = cubic1d\n",
+                                         b"[solve]\nop = \xff\xfe\n"],
+                             ids=["no-section", "duplicate-key", "not-utf8"])
+    def test_malformed_config_exits_1(self, tmp_path, capsys, content):
+        cfg = tmp_path / "run.ini"
+        cfg.write_bytes(content)
+        code, out, err = run(capsys, "--config", str(cfg), "solve",
+                             "--out", str(tmp_path / "o"))
+        assert code == 1 and not out
+        assert len(err.splitlines()) == 1
+        assert str(cfg) in err
+
     def test_explicit_flag_beats_config(self, tmp_path, capsys):
         cfg = tmp_path / "run.ini"
         cfg.write_text("[solve]\nop = quadratic\nx0 = 1,1\npolicy = thm3\n"
@@ -208,6 +221,13 @@ class TestEstimate:
         assert L1 <= 1e-9
         assert alpha == 0.25   # constant ||J|| ties every alpha; first grid entry wins
         assert (tmp_path / "scatter.csv").exists()
+
+    @pytest.mark.parametrize("alphas", ["", ","])
+    def test_empty_alpha_grid_exits_1(self, tmp_path, capsys, alphas):
+        code, _, err = run(capsys, "estimate", "--op", "quadratic", "--from-grid",
+                           "--grid", "3", "--alphas", alphas, "--out", str(tmp_path))
+        assert code == 1
+        assert len(err.splitlines()) == 1 and "alpha grid is empty" in err
 
     def test_from_trace_needs_policy(self, tmp_path, capsys):
         code, _, err = run(capsys, "estimate", "--op", "quadratic",

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from egsolve.core import (
-    ConvergenceFailure,
     DimensionMismatch,
     EmptyTrace,
     MonotoneClass,
@@ -64,21 +63,30 @@ class TestSpectralNorm:
     def test_scalar(self):
         assert spectral_norm([[-3.0]]) == 3.0
 
-    def test_2x2_closed_form_matches_svd(self):
-        rng = np.random.default_rng(5)
-        for _ in range(100):
-            M = rng.standard_normal((2, 2))
-            assert spectral_norm(M) == pytest.approx(np.linalg.norm(M, 2), abs=1e-12)
-
     def test_rotation_like(self):
         M = np.array([[1.0, 1.0], [-1.0, 1.0]])
         assert spectral_norm(M) == pytest.approx(math.sqrt(2.0), abs=1e-14)
 
-    def test_power_iteration_matches_svd(self):
+    def test_matches_numpy_norm_exactly(self):
         rng = np.random.default_rng(0)
-        for n in (3, 5, 8):
-            M = rng.standard_normal((n, n))
-            assert spectral_norm(M) == pytest.approx(np.linalg.norm(M, 2), rel=1e-7)
+        shapes = [(1, 1), (2, 2)] + [(n, n) for n in range(3, 9)] + [(20, 20), (2, 3), (5, 2), (1, 4)]
+        mats = [rng.standard_normal(shape) for shape in shapes for _ in range(20)]
+
+        def with_singular_values(sigma, seed):
+            r = np.random.default_rng(seed)
+            n = len(sigma)
+            U, _ = np.linalg.qr(r.standard_normal((n, n)))
+            V, _ = np.linalg.qr(r.standard_normal((n, n)))
+            return U @ np.diag(sigma) @ V.T
+
+        # close top singular values: a 1e-5 gap, and the top pair of a
+        # cubicRd d=10 Jacobian that `verify` meets. Seeded power iteration
+        # does not converge on the first and stops 8e-8 short on the second.
+        mats.append(with_singular_values([1.0, 0.99999, 0.5, 0.1], 2))
+        mats.append(with_singular_values(np.r_[93.7527, 93.7388, np.linspace(50.0, 1.0, 18)], 11))
+        for M in mats:
+            assert spectral_norm(M) == float(np.linalg.norm(M, 2))
+        assert spectral_norm(mats[-1]) == pytest.approx(93.7527, rel=1e-12)
 
     def test_power_iteration_deterministic(self):
         M = np.random.default_rng(3).standard_normal((6, 6))
@@ -86,11 +94,6 @@ class TestSpectralNorm:
 
     def test_zero_matrix(self):
         assert spectral_norm(np.zeros((4, 4))) == 0.0
-
-    def test_nonconvergence_raises(self):
-        M = np.random.default_rng(1).standard_normal((5, 5))
-        with pytest.raises(ConvergenceFailure):
-            spectral_norm(M, max_iter=1, tol=1e-30)
 
     def test_rejects_nonmatrix(self):
         with pytest.raises(DimensionMismatch):

@@ -112,15 +112,18 @@ class TestGamma:
         vals = {gamma(p, nf, s=s) for nf in (0.0, 1.0, 10.0, 1e6)}
         assert vals == {solve_nu(NuKind.STRONG_MONO) / 2.0}
 
-    @pytest.mark.parametrize("key", ["thm3", "cor1", "thm5", "thm8"])
+    @pytest.mark.parametrize("key", ["thm3", "cor1", "thm5", "thm8", "vankov:0.5",
+                                     "adaptive:1:2", "adaptive:1:2:0.5", "const:0.1",
+                                     "egplus:0.1", "pethick:0.1:0.05"])
     def test_nonincreasing_in_norm(self, key):
         p = parse_policy(key)
         s = SmoothnessParams(1.0, 1.0, 2.0)
         grid = [0.0, 0.1, 1.0, 5.0, 100.0]
         vals = [gamma(p, nf, s=s) for nf in grid]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
+        assert all(v > 0 for v in vals)
 
-    @pytest.mark.parametrize("key", ["thm4", "thm7"])
+    @pytest.mark.parametrize("key", ["thm4", "thm7", "thm9"])
     def test_fractional_kinds_nonincreasing(self, key):
         p = parse_policy(key)
         s = SmoothnessParams(0.5, 1.0, 2.0)
