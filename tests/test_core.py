@@ -63,6 +63,12 @@ class TestSpectralNorm:
     def test_scalar(self):
         assert spectral_norm([[-3.0]]) == 3.0
 
+    def test_2x2_closed_form_matches_svd(self):
+        rng = np.random.default_rng(5)
+        for _ in range(100):
+            M = rng.standard_normal((2, 2))
+            assert spectral_norm(M) == pytest.approx(np.linalg.norm(M, 2), abs=1e-12)
+
     def test_rotation_like(self):
         M = np.array([[1.0, 1.0], [-1.0, 1.0]])
         assert spectral_norm(M) == pytest.approx(math.sqrt(2.0), abs=1e-14)
@@ -87,6 +93,12 @@ class TestSpectralNorm:
         for M in mats:
             assert spectral_norm(M) == float(np.linalg.norm(M, 2))
         assert spectral_norm(mats[-1]) == pytest.approx(93.7527, rel=1e-12)
+
+    def test_power_iteration_matches_svd(self):
+        rng = np.random.default_rng(0)
+        for n in (3, 5, 8):
+            M = rng.standard_normal((n, n))
+            assert spectral_norm(M) == pytest.approx(np.linalg.norm(M, 2), rel=1e-7)
 
     def test_power_iteration_deterministic(self):
         M = np.random.default_rng(3).standard_normal((6, 6))
