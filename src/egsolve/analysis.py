@@ -23,6 +23,7 @@ from .core import (
     SmoothnessParams,
     SolveTrace,
     norm,
+    overflow_as_data,
     spectral_norm,
     vec,
 )
@@ -117,9 +118,10 @@ def scatter_from_trace(F: OperatorInstance, trace: SolveTrace) -> List[ScatterSa
     if not rows:
         raise EmptyTrace("trace has no recorded iterate vectors")
     out = []
-    for r in rows:
-        nj = spectral_norm(F.jacobian_at(r.x_k))
-        out.append(ScatterSample(norm_F=r.norm_F_x, norm_J=nj, iterate_index=r.k))
+    with overflow_as_data():
+        for r in rows:
+            nj = spectral_norm(F.jacobian_at(r.x_k))
+            out.append(ScatterSample(norm_F=r.norm_F_x, norm_J=nj, iterate_index=r.k))
     return out
 
 
@@ -133,13 +135,14 @@ def verify_condition(F: OperatorInstance, s: SmoothnessParams, box: BoxLike,
     worst = math.inf
     worst_sample = None
     samples = []
-    for x in grid_points(box, F.dim, grid_n):
-        nf = norm(F(x))
-        nj = spectral_norm(F.jacobian_at(x))
-        sm = ScatterSample(norm_F=nf, norm_J=nj)
-        g = _slack(s.alpha, s.L0, s.L1, sm)
-        if g < worst:
-            worst, worst_sample = g, sm
+    with overflow_as_data():
+        for x in grid_points(box, F.dim, grid_n):
+            nf = norm(F(x))
+            nj = spectral_norm(F.jacobian_at(x))
+            sm = ScatterSample(norm_F=nf, norm_J=nj)
+            g = _slack(s.alpha, s.L0, s.L1, sm)
+            if g < worst:
+                worst, worst_sample = g, sm
     if worst_sample is not None:
         samples.append(worst_sample)
     return SmoothnessFit(alpha_hat=s.alpha, L0_hat=s.L0, L1_hat=s.L1,
@@ -177,16 +180,17 @@ def verify_segment_condition(F: OperatorInstance, s: SmoothnessParams, pairs: in
     thetas = np.linspace(0.0, 1.0, theta_grid)
     viol = 0
     min_slack = math.inf
-    for _ in range(pairs):
-        x = rng.uniform(lo, hi)
-        y = rng.uniform(lo, hi)
-        seg_max = max(norm(F(t * x + (1.0 - t) * y)) for t in thetas)
-        lhs = norm(F(x) - F(y))
-        rhs = (s.L0 + s.L1 * pow_alpha(seg_max, s.alpha)) * norm(x - y)
-        slack = rhs + 1e-10 - lhs
-        min_slack = min(min_slack, slack)
-        if slack < 0:
-            viol += 1
+    with overflow_as_data():
+        for _ in range(pairs):
+            x = rng.uniform(lo, hi)
+            y = rng.uniform(lo, hi)
+            seg_max = max(norm(F(t * x + (1.0 - t) * y)) for t in thetas)
+            lhs = norm(F(x) - F(y))
+            rhs = (s.L0 + s.L1 * pow_alpha(seg_max, s.alpha)) * norm(x - y)
+            slack = rhs + 1e-10 - lhs
+            min_slack = min(min_slack, slack)
+            if slack < 0:
+                viol += 1
     return PairCheckReport(pairs, viol, min_slack, route="segment-max")
 
 
@@ -213,15 +217,16 @@ def verify_proposition1(F: OperatorInstance, s: SmoothnessParams, pairs: int,
     rng = np.random.default_rng(seed)
     viol = 0
     min_slack = math.inf
-    for _ in range(pairs):
-        x = rng.uniform(lo, hi)
-        y = rng.uniform(lo, hi)
-        lhs = norm(F(x) - F(y))
-        rhs = prop1_rhs(s, norm(F(x)), norm(x - y))
-        slack = rhs + 1e-9 - lhs
-        min_slack = min(min_slack, slack)
-        if slack < 0:
-            viol += 1
+    with overflow_as_data():
+        for _ in range(pairs):
+            x = rng.uniform(lo, hi)
+            y = rng.uniform(lo, hi)
+            lhs = norm(F(x) - F(y))
+            rhs = prop1_rhs(s, norm(F(x)), norm(x - y))
+            slack = rhs + 1e-9 - lhs
+            min_slack = min(min_slack, slack)
+            if slack < 0:
+                viol += 1
     route = "exp-bound" if s.alpha == 1.0 else "k-constants"
     return PairCheckReport(pairs, viol, min_slack, route=route)
 

@@ -26,6 +26,7 @@ from .core import (
     SmoothnessParams,
     SolveConfig,
     norm,
+    overflow_as_data,
     spectral_norm,
 )
 from .stepsize import (
@@ -269,9 +270,10 @@ def cmd_estimate(args) -> int:
     if args.from_grid:
         box = args.box if args.box is not None else operators.default_box(op.label, op.dim)
         grid_n = _grid_n(args, op.dim, 21)
-        samples = [analysis.ScatterSample(norm_F=norm(op(x)),
-                                          norm_J=spectral_norm(op.jacobian_at(x)))
-                   for x in analysis.grid_points(box, op.dim, grid_n)]
+        with overflow_as_data():
+            samples = [analysis.ScatterSample(norm_F=norm(op(x)),
+                                              norm_J=spectral_norm(op.jacobian_at(x)))
+                       for x in analysis.grid_points(box, op.dim, grid_n)]
     else:
         if args.policy is None:
             raise _UsageError("estimate needs --from-grid or --policy (trace source)")

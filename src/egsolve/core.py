@@ -91,6 +91,14 @@ def vec(x, dim: Optional[int] = None, what: str = "vector") -> np.ndarray:
     return a
 
 
+def overflow_as_data() -> np.errstate:
+    """Floating-point error state for a loop that detects non-finite values
+    itself: overflow, invalid and divide-by-zero results become inf/nan data,
+    which the loop reports (divergence, NonFiniteEvaluation), not warnings.
+    Enter it once per loop, not per evaluation: it changes no value."""
+    return np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
+
 def norm(x) -> float:
     """2-norm (Frobenius for a matrix), bit-identical to `np.linalg.norm`:
     the same dot and the same correctly rounded sqrt, without its dispatch."""
@@ -222,10 +230,9 @@ class OperatorInstance:
                     f"declared solution of {self.label or 'operator'} is not a root: ||F(x*)|| = {r:.3e}")
 
     def __call__(self, x) -> np.ndarray:
-        # overflow to inf/nan is data here, not an error condition: the solve
-        # loop detects non-finite values itself and reports divergence
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            out = np.asarray(self.fn(np.asarray(x, dtype=np.float64)), dtype=np.float64).reshape(-1)
+        # plain numpy evaluation: overflow warns here unless the caller holds
+        # overflow_as_data(), as every library loop does
+        out = np.asarray(self.fn(np.asarray(x, dtype=np.float64)), dtype=np.float64).reshape(-1)
         if out.shape[0] != self.dim:
             raise DimensionMismatch(
                 f"{self.label or 'operator'} returned dimension {out.shape[0]}, expected {self.dim}")

@@ -22,6 +22,7 @@ from .core import (
     SolveTrace,
     TraceRow,
     norm,
+    overflow_as_data,
     vec,
 )
 from .stepsize import OmegaRule, StepSizePolicy, gamma, omega
@@ -40,35 +41,42 @@ class IterationState:
     next_x: np.ndarray
 
 
-def _one_step(F: OperatorInstance, x: np.ndarray, policy: StepSizePolicy, k: int,
-              F_x: np.ndarray, norm_F_x: float) -> IterationState:
-    # F(x) and its norm come from the caller, so a step evaluates F only at xhat
+def _one_step(F: OperatorInstance, x: np.ndarray, policy: StepSizePolicy,
+              F_x: np.ndarray, norm_F_x: float) -> tuple:
+    """(gamma_k, xhat, F(xhat), omega_k, next_x) of one step from x.
+
+    F(x) and its norm come from the caller, so a step evaluates F only at xhat.
+    """
     g = gamma(policy, norm_F_x, s=F.smoothness, m=F.monotonicity)
     xhat = x - g * F_x
     F_xhat = F(xhat)
-    if policy.omega_rule is OmegaRule.PETHICK and float(F_xhat @ F_xhat) == 0.0:
+    if policy.omega_rule is not OmegaRule.PETHICK:
+        w = omega(policy, g)
+    elif float(F_xhat @ F_xhat) == 0.0:
         # update term is zero either way; keep the row well-defined
         w = g
     else:
         m = F.monotonicity
         w = omega(policy, g, F_xhat=F_xhat, x_minus_xhat=x - xhat,
                   rho=m.rho if m is not None else None)
-    return IterationState(k=k, x=x, F_x=F_x, gamma_k=g, xhat=xhat,
-                          F_xhat=F_xhat, omega_k=w, next_x=x - w * F_xhat)
+    return g, xhat, F_xhat, w, x - w * F_xhat
 
 
 def eg_step(F: OperatorInstance, x_k, policy: StepSizePolicy, k: int = 0) -> IterationState:
     """Run one extragradient step from x_k under the given policy."""
     x = vec(x_k, F.dim, what="x_k")
-    F_x = F(x)
-    return _one_step(F, x, policy, k, F_x, norm(F_x))
+    with overflow_as_data():
+        F_x = F(x)
+        g, xhat, F_xhat, w, next_x = _one_step(F, x, policy, F_x, norm(F_x))
+    return IterationState(k=k, x=x, F_x=F_x, gamma_k=g, xhat=xhat,
+                          F_xhat=F_xhat, omega_k=w, next_x=next_x)
 
 
 def _dist_sq(x: np.ndarray, xstar: Optional[np.ndarray]) -> Optional[float]:
     if xstar is None:
         return None
     e = x - xstar
-    return float(e @ e)
+    return float(e.dot(e))
 
 
 def check_policy_compat(F: OperatorInstance, policy: StepSizePolicy,
@@ -111,57 +119,53 @@ def solve(F: OperatorInstance, policy: StepSizePolicy, cfg: SolveConfig,
     if x.shape[0] != F.dim:
         x = vec(x, F.dim, what="x0")
     xstar = F.solution
-    tr = SolveTrace(reason="max_iters")
+    stop_tol = cfg.stop_tol
+    tr = SolveTrace()
+    append = tr.rows.append if cfg.record_trace else None
+    # running minima over the recorded rows, first index wins ties; they are
+    # written to the trace on return and with every NonFiniteIterate
+    min_f, arg_f, min_h, arg_h = math.inf, -1, math.inf, -1
 
-    def _record(row: TraceRow) -> None:
-        if cfg.record_trace:
-            tr.rows.append(row)
-        if row.norm_F_x < tr.min_norm_F_x:
-            tr.min_norm_F_x = row.norm_F_x
-            tr.argmin_norm_F_x = row.k
-        if math.isfinite(row.norm_F_xhat) and row.norm_F_xhat < tr.min_norm_F_xhat:
-            tr.min_norm_F_xhat = row.norm_F_xhat
-            tr.argmin_norm_F_xhat = row.k
+    def _finish(k: int, reason: str, d2: Optional[float]) -> SolveTrace:
+        tr.min_norm_F_x, tr.argmin_norm_F_x = min_f, arg_f
+        tr.min_norm_F_xhat, tr.argmin_norm_F_xhat = min_h, arg_h
+        tr.iterations_run = k
+        tr.reason = reason
+        tr.final_x = x
+        tr.final_dist_sq = d2
+        return tr
 
     def _fail(k: int, what: str) -> NonFiniteIterate:
-        tr.iterations_run = k
-        tr.reason = "nonfinite"
-        tr.final_x = x
         err = NonFiniteIterate(f"{what} at iteration {k}", k=k)
-        err.trace = tr
+        err.trace = _finish(k, "nonfinite", None)
         return err
 
-    # overflow on the way to a non-finite iterate is reported as
-    # NonFiniteIterate below, not as a numpy RuntimeWarning
-    with np.errstate(over="ignore", invalid="ignore"):
+    with overflow_as_data():
         for k in range(cfg.max_iters):
             F_x = F(x)
             nfx = norm(F_x)
             if not math.isfinite(nfx):
                 raise _fail(k, "non-finite operator value")
             d2 = _dist_sq(x, xstar)
-            st = _one_step(F, x, policy, k, F_x, nfx)
-            nfxh = norm(st.F_xhat)
-            row = TraceRow(k=k, x_k=x.copy(), xhat_k=st.xhat, gamma_k=st.gamma_k,
-                           omega_k=st.omega_k, norm_F_x=nfx, norm_F_xhat=nfxh, dist_sq=d2)
-            if nfx <= cfg.stop_tol:
-                _record(row)
-                tr.iterations_run = k
-                tr.reason = "stop_tol"
-                tr.final_x = x
-                tr.final_dist_sq = d2
-                return tr
-            if not math.isfinite(nfxh):
+            g, xhat, F_xhat, w, next_x = _one_step(F, x, policy, F_x, nfx)
+            nfxh = norm(F_xhat)
+            stop = nfx <= stop_tol
+            if not stop and not math.isfinite(nfxh):
                 raise _fail(k, "non-finite operator value at extrapolation point")
-            _record(row)
-            x = st.next_x
-            if not np.isfinite(x).all():
+            if append is not None:
+                append(TraceRow(k, x.copy(), xhat, g, w, nfx, nfxh, d2))
+            if nfx < min_f:
+                min_f, arg_f = nfx, k
+            if nfxh < min_h:    # a non-finite nfxh (terminal row only) never wins
+                min_h, arg_h = nfxh, k
+            if stop:
+                return _finish(k, "stop_tol", d2)
+            x = next_x
+            # a finite sum of squares proves every entry finite; only one that
+            # overflows needs the entrywise check
+            if not math.isfinite(x.dot(x)) and not np.isfinite(x).all():
                 raise _fail(k + 1, "non-finite iterate")
-
-        tr.iterations_run = cfg.max_iters
-        tr.final_x = x
-        tr.final_dist_sq = _dist_sq(x, xstar)
-    return tr
+        return _finish(cfg.max_iters, "max_iters", _dist_sq(x, xstar))
 
 
 # ---------------------------------------------------------------------------

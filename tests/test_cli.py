@@ -192,6 +192,17 @@ class TestGridLimits:
         assert len(err.splitlines()) == 1 and "--grid" in err
         assert evals == []
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--pairs", "2"],
+        ["estimate", "--from-grid"],
+    ])
+    def test_overflowing_box_exits_1_with_one_line(self, argv, tmp_path, capsys):
+        # the cubic Jacobian overflows at 1e200: one error line, no RuntimeWarning
+        code, out, err = run(capsys, argv[0], "--op", "cubicRd:d=1", "--box", "1e200",
+                             "--grid", "3", *argv[1:], "--out", str(tmp_path))
+        assert code == 1 and out == ""
+        assert err.splitlines() == ["error: spectral_norm: non-finite matrix"]
+
 
 class TestVerify:
     def test_declared_constants_pass(self, tmp_path, capsys):

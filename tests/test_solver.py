@@ -11,6 +11,7 @@ from egsolve.core import (
     EmptyTrace,
     IncompatiblePolicy,
     MonotoneClass,
+    MonotonicityParams,
     NonFiniteIterate,
     OperatorInstance,
     SmoothnessParams,
@@ -148,6 +149,30 @@ class TestSolve:
         assert len(err.trace.rows) >= 1
         assert all(math.isfinite(r.norm_F_x) for r in err.trace.rows)
 
+    @pytest.mark.parametrize("start,k", [(1e5, 2), (1e10, 1)])
+    def test_overflow_raises_without_runtime_warning(self, start, k):
+        # from 1e5, F(x_2) overflows; from 1e10, F(xhat_1) does
+        op = build("cubicRd", d=2)
+        cfg = SolveConfig(max_iters=100, x0=np.full(op.dim, start), stop_tol=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteIterate) as ei:
+                solve(op, parse_policy("const:1"), cfg)
+        tr = ei.value.trace
+        assert ei.value.k == k and tr.reason == "nonfinite" and len(tr.rows) == k
+        assert (tr.min_norm_F_x, tr.min_norm_F_xhat) == tr.recomputed_minima()
+        assert tr.argmin_norm_F_x == 0 and tr.argmin_norm_F_xhat == 0
+
+    def test_eg_step_overflow_is_data(self):
+        # ||F(x)|| ~ 1e152 is finite; F(xhat) overflows in the cubic field
+        op = build("cubicRd", d=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            st = eg_step(op, np.full(op.dim, 1e76), parse_policy("const:100"))
+        assert np.isfinite(st.F_x).all()
+        assert not np.isfinite(st.F_xhat).all()
+        assert not np.isfinite(st.next_x).all()
+
 
 def _counting(op):
     """Wrap op.fn so that every operator evaluation bumps calls[0]."""
@@ -162,10 +187,12 @@ def _counting(op):
 
 
 class TestEvaluationCount:
-    def test_two_evaluations_per_budget_iteration(self):
+    @pytest.mark.parametrize("key", ["thm3", "egplus:0.1", "pethick:0.1"])
+    def test_two_evaluations_per_budget_iteration(self, key):
+        # one policy per update rule: equal, half and Pethick
         op = build("quadratic")
         calls = _counting(op)
-        solve(op, parse_policy("thm3"), SolveConfig(max_iters=10, x0=[1.0, 1.0], stop_tol=0.0))
+        solve(op, parse_policy(key), SolveConfig(max_iters=10, x0=[1.0, 1.0], stop_tol=0.0))
         assert calls[0] == 20
 
     def test_stop_tol_terminal_row_costs_two_evaluations(self):
@@ -177,25 +204,50 @@ class TestEvaluationCount:
 
 
 _ENTRY = st.floats(-2.0, 2.0)
+_DECLARED_KEYS = ("pethick", "thm3", "cor1", "thm5", "thm8")
 
 
 @st.composite
 def _affine_runs(draw):
-    """A random F(x) = M x on R^2..R^4, a start x0 and a const/adaptive policy."""
+    """A random F(x) = M x on R^2..R^4, a start x0 and a policy of any update rule.
+
+    const, adaptive and egplus run on any M. The kinds that need a declared
+    class run on M = mu I + skew, declared strongly monotone with modulus mu
+    and Lipschitz constant ||M||_2.
+    """
     d = draw(st.integers(2, 4))
-    M = np.array(draw(st.lists(_ENTRY, min_size=d * d, max_size=d * d))).reshape(d, d)
     x0 = np.array(draw(st.lists(_ENTRY, min_size=d, max_size=d)))
-    if draw(st.booleans()):
-        policy = StepSizePolicy(kind=PolicyKind.CONSTANT, step=draw(st.floats(0.01, 0.2)))
+    key = draw(st.sampled_from(("const", "adaptive", "egplus") + _DECLARED_KEYS))
+    if key in _DECLARED_KEYS:
+        mu = draw(st.floats(0.5, 2.0))
+        K = np.array(draw(st.lists(_ENTRY, min_size=d * d, max_size=d * d))).reshape(d, d)
+        op = _affine(mu * np.eye(d) + (K - K.T) / 2, mu=mu)
     else:
+        op = _affine(np.array(draw(st.lists(_ENTRY, min_size=d * d,
+                                            max_size=d * d))).reshape(d, d))
+    if key == "const":
+        policy = StepSizePolicy(kind=PolicyKind.CONSTANT, step=draw(st.floats(0.01, 0.2)))
+    elif key == "adaptive":
         policy = StepSizePolicy(kind=PolicyKind.ADAPTIVE, c0=draw(st.floats(2.0, 20.0)),
                                 c1=draw(st.floats(0.0, 5.0)), alpha=draw(st.floats(0.25, 1.0)))
-    return M, x0, policy
+    elif key == "egplus":
+        policy = StepSizePolicy(kind=PolicyKind.EGPLUS, step=draw(st.floats(0.01, 0.2)))
+    elif key == "pethick":
+        policy = StepSizePolicy(kind=PolicyKind.PETHICK, step=draw(st.floats(0.01, 0.2)),
+                                rho=draw(st.floats(0.0, 0.1)))
+    else:
+        policy = parse_policy(key)
+    return op, x0, policy
 
 
-def _affine(M):
+def _affine(M, mu=None):
+    """F(x) = M x with root 0; with mu, declared strongly monotone (modulus mu)
+    and Lipschitz with constant ||M||_2."""
+    declared = {} if mu is None else dict(
+        smoothness=SmoothnessParams(1.0, float(np.linalg.norm(M, 2)), 0.0),
+        monotonicity=MonotonicityParams(MonotoneClass.STRONGLY_MONOTONE, mu=mu))
     return OperatorInstance(dim=M.shape[0], fn=lambda x: M @ x,
-                            solution=np.zeros(M.shape[0]), label="affine")
+                            solution=np.zeros(M.shape[0]), label="affine", **declared)
 
 
 def _assert_rows_replay_eg_step(op, x0, policy, tr):
@@ -212,11 +264,10 @@ def _assert_rows_replay_eg_step(op, x0, policy, tr):
 
 
 class TestSolveMatchesStepReplay:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=120, deadline=None)
     @given(_affine_runs())
     def test_budget_rows_equal_eg_step_replay(self, run):
-        M, x0, policy = run
-        op = _affine(M)
+        op, x0, policy = run
         tr = solve(op, policy, SolveConfig(max_iters=30, x0=x0, stop_tol=0.0))
         # F(x0) = 0 (x0 = 0 or M x0 = 0) stops at once on the terminal row
         assert len(tr.rows) == (30 if tr.reason == "max_iters" else tr.iterations_run + 1)
