@@ -187,9 +187,15 @@ def _counting(op):
 
 
 class TestEvaluationCount:
-    @pytest.mark.parametrize("key", ["thm3", "egplus:0.1", "pethick:0.1"])
-    def test_two_evaluations_per_budget_iteration(self, key):
-        # one policy per update rule: equal, half and Pethick
+    def test_two_evaluations_per_budget_iteration(self):
+        op = build("quadratic")
+        calls = _counting(op)
+        solve(op, parse_policy("thm3"), SolveConfig(max_iters=10, x0=[1.0, 1.0], stop_tol=0.0))
+        assert calls[0] == 20
+
+    @pytest.mark.parametrize("key", ["egplus:0.1", "pethick:0.1"])
+    def test_two_evaluations_per_iteration_other_update_rules(self, key):
+        # the half-step (EG+) and Pethick update rules cost the same two calls
         op = build("quadratic")
         calls = _counting(op)
         solve(op, parse_policy(key), SolveConfig(max_iters=10, x0=[1.0, 1.0], stop_tol=0.0))
