@@ -4,12 +4,12 @@ iteration-bound evaluation."""
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
+from numpy import linalg as la
 
 from .core import (
     DegenerateSamples,
@@ -19,6 +19,7 @@ from .core import (
     MissingConstant,
     MissingSolution,
     MonotoneClass,
+    NonFiniteEvaluation,
     OperatorInstance,
     SmoothnessParams,
     SolveTrace,
@@ -62,15 +63,55 @@ def check_grid(dim: int, n: int) -> None:
                          f"{MAX_GRID_POINTS} points")
 
 
+# Bytes of a block's Jacobian stack plus a few of its (rows, dim) arrays;
+# with the temporaries of an evaluation a block holds about 1 MB. Blocks
+# bound the memory of a MAX_GRID_POINTS grid (a 2^19 grid would need ~1.5 GB
+# of Jacobians at once) at no cost in speed: the per-block overhead is spread
+# over thousands of rows, and larger blocks only raise the peak RSS.
+BLOCK_BYTES = 2 ** 18
+
+
+def _block_len(dim: int, group: int = 1) -> int:
+    """How many groups of `group` points (the theta points of one pair, say)
+    fill a block of about BLOCK_BYTES at dimension dim; at least one."""
+    return max(1, BLOCK_BYTES // (8 * dim * (dim + 4) * group))
+
+
+def _grid_blocks(box: BoxLike, dim: int, n: int) -> Iterator[np.ndarray]:
+    """The points of grid_points as (rows, dim) blocks of at most
+    _block_len(dim) rows, in the same order and with the same values.
+
+    Checks the grid size (check_grid) and the box before yielding a block.
+    """
+    check_grid(dim, n)
+    lo, hi = box_bounds(box, dim)
+    axes = [np.linspace(lo[i], hi[i], n) for i in range(dim)]
+    rows, total = _block_len(dim), n ** dim
+
+    def blocks():
+        for start in range(0, total, rows):
+            # flat index -> one digit per axis, last axis fastest
+            digits = np.unravel_index(np.arange(start, min(start + rows, total)), (n,) * dim)
+            yield np.column_stack([a[k] for a, k in zip(axes, digits)])
+    return blocks()
+
+
 def grid_points(box: BoxLike, dim: int, n: int) -> Iterator[np.ndarray]:
     """The n^dim points of the uniform grid over the box, last axis fastest.
 
     Checks the grid size (check_grid) and the box before yielding a point.
     """
-    check_grid(dim, n)
-    lo, hi = box_bounds(box, dim)
-    axes = [np.linspace(lo[i], hi[i], n) for i in range(dim)]
-    return (np.array(pt) for pt in itertools.product(*axes))
+    return (x for X in _grid_blocks(box, dim, n) for x in X)
+
+
+def _row_norms(V: np.ndarray) -> np.ndarray:
+    """2-norm along the last axis."""
+    return np.sqrt(np.einsum("...i,...i->...", V, V))
+
+
+def _pow_alpha_rows(v: np.ndarray, alpha: float) -> np.ndarray:
+    """pow_alpha over an array of nonnegative values (log 0 = -inf gives 0)."""
+    return np.exp(alpha * np.log(v))
 
 
 # ---------------------------------------------------------------------------
@@ -108,8 +149,36 @@ class SmoothnessFit:
         return self.max_violation >= -1e-9
 
 
-def _slack(s_alpha: float, L0: float, L1: float, sample: ScatterSample) -> float:
-    return L0 + L1 * pow_alpha(sample.norm_F, s_alpha) - sample.norm_J
+def _grid_norms(F: OperatorInstance, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(||F(x)||, ||J(x)||) for the rows x of a grid block.
+
+    The first offending row raises what a per-point ScatterSample of
+    (norm(F(x)), spectral_norm(F.jacobian_at(x))) raises there: a non-finite
+    Jacobian NonFiniteEvaluation, a non-finite norm ValueError.
+    """
+    nf = _row_norms(F.call_batch(X))
+    J = F.jacobian_batch_at(X)
+    bad_J = ~np.isfinite(J).all(axis=(1, 2))
+    cut = int(np.argmax(bad_J)) if bad_J.any() else X.shape[0]
+    nj = la.svd(J[:cut], compute_uv=False)[:, 0] if cut else np.empty(0)
+    ok = np.isfinite(nf[:cut]) & np.isfinite(nj)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        ScatterSample(norm_F=float(nf[i]), norm_J=float(nj[i]))   # raises ValueError
+    if cut < X.shape[0]:
+        raise NonFiniteEvaluation("spectral_norm: non-finite matrix")
+    return nf, nj
+
+
+def grid_samples(F: OperatorInstance, box: BoxLike, n: int) -> List[ScatterSample]:
+    """One (||F(x)||, ||J(x)||) sample per point of the n-per-axis grid over
+    the box, in grid order (index -1)."""
+    out = []
+    with overflow_as_data():
+        for X in _grid_blocks(box, F.dim, n):
+            nf, nj = _grid_norms(F, X)
+            out += [ScatterSample(norm_F=a, norm_J=b) for a, b in zip(nf.tolist(), nj.tolist())]
+    return out
 
 
 def scatter_from_trace(F: OperatorInstance, trace: SolveTrace) -> List[ScatterSample]:
@@ -134,19 +203,16 @@ def verify_condition(F: OperatorInstance, s: SmoothnessParams, box: BoxLike,
     """
     worst = math.inf
     worst_sample = None
-    samples = []
     with overflow_as_data():
-        for x in grid_points(box, F.dim, grid_n):
-            nf = norm(F(x))
-            nj = spectral_norm(F.jacobian_at(x))
-            sm = ScatterSample(norm_F=nf, norm_J=nj)
-            g = _slack(s.alpha, s.L0, s.L1, sm)
-            if g < worst:
-                worst, worst_sample = g, sm
-    if worst_sample is not None:
-        samples.append(worst_sample)
-    return SmoothnessFit(alpha_hat=s.alpha, L0_hat=s.L0, L1_hat=s.L1,
-                         max_violation=worst, samples=samples)
+        for X in _grid_blocks(box, F.dim, grid_n):
+            nf, nj = _grid_norms(F, X)
+            g = s.L0 + s.L1 * _pow_alpha_rows(nf, s.alpha) - nj
+            i = int(np.argmin(g))   # first minimum in grid order
+            if g[i] < worst:
+                worst = float(g[i])
+                worst_sample = ScatterSample(norm_F=float(nf[i]), norm_J=float(nj[i]))
+    return SmoothnessFit(alpha_hat=s.alpha, L0_hat=s.L0, L1_hat=s.L1, max_violation=worst,
+                         samples=[worst_sample] if worst_sample is not None else [])
 
 
 @dataclass
@@ -169,29 +235,48 @@ def verify_segment_condition(F: OperatorInstance, s: SmoothnessParams, pairs: in
 
     For seeded uniform pairs (x, y) in the box, approximates
     max_theta ||F(theta x + (1-theta) y)|| on a uniform theta grid and checks
-    ||F(x) - F(y)|| <= (L0 + L1 max^alpha) ||x - y|| + 1e-10.
+    ||F(x) - F(y)|| <= (L0 + L1 max^alpha) ||x - y|| + 1e-10. Raises
+    NonFiniteEvaluation when ||F|| is not finite on a sampled segment.
     """
     if pairs < 1:
         raise ValueError(f"pairs must be >= 1, got {pairs}")
     if theta_grid < 2:
         raise ValueError(f"theta_grid must be >= 2, got {theta_grid}")
-    lo, hi = box_bounds(box, F.dim)
-    rng = np.random.default_rng(seed)
-    thetas = np.linspace(0.0, 1.0, theta_grid)
+    thetas = np.linspace(0.0, 1.0, theta_grid)[:, None]
     viol = 0
     min_slack = math.inf
     with overflow_as_data():
-        for _ in range(pairs):
-            x = rng.uniform(lo, hi)
-            y = rng.uniform(lo, hi)
-            seg_max = max(norm(F(t * x + (1.0 - t) * y)) for t in thetas)
-            lhs = norm(F(x) - F(y))
-            rhs = (s.L0 + s.L1 * pow_alpha(seg_max, s.alpha)) * norm(x - y)
+        for x, y, FP, nF in _pair_blocks(F, box, pairs, seed, thetas):
+            # theta = 1 and theta = 0 give x and y exactly: 1*x + 0*y == x
+            lhs = _row_norms(FP[:, -1] - FP[:, 0])
+            rhs = (s.L0 + s.L1 * _pow_alpha_rows(nF.max(axis=1), s.alpha)) * _row_norms(x - y)
             slack = rhs + 1e-10 - lhs
-            min_slack = min(min_slack, slack)
-            if slack < 0:
-                viol += 1
+            viol += int(np.count_nonzero(slack < 0))
+            min_slack = min(min_slack, float(slack.min()))
     return PairCheckReport(pairs, viol, min_slack, route="segment-max")
+
+
+def _pair_blocks(F: OperatorInstance, box: BoxLike, pairs: int, seed: int,
+                 thetas: np.ndarray):
+    """Seeded uniform pairs (x, y) in the box, in blocks: yields x, y, the
+    values F(theta x + (1 - theta) y) per pair and theta row, and their norms.
+    Raises NonFiniteEvaluation at the first pair with a non-finite ||F||, whose
+    slack would be meaningless."""
+    lo, hi = box_bounds(box, F.dim)
+    rng = np.random.default_rng(seed)
+    step = _block_len(F.dim, thetas.shape[0])
+    for start in range(0, pairs, step):
+        # drawn in (pair, x|y, coordinate) order: the stream of per-pair draws
+        x, y = rng.uniform(lo, hi, size=(min(step, pairs - start), 2, F.dim)).transpose(1, 0, 2)
+        pts = thetas * x[:, None, :] + (1.0 - thetas) * y[:, None, :]
+        FP = F.call_batch(pts.reshape(-1, F.dim)).reshape(pts.shape)
+        nF = _row_norms(FP)
+        bad = ~np.isfinite(nF).all(axis=1)
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise NonFiniteEvaluation(
+                f"non-finite ||F|| on sampled pair {start + k} (x={x[k]}, y={y[k]})")
+        yield x, y, FP, nF
 
 
 def prop1_rhs(s: SmoothnessParams, norm_Fx: float, dist: float) -> float:
@@ -210,23 +295,22 @@ def prop1_rhs(s: SmoothnessParams, norm_Fx: float, dist: float) -> float:
 
 def verify_proposition1(F: OperatorInstance, s: SmoothnessParams, pairs: int,
                         box: BoxLike = 3.0, seed: int = 0) -> PairCheckReport:
-    """Sampled check of the segment-free two-point bound (see prop1_rhs)."""
+    """Sampled check of the segment-free two-point bound (see prop1_rhs).
+    Raises NonFiniteEvaluation when ||F|| is not finite at a sampled point."""
     if pairs < 1:
         raise ValueError(f"pairs must be >= 1, got {pairs}")
-    lo, hi = box_bounds(box, F.dim)
-    rng = np.random.default_rng(seed)
     viol = 0
     min_slack = math.inf
     with overflow_as_data():
-        for _ in range(pairs):
-            x = rng.uniform(lo, hi)
-            y = rng.uniform(lo, hi)
-            lhs = norm(F(x) - F(y))
-            rhs = prop1_rhs(s, norm(F(x)), norm(x - y))
-            slack = rhs + 1e-9 - lhs
-            min_slack = min(min_slack, slack)
-            if slack < 0:
-                viol += 1
+        # theta = 1 and theta = 0 are the pair's endpoints x and y
+        for x, y, FP, nF in _pair_blocks(F, box, pairs, seed, np.array([[1.0], [0.0]])):
+            lhs = _row_norms(FP[:, 0] - FP[:, 1])
+            dist = _row_norms(x - y)
+            for nfx, d, l in zip(nF[:, 0].tolist(), dist.tolist(), lhs.tolist()):
+                slack = prop1_rhs(s, nfx, d) + 1e-9 - l
+                min_slack = min(min_slack, slack)
+                if slack < 0:
+                    viol += 1
     route = "exp-bound" if s.alpha == 1.0 else "k-constants"
     return PairCheckReport(pairs, viol, min_slack, route=route)
 

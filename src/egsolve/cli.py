@@ -26,8 +26,7 @@ from .core import (
     SmoothnessParams,
     SolveConfig,
     norm,
-    overflow_as_data,
-    spectral_norm,
+    spectral_norm,  # unused here; perfbench/layers.py still wraps cli.spectral_norm by name
 )
 from .stepsize import (
     NuKind,
@@ -269,11 +268,7 @@ def cmd_estimate(args) -> int:
     alphas = [float(v) for v in args.alphas.split(",") if v.strip()]
     if args.from_grid:
         box = args.box if args.box is not None else operators.default_box(op.label, op.dim)
-        grid_n = _grid_n(args, op.dim, 21)
-        with overflow_as_data():
-            samples = [analysis.ScatterSample(norm_F=norm(op(x)),
-                                              norm_J=spectral_norm(op.jacobian_at(x)))
-                       for x in analysis.grid_points(box, op.dim, grid_n)]
+        samples = analysis.grid_samples(op, box, _grid_n(args, op.dim, 21))
     else:
         if args.policy is None:
             raise _UsageError("estimate needs --from-grid or --policy (trace source)")

@@ -208,7 +208,9 @@ class OperatorInstance:
     (finite, right dimension). If `solution` is given it must satisfy
     ||F(solution)|| <= 1e-12 at registration. `matrices` holds the matrices
     an operator was built from, when its builder exposes them (cubicRd:
-    (A, B, C)).
+    (A, B, C)). `fn_batch` and `jacobian_batch` are optional block kernels
+    whose rows are points: (N, dim) -> (N, dim) and (N, dim) -> (N, dim, dim);
+    `call_batch` and `jacobian_batch_at` loop over the rows without them.
     """
     dim: int
     fn: Callable[[np.ndarray], np.ndarray]
@@ -218,6 +220,8 @@ class OperatorInstance:
     monotonicity: Optional[MonotonicityParams] = None
     label: str = ""
     matrices: Optional[Tuple[np.ndarray, ...]] = None
+    fn_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    jacobian_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -243,6 +247,39 @@ class OperatorInstance:
         if self.jacobian is not None:
             return np.asarray(self.jacobian(np.asarray(x, dtype=np.float64)), dtype=np.float64)
         return finite_diff_jacobian(self.fn, x, h=h)
+
+    def call_batch(self, X) -> np.ndarray:
+        """F at each row of the (N, dim) block X, as an (N, dim) block:
+        `fn_batch` when declared, else one `__call__` per row."""
+        X = self._rows(X)
+        out = self.fn_batch(X) if self.fn_batch is not None else np.stack([self(x) for x in X])
+        return self._checked(out, (X.shape[0], self.dim))
+
+    def jacobian_batch_at(self, X, h: float = 1e-5) -> np.ndarray:
+        """Jacobians at the rows of the (N, dim) block X, as an (N, dim, dim)
+        stack: `jacobian_batch` when declared, else one `jacobian_at` per row
+        (finite differences when no Jacobian is declared either)."""
+        X = self._rows(X)
+        if self.jacobian_batch is not None:
+            out = self.jacobian_batch(X)
+        else:
+            out = np.stack([self.jacobian_at(x, h) for x in X])
+        return self._checked(out, (X.shape[0], self.dim, self.dim))
+
+    def _rows(self, X) -> np.ndarray:
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2 or X.shape[1] != self.dim:
+            raise DimensionMismatch(
+                f"{self.label or 'operator'}: a block of points must have shape (N, {self.dim}), "
+                f"got {X.shape}")
+        return X
+
+    def _checked(self, out, shape) -> np.ndarray:
+        out = np.asarray(out, dtype=np.float64)
+        if out.shape != shape:
+            raise DimensionMismatch(
+                f"{self.label or 'operator'} returned shape {out.shape}, expected {shape}")
+        return out
 
 
 # ---------------------------------------------------------------------------

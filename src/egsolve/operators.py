@@ -31,6 +31,17 @@ def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
 
 
+def _coupled_2x2(a, b):
+    """Stack of [[a_i, 1], [-1, b_i]]: the Jacobians of the 2-dim fields whose
+    coupling is (w2, -w1)."""
+    J = np.empty((a.shape[0], 2, 2))
+    J[:, 0, 0] = a
+    J[:, 0, 1] = 1.0
+    J[:, 1, 0] = -1.0
+    J[:, 1, 1] = b
+    return J
+
+
 # ---------------------------------------------------------------------------
 # builders
 # ---------------------------------------------------------------------------
@@ -117,6 +128,13 @@ def signpower(mu: Optional[float] = None) -> OperatorInstance:
     def jac(x):
         return np.array([[2.0 * abs(x[0]), 1.0], [-1.0, 2.0 * abs(x[1])]])
 
+    def fn_batch(X):
+        u1, u2 = X[:, 0], X[:, 1]
+        return np.column_stack([u1 * np.abs(u1) + u2, u2 * np.abs(u2) - u1])
+
+    def jac_batch(X):
+        return _coupled_2x2(2.0 * np.abs(X[:, 0]), 2.0 * np.abs(X[:, 1]))
+
     mono = (MonotonicityParams(MonotoneClass.STRONGLY_MONOTONE, mu=mu)
             if mu is not None else MonotonicityParams(MonotoneClass.MONOTONE))
     return OperatorInstance(
@@ -124,6 +142,7 @@ def signpower(mu: Optional[float] = None) -> OperatorInstance:
         smoothness=SmoothnessParams(1.0, 1.0 + 2.0 * SQ2, 2.0 * SQ2),
         monotonicity=mono,
         label="signpower",
+        fn_batch=fn_batch, jacobian_batch=jac_batch,
     )
 
 
@@ -175,12 +194,44 @@ def cubicRd(d: int = 2, seed: int = 0, scale: float = 1.0) -> OperatorInstance:
         D2 = t * C + np.outer(C @ w2, C @ w2) / t if t > 0 else np.zeros((d, d))
         return np.block([[D1, B], [-B.T, D2]])
 
+    # the block kernels: rows are points, so X @ M.T stacks the four mat-vecs
+    def _scaled(X):
+        Y = X @ M.T
+        s = np.sqrt(np.einsum("ij,ij->i", X[:, :d], Y[:, :d]))
+        t = np.sqrt(np.einsum("ij,ij->i", X[:, d:], Y[:, d:2 * d]))
+        return Y, s, t
+
+    def fn_batch(X):
+        Y, s, t = _scaled(X)
+        out = Y[:, 2 * d:].copy()
+        out[:, :d] += s[:, None] * Y[:, :d]
+        out[:, d:] += t[:, None] * Y[:, d:2 * d]
+        return out
+
+    def _diag_blocks(S, Sw, s):
+        # s S + (S w)(S w)^T / s per row, with limit 0 where s is not > 0
+        pos = s > 0
+        r = np.where(pos, s, 1.0)[:, None, None]
+        D = r * S + Sw[:, :, None] * Sw[:, None, :] / r
+        D[~pos] = 0.0
+        return D
+
+    def jac_batch(X):
+        Y, s, t = _scaled(X)
+        J = np.empty((X.shape[0], 2 * d, 2 * d))
+        J[:, :d, :d] = _diag_blocks(A, Y[:, :d], s)
+        J[:, :d, d:] = B
+        J[:, d:, :d] = -B.T
+        J[:, d:, d:] = _diag_blocks(C, Y[:, d:2 * d], t)
+        return J
+
     return OperatorInstance(
         dim=2 * d, fn=fn, jacobian=jac, solution=np.zeros(2 * d),
         smoothness=SmoothnessParams(1.0, L0, L1),
         monotonicity=MonotonicityParams(MonotoneClass.MONOTONE),
         label=f"cubicRd(d={d},seed={seed},scale={scale:g})",
         matrices=(A, B, C),
+        fn_batch=fn_batch, jacobian_batch=jac_batch,
     )
 
 
@@ -276,11 +327,19 @@ def forsaken() -> OperatorInstance:
     def jac(x):
         return np.array([[psi_pp(x[0]), 1.0], [-1.0, psi_pp(x[1])]])
 
+    def fn_batch(X):
+        w1, w2 = X[:, 0], X[:, 1]
+        return np.column_stack([w2 + psi_p(w1), psi_p(w2) - w1])
+
+    def jac_batch(X):
+        return _coupled_2x2(psi_pp(X[:, 0]), psi_pp(X[:, 1]))
+
     return OperatorInstance(
         dim=2, fn=fn, jacobian=jac, solution=np.zeros(2),
         smoothness=SmoothnessParams(1.0, 2.5, 5.0),
         monotonicity=MonotonicityParams(MonotoneClass.WEAK_MINTY, rho=FORSAKEN_RHO),
         label="forsaken",
+        fn_batch=fn_batch, jacobian_batch=jac_batch,
     )
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ from egsolve.analysis import (
     check_grid,
     fit_constants,
     grid_points,
+    grid_samples,
     prop1_rhs,
     read_fit_csv,
     read_scatter_csv,
@@ -31,13 +33,17 @@ from egsolve.core import (
     MissingSolution,
     MonotoneClass,
     MonotonicityParams,
+    NonFiniteEvaluation,
     OperatorInstance,
     SmoothnessParams,
     SolveConfig,
+    norm,
+    overflow_as_data,
+    spectral_norm,
 )
-from egsolve.operators import build
+from egsolve.operators import ZOO, build, default_box
 from egsolve.solver import solve
-from egsolve.stepsize import PolicyKind, k_constants, parse_policy
+from egsolve.stepsize import PolicyKind, k_constants, parse_policy, pow_alpha
 
 SQ2 = math.sqrt(2.0)
 
@@ -156,6 +162,75 @@ class TestVerifyCondition:
             verify_condition(op, op.smoothness, 50.0, 1)
 
 
+def per_point_samples(F, box, n):
+    """The per-point reference for the block grid route: one F, Jacobian and
+    spectral norm call per grid point."""
+    with overflow_as_data():
+        return [ScatterSample(norm_F=norm(F(x)), norm_J=spectral_norm(F.jacobian_at(x)))
+                for x in grid_points(box, F.dim, n)]
+
+
+ZOO_GRID_N = {1: 201, 2: 41, 3: 13, 4: 7}
+
+
+class TestBlockGridRoute:
+    @pytest.mark.parametrize("key", sorted(ZOO))
+    def test_matches_per_point_loop(self, key):
+        op = build(key)
+        box, n, s = default_box(key, op.dim), ZOO_GRID_N[op.dim], op.smoothness
+        want = per_point_samples(op, box, n)
+        got = grid_samples(op, box, n)
+        assert len(got) == len(want) == n ** op.dim
+        for g, w in zip(got, want):
+            assert g.iterate_index == -1
+            assert g.norm_F == pytest.approx(w.norm_F, rel=1e-12, abs=1e-300)
+            assert g.norm_J == pytest.approx(w.norm_J, rel=1e-12, abs=1e-300)
+        slacks = [s.L0 + s.L1 * pow_alpha(w.norm_F, s.alpha) - w.norm_J for w in want]
+        i = int(np.argmin(slacks))   # first minimum, as the scalar loop kept it
+        fit = verify_condition(op, s, box, n)
+        assert fit.max_violation == pytest.approx(slacks[i], rel=1e-12, abs=1e-12)
+        (worst,) = fit.samples
+        assert worst.norm_F == pytest.approx(want[i].norm_F, rel=1e-12, abs=1e-300)
+        assert worst.norm_J == pytest.approx(want[i].norm_J, rel=1e-12, abs=1e-300)
+
+    @pytest.mark.parametrize("bad_F,bad_J", [(12, None), (None, 12), (7, 12), (12, 7)])
+    def test_first_offending_point_raises_as_per_point_loop(self, bad_F, bad_J):
+        # a 5 x 5 grid on [-1, 1]^2; index 12 is the interior point (0, 0)
+        pts = [tuple(p) for p in grid_points(1.0, 2, 5)]
+
+        def fn(x):
+            return np.array([math.inf, 0.0]) if bad_F is not None and tuple(x) == pts[bad_F] else x
+
+        def jac(x):
+            return np.full((2, 2), math.nan) if bad_J is not None and tuple(x) == pts[bad_J] else np.eye(2)
+
+        op = OperatorInstance(dim=2, fn=fn, jacobian=jac, label="custom")
+        with pytest.raises((ValueError, NonFiniteEvaluation)) as want:
+            per_point_samples(op, 1.0, 5)
+        for route in (lambda: grid_samples(op, 1.0, 5),
+                      lambda: verify_condition(op, SmoothnessParams(1.0, 1.0, 1.0), 1.0, 5)):
+            with pytest.raises(want.type) as got:
+                route()
+            assert str(got.value) == str(want.value)
+        if bad_F == 12 and bad_J is None:
+            assert str(want.value) == "norm_F must be finite and >= 0, got inf"
+        if bad_J == 12 and bad_F != 7:
+            assert str(want.value) == "spectral_norm: non-finite matrix"
+
+    def test_million_point_grid_memory_is_bounded(self):
+        # a whole-grid stack of 10^6 points would hold 32 MB of 2 x 2
+        # Jacobians and 16 MB each of points and values; blocks keep a few MB
+        op = build("forsaken")
+        tracemalloc.start()
+        try:
+            fit = verify_condition(op, op.smoothness, 2.0, 1000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert fit.passed
+        assert peak < 8 * 2 ** 20
+
+
 class TestGridPoints:
     def test_points_in_lexicographic_order(self):
         pts = list(grid_points([(-1.0, 1.0), (0.0, 2.0)], 2, 3))
@@ -227,6 +302,58 @@ class TestPairChecks:
         op = zero_operator()
         rep = verify_proposition1(op, SmoothnessParams(1.0, 1.0, 0.0), pairs=50)
         assert rep.n_violations == 0
+
+    @pytest.mark.parametrize("check", [verify_segment_condition, verify_proposition1])
+    def test_overflowing_pairs_raise(self, check):
+        # ||F|| overflows to inf on this box; a NaN slack used to pass silently
+        op = build("cubicRd", d=1)
+        with pytest.raises(NonFiniteEvaluation, match="pair 0"):
+            check(op, op.smoothness, pairs=5, box=1e200)
+
+    @pytest.mark.parametrize("key", ["forsaken", "square"])
+    def test_pair_blocks_match_per_pair_loop(self, key):
+        # enough pairs for several blocks: the block draws must take the same
+        # stream as one draw of x, then y, per pair
+        op = build(key)
+        s = op.smoothness
+        rng, thetas = np.random.default_rng(3), np.linspace(0.0, 1.0, 11)
+        seg, prop = [], []
+        with overflow_as_data():
+            for _ in range(3000):
+                x, y = rng.uniform(-2.0, 2.0, 2), rng.uniform(-2.0, 2.0, 2)
+                lhs, dist = norm(op(x) - op(y)), norm(x - y)
+                seg_max = max(norm(op(t * x + (1.0 - t) * y)) for t in thetas)
+                seg.append((s.L0 + s.L1 * pow_alpha(seg_max, s.alpha)) * dist + 1e-10 - lhs)
+        rng = np.random.default_rng(3)
+        for _ in range(3000):
+            x, y = rng.uniform(-2.0, 2.0, 2), rng.uniform(-2.0, 2.0, 2)
+            prop.append(prop1_rhs(s, norm(op(x)), norm(x - y)) + 1e-9 - norm(op(x) - op(y)))
+        rep = verify_segment_condition(op, s, pairs=3000, theta_grid=11, box=2.0, seed=3)
+        assert rep.min_slack == pytest.approx(min(seg), rel=1e-12)
+        assert rep.n_violations == sum(v < 0 for v in seg)
+        rep = verify_proposition1(op, s, pairs=3000, box=2.0, seed=3)
+        assert rep.min_slack == pytest.approx(min(prop), rel=1e-12)
+        assert rep.n_violations == sum(v < 0 for v in prop)
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_one_evaluation_per_point(self, batched):
+        rows = []
+
+        def fn(x):
+            rows.append(1)
+            return x * np.abs(x)
+
+        def fn_batch(X):
+            rows.append(X.shape[0])
+            return X * np.abs(X)
+
+        op = OperatorInstance(dim=2, fn=fn, fn_batch=fn_batch if batched else None)
+        s = SmoothnessParams(1.0, 1.0, 2.0)
+        verify_segment_condition(op, s, pairs=30, theta_grid=11, box=2.0)
+        assert sum(rows) == 30 * 11
+        rows.clear()
+        verify_proposition1(op, s, pairs=30, box=2.0)
+        assert sum(rows) == 2 * 30
 
     def test_pair_count_validation(self):
         op = build("square")

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from egsolve import solver
+from egsolve import analysis, solver
 from egsolve.cli import main
 from egsolve.core import OperatorInstance
 from egsolve.solver import read_trace_csv
@@ -182,7 +182,7 @@ class TestGridLimits:
     def test_bad_grid_exits_1_before_any_evaluation(self, argv, tmp_path, capsys,
                                                     monkeypatch):
         evals = []
-        for name in ("__call__", "jacobian_at"):
+        for name in ("__call__", "jacobian_at", "call_batch", "jacobian_batch_at"):
             real = getattr(OperatorInstance, name)
             monkeypatch.setattr(OperatorInstance, name,
                                 lambda self, *a, _real=real, **kw:
@@ -202,6 +202,18 @@ class TestGridLimits:
                              "--grid", "3", *argv[1:], "--out", str(tmp_path))
         assert code == 1 and out == ""
         assert err.splitlines() == ["error: spectral_norm: non-finite matrix"]
+
+    def test_overflowing_segment_route_exits_1_with_one_line(self, tmp_path, capsys,
+                                                            monkeypatch):
+        # the grid route raises first on such a box; with it passing, the
+        # segment route's overflow is one error line too, not a silent PASS
+        fit = analysis.SmoothnessFit(1.0, 1.0, 1.0, max_violation=1.0)
+        monkeypatch.setattr(analysis, "verify_condition", lambda *a: fit)
+        code, out, err = run(capsys, "verify", "--op", "cubicRd:d=1", "--box", "1e200",
+                             "--pairs", "2", "--out", str(tmp_path))
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: non-finite ||F|| on sampled pair 0")
 
 
 class TestVerify:

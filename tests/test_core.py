@@ -183,6 +183,26 @@ class TestOperatorInstance:
         J = op.jacobian_at(np.array([0.3, -0.7]))
         assert np.allclose(J, [[1.0, 1.0], [-1.0, 1.0]], atol=1e-9)
 
+    def test_batch_fallback_loops_over_rows(self):
+        op = self._op()
+        X = np.array([[0.3, -0.7], [2.0, 1.0], [0.0, 0.0]])
+        assert np.array_equal(op.call_batch(X), np.stack([op(x) for x in X]))
+        assert np.array_equal(op.jacobian_batch_at(X), np.stack([op.jacobian_at(x) for x in X]))
+
+    def test_batch_output_shape_checked(self):
+        X = np.zeros((3, 2))
+        op = OperatorInstance(dim=2, fn=lambda x: x, fn_batch=lambda X: X[:, :1],
+                              jacobian_batch=lambda X: np.zeros((3, 2, 3)), label="bad")
+        with pytest.raises(DimensionMismatch):
+            op.call_batch(X)
+        with pytest.raises(DimensionMismatch):
+            op.jacobian_batch_at(X)
+        with pytest.raises(DimensionMismatch):
+            op.call_batch(np.zeros((3, 3)))
+        scalar_jac = OperatorInstance(dim=1, fn=lambda x: x, jacobian=lambda x: 1.0)
+        with pytest.raises(DimensionMismatch):
+            scalar_jac.jacobian_batch_at(np.zeros((2, 1)))
+
 
 class TestSolveStructures:
     def test_config_validation(self):

@@ -187,3 +187,31 @@ def test_cubicRd_fn_matches_definition(d, seed, scale):
     for x in points:
         want = _cubicRd_by_definition(op, x)
         assert norm(op(x) - want) <= 1e-12 * norm(want)
+
+
+def _batch_points(dim, seed):
+    """Seeded rows over several scales; for cubicRd also the rows with
+    w1 = 0, with w2 = 0 and the origin, where its Jacobian blocks take their
+    zero limit."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((40, dim)) * 10.0 ** rng.uniform(-3, 2, (40, 1))
+    d = dim // 2
+    w = rng.standard_normal(d)
+    special = [np.concatenate([np.zeros(d), w]), np.concatenate([w, np.zeros(d)]), np.zeros(dim)]
+    return np.vstack([X] + special)
+
+
+@pytest.mark.parametrize("key,params", [
+    ("forsaken", {}), ("signpower", {}),
+    ("cubicRd", {"d": 1}), ("cubicRd", {"d": 2}), ("cubicRd", {"d": 10}),
+])
+def test_batch_kernels_match_rows(key, params):
+    op = build(key, **params)
+    assert op.fn_batch is not None and op.jacobian_batch is not None
+    X = _batch_points(op.dim, 5)
+    FX, JX = op.fn_batch(X), op.jacobian_batch(X)
+    assert FX.shape == X.shape and JX.shape == (X.shape[0], op.dim, op.dim)
+    for x, f, J in zip(X, FX, JX):
+        want_f, want_J = op.fn(x), op.jacobian(x)
+        assert norm(f - want_f) <= 1e-12 * norm(want_f)
+        assert norm(J - want_J) <= 1e-12 * norm(want_J)
