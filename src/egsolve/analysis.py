@@ -71,7 +71,7 @@ def check_grid(dim: int, n: int) -> None:
 BLOCK_BYTES = 2 ** 18
 
 
-def _block_len(dim: int, group: int = 1) -> int:
+def _block_len(dim: int, group: int) -> int:
     """How many groups of `group` points (the theta points of one pair, say)
     fill a block of about BLOCK_BYTES at dimension dim; at least one."""
     return max(1, BLOCK_BYTES // (8 * dim * (dim + 4) * group))
@@ -79,14 +79,14 @@ def _block_len(dim: int, group: int = 1) -> int:
 
 def _grid_blocks(box: BoxLike, dim: int, n: int) -> Iterator[np.ndarray]:
     """The points of grid_points as (rows, dim) blocks of at most
-    _block_len(dim) rows, in the same order and with the same values.
+    _block_len(dim, 1) rows, in the same order and with the same values.
 
     Checks the grid size (check_grid) and the box before yielding a block.
     """
     check_grid(dim, n)
     lo, hi = box_bounds(box, dim)
     axes = [np.linspace(lo[i], hi[i], n) for i in range(dim)]
-    rows, total = _block_len(dim), n ** dim
+    rows, total = _block_len(dim, 1), n ** dim
 
     def blocks():
         for start in range(0, total, rows):

@@ -255,7 +255,7 @@ class OperatorInstance:
         out = self.fn_batch(X) if self.fn_batch is not None else np.stack([self(x) for x in X])
         return self._checked(out, (X.shape[0], self.dim))
 
-    def jacobian_batch_at(self, X, h: float = 1e-5) -> np.ndarray:
+    def jacobian_batch_at(self, X) -> np.ndarray:
         """Jacobians at the rows of the (N, dim) block X, as an (N, dim, dim)
         stack: `jacobian_batch` when declared, else one `jacobian_at` per row
         (finite differences when no Jacobian is declared either)."""
@@ -263,7 +263,7 @@ class OperatorInstance:
         if self.jacobian_batch is not None:
             out = self.jacobian_batch(X)
         else:
-            out = np.stack([self.jacobian_at(x, h) for x in X])
+            out = np.stack([self.jacobian_at(x) for x in X])
         return self._checked(out, (X.shape[0], self.dim, self.dim))
 
     def _rows(self, X) -> np.ndarray:
