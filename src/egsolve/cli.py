@@ -13,7 +13,7 @@ import csv
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor  # unused; perfbench/layers.py subclasses it
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -129,12 +129,9 @@ def _write_meta(path: str, items: Sequence[Tuple[str, object]]) -> None:
             fh.write(f"{k} = {v}\n")
 
 
-def _first_hit(rows, d20: float, rel_tol: float) -> int:
-    """First iterate index at relative squared error <= rel_tol, else -1."""
-    for r in rows:
-        if r.dist_sq is not None and r.dist_sq / d20 <= rel_tol:
-            return r.k
-    return -1
+def _first_hit(rows, metric, tol: float) -> int:
+    """First iterate index k with metric(row) <= tol, else -1."""
+    return next((r.k for r in rows if metric(r) <= tol), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -179,34 +176,28 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _cell_policies(cells) -> List[StepSizePolicy]:
-    """Adaptive policies 1/(c0 + c1*||F||) for (c0, c1) cells; c1 = 0 is a
-    constant step 1/c0. A bad cell raises before any cell runs."""
-    return [StepSizePolicy(kind=PolicyKind.ADAPTIVE, c0=c0, c1=c1) for c0, c1 in cells]
-
-
-def _sweep_cell(op, policy: StepSizePolicy, x0: np.ndarray, iters: int,
-                rel_tol: float) -> Tuple[float, float, int, float]:
-    """Run one adaptive cell: (c0, c1, iters_to_tol, final_relerr)."""
-    c0, c1 = policy.c0, policy.c1
-    d20 = float((x0 - op.solution) @ (x0 - op.solution))
+def _sweep(op, cells, x0: np.ndarray, d20: float, iters: int, rel_tol: float,
+           out: str) -> List[Tuple[float, float, int, float]]:
+    """Run adaptive cells 1/(c0 + c1*||F||) in order (c1 = 0: step 1/c0), all
+    checked before the first runs; write sweep.csv and return (c0, c1,
+    iters_to_tol, final_relerr) rows, (-1, inf) for diverged or >10x error."""
+    policies = [StepSizePolicy(kind=PolicyKind.ADAPTIVE, c0=c0, c1=c1) for c0, c1 in cells]
     cfg = SolveConfig(max_iters=iters, x0=x0, stop_tol=0.0)
-    try:
-        tr = solver.solve(op, policy, cfg)
-    except NonFiniteIterate:
-        return (c0, c1, -1, math.inf)
-    relerr = tr.final_dist_sq / d20
-    if not math.isfinite(relerr) or relerr > 10.0:
-        return (c0, c1, -1, math.inf)
-    return (c0, c1, _first_hit(tr.rows, d20, rel_tol), relerr)
-
-
-def _run_cells(op, policies, x0, iters, rel_tol):
-    # one worker runs the GIL-bound cells in input order (two threads measured
-    # slower); the pool stays only as the cell boundary perfbench/layers.py traces
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        futs = [pool.submit(_sweep_cell, op, p, x0, iters, rel_tol) for p in policies]
-        return [f.result() for f in futs]
+    rows = []
+    for (c0, c1), policy in zip(cells, policies):
+        try:
+            tr = solver.solve(op, policy, cfg)
+            final = tr.final_dist_sq / d20
+        except NonFiniteIterate:
+            final = math.inf
+        if math.isfinite(final) and final <= 10.0:
+            rows.append((c0, c1, _first_hit(tr.rows, lambda r: r.dist_sq / d20, rel_tol), final))
+        else:
+            rows.append((c0, c1, -1, math.inf))
+    _write_csv(os.path.join(_ensure_out(out), "sweep.csv"),
+               ["c0", "c1", "iters_to_tol", "final_relerr"],
+               [[_fmt(c0), _fmt(c1), it, _fmt(fr)] for c0, c1, it, fr in rows])
+    return rows
 
 
 def cmd_sweep(args) -> int:
@@ -222,19 +213,15 @@ def cmd_sweep(args) -> int:
     if not c0s or not c1s:
         raise _UsageError("--c0 and --c1 grids must be non-empty")
     x0 = parse_x0(args.x0, op.dim, args.seed)
-    if float((x0 - op.solution) @ (x0 - op.solution)) == 0.0:
+    d20 = float((x0 - op.solution) @ (x0 - op.solution))
+    if d20 == 0.0:
         raise _UsageError(f"sweep: x0 is the root of '{op.label}'; the relative error "
                           f"||x_k - x*||^2 / ||x0 - x*||^2 is undefined")
-    policies = _cell_policies([(c0, c1) for c0 in c0s for c1 in c1s])
-    results = _run_cells(op, policies, x0, args.iters, args.tol)
-    out = _ensure_out(args.out)
-    path = os.path.join(out, "sweep.csv")
-    _write_csv(path, ["c0", "c1", "iters_to_tol", "final_relerr"],
-               [[_fmt(c0), _fmt(c1), it, _fmt(fr)] for c0, c1, it, fr in results])
-    for c0, c1, it, fr in results:
+    cells = [(c0, c1) for c0 in c0s for c1 in c1s]
+    for c0, c1, it, fr in _sweep(op, cells, x0, d20, args.iters, args.tol, args.out):
         tag = "diverged" if it == -1 and math.isinf(fr) else f"relerr={_fmt(fr)}"
         print(f"cell ({_fmt(c0)},{_fmt(c1)}): iters_to_tol={it} {tag}")
-    print(f"summary: {path}")
+    print(f"summary: {os.path.join(args.out, 'sweep.csv')}")
     return EXIT_OK
 
 
@@ -303,11 +290,25 @@ def _print_checks(checks: List[Tuple[str, bool, str]]) -> int:
     return code
 
 
+def _compare(out: str, op, x0: np.ndarray, iters: int, runs, col: str, metric,
+             force: bool):
+    """Solve the named runs from x0; write each trace_<name>.csv and comparison.csv
+    (k, then <col>_<name>, gamma_<name> per run, up to the shortest trace)."""
+    cfg = SolveConfig(max_iters=iters, x0=x0, stop_tol=0.0)
+    traces = {name: solver.solve(op, pol, cfg, force=force) for name, pol in runs.items()}
+    for name, tr in traces.items():
+        solver.write_trace_csv(tr, os.path.join(out, f"trace_{name}.csv"))
+    comp = [[rows[0].k] + [_fmt(v) for r in rows for v in (metric(r), r.gamma_k)]
+            for rows in zip(*(tr.rows for tr in traces.values()))]
+    _write_csv(os.path.join(out, "comparison.csv"),
+               ["k"] + [f"{c}_{name}" for name in traces for c in (col, "gamma")], comp)
+    return traces
+
+
 def _reproduce_fig3(out: str, iters: int, seed: int) -> int:
     op = operators.build("signpower")
     x0 = np.array([5.0, 5.0])
     d20 = float(x0 @ x0)
-    cfg = SolveConfig(max_iters=iters, x0=x0, stop_tol=0.0)
     # mu below is a local curvature estimate near x0, not a global modulus,
     # hence force=True for both runs on this merely-monotone operator
     mu_local = 12.5
@@ -315,15 +316,9 @@ def _reproduce_fig3(out: str, iters: int, seed: int) -> int:
         "ours": parse_policy("cor1"),
         "vankov": parse_policy(f"vankov:{mu_local}"),
     }
-    traces = {name: solver.solve(op, pol, cfg, force=True) for name, pol in runs.items()}
-    for name, tr in traces.items():
-        solver.write_trace_csv(tr, os.path.join(out, f"trace_{name}.csv"))
+    relerr = lambda r: r.dist_sq / d20
+    traces = _compare(out, op, x0, iters, runs, "relerr", relerr, force=True)
     rows_o, rows_v = traces["ours"].rows, traces["vankov"].rows
-    comp = [[r0.k, _fmt(r0.dist_sq / d20), _fmt(r0.gamma_k),
-             _fmt(r1.dist_sq / d20), _fmt(r1.gamma_k)]
-            for r0, r1 in zip(rows_o, rows_v)]
-    _write_csv(os.path.join(out, "comparison.csv"),
-               ["k", "relerr_ours", "gamma_ours", "relerr_vankov", "gamma_vankov"], comp)
     _write_meta(os.path.join(out, "meta.txt"),
                 [("experiment", "fig3"), ("operator", "signpower"), ("x0", "5,5"),
                  ("iters", iters), ("mu_local", mu_local), ("rel_tol", "1e-8"),
@@ -341,8 +336,8 @@ def _reproduce_fig3(out: str, iters: int, seed: int) -> int:
             "plot 'comparison.csv' using 1:3 every ::1 with lines title 'norm-adaptive (ours)', \\\n"
             "     'comparison.csv' using 1:5 every ::1 with lines title 'capped baseline'\n"
             "unset multiplot\n")
-    hit_o = _first_hit(rows_o, d20, 1e-8)
-    hit_v = _first_hit(rows_v, d20, 1e-8)
+    hit_o = _first_hit(rows_o, relerr, 1e-8)
+    hit_v = _first_hit(rows_v, relerr, 1e-8)
     g_v = [r.gamma_k for r in rows_v]
     g_o_max = max(r.gamma_k for r in rows_o)
     # the baseline step is norm-limited during the initial transient, then the
@@ -367,11 +362,9 @@ _FIG4_GRID = [(c0, c1) for c0 in (10.0, 100.0, 1000.0) for c1 in (0.1, 1.0, 10.0
 def _reproduce_fig4(out: str, iters: int, seed: int) -> int:
     op = operators.build("cubicRd", d=10, seed=42, scale=5.0)
     x0 = parse_x0("rand:1000", op.dim, seed)
-    policies = _cell_policies([(c, 0.0) for c in _FIG4_CONSTS] + _FIG4_GRID)
-    results = _run_cells(op, policies, x0, iters, 1e-8)
-    _write_csv(os.path.join(out, "sweep.csv"),
-               ["c0", "c1", "iters_to_tol", "final_relerr"],
-               [[_fmt(c0), _fmt(c1), it, _fmt(fr)] for c0, c1, it, fr in results])
+    d20 = float((x0 - op.solution) @ (x0 - op.solution))
+    results = _sweep(op, [(c, 0.0) for c in _FIG4_CONSTS] + _FIG4_GRID, x0, d20, iters,
+                     1e-8, out)
     _write_meta(os.path.join(out, "meta.txt"),
                 [("experiment", "fig4"), ("operator", "cubicRd:d=10,seed=42,scale=5"),
                  ("x0", ",".join(repr(float(v)) for v in x0)),
@@ -407,7 +400,6 @@ def _reproduce_fig4(out: str, iters: int, seed: int) -> int:
 def _reproduce_fig5(out: str, iters: int, seed: int) -> int:
     op = operators.build("forsaken")
     x0 = np.array([1.0, 1.0])
-    cfg = SolveConfig(max_iters=iters, x0=x0, stop_tol=0.0)
     # ours runs with locally valid constants (1,1) over the visited region;
     # the globally declared pair is far more conservative
     runs = {
@@ -416,23 +408,11 @@ def _reproduce_fig5(out: str, iters: int, seed: int) -> int:
         "egplus": parse_policy("egplus:0.1"),
         "pethick": parse_policy("pethick:0.1"),
     }
-    traces = {name: solver.solve(op, pol, cfg) for name, pol in runs.items()}
-    hits = {}
-    finals = {}
-    for name, tr in traces.items():
-        solver.write_trace_csv(tr, os.path.join(out, f"trace_{name}.csv"))
-        hits[name] = next((r.k for r in tr.rows if math.sqrt(r.dist_sq) <= 1e-3), -1)
-        finals[name] = math.sqrt(tr.final_dist_sq)
-    names = ["ours", "egplus", "pethick"]
-    comp = []
-    for i in range(min(len(traces[n].rows) for n in names)):
-        row = [i]
-        for n in names:
-            r = traces[n].rows[i]
-            row += [_fmt(math.sqrt(r.dist_sq)), _fmt(r.gamma_k)]
-        comp.append(row)
-    _write_csv(os.path.join(out, "comparison.csv"),
-               ["k"] + [f"{c}_{n}" for n in names for c in ("norm_x", "gamma")], comp)
+    norm_x = lambda r: math.sqrt(r.dist_sq)
+    traces = _compare(out, op, x0, iters, runs, "norm_x", norm_x, force=False)
+    names = list(runs)
+    hits = {n: _first_hit(traces[n].rows, norm_x, 1e-3) for n in names}
+    finals = {n: math.sqrt(traces[n].final_dist_sq) for n in names}
     _write_meta(os.path.join(out, "meta.txt"),
                 [("experiment", "fig5"), ("operator", "forsaken"), ("x0", "1,1"),
                  ("iters", iters), ("ours_constants", "alpha=1,L0=1,L1=1"),
@@ -596,7 +576,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except NonFiniteIterate as e:
         print(f"diverged: {e}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (EgsolveError, ValueError, KeyError) as e:
+    except (EgsolveError, ValueError, KeyError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 
