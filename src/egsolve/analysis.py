@@ -338,7 +338,8 @@ def fit_constants(samples: Sequence[ScatterSample],
     for a in alpha_grid:
         if not (0.0 < a <= 1.0):
             raise InvalidAlpha(f"alpha grid entries must lie in (0, 1], got {a}")
-        col = np.array([pow_alpha(v, a) for v in nf])
+        with overflow_as_data():
+            col = _pow_alpha_rows(nf, a)
         design = np.column_stack([np.ones_like(col), col])
         coef, *_ = np.linalg.lstsq(design, nj, rcond=None)
         L0, L1 = max(float(coef[0]), 0.0), max(float(coef[1]), 0.0)

@@ -238,6 +238,10 @@ def cmd_verify(args) -> int:
         raise _UsageError(f"'{op.label}' declares no constants; pass --alpha/--L0/--L1")
     box = args.box if args.box is not None else operators.default_box(op.label, op.dim)
     grid_n = _grid_n(args, op.dim, 201 if op.dim <= 2 else 7)
+    # the segment route evaluates F at 101 theta points per pair
+    if not 1 <= args.pairs * 101 <= analysis.MAX_GRID_POINTS:
+        raise _UsageError(f"--pairs {args.pairs}: must lie in 1..{analysis.MAX_GRID_POINTS // 101} "
+                          f"(at most {analysis.MAX_GRID_POINTS} points at 101 per pair)")
     fit = analysis.verify_condition(op, s, box, grid_n)
     seg = analysis.verify_segment_condition(op, s, pairs=args.pairs, box=box,
                                             seed=args.seed)
@@ -494,7 +498,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--box", type=float, help="halfwidth; default from the registry")
     p.add_argument("--grid", type=int,
                    help="points per axis (default 201, 7 if dim > 2; at most 10**6 points)")
-    p.add_argument("--pairs", type=int, default=200)
+    p.add_argument("--pairs", type=int, default=200,
+                   help="segment-route pairs, 101 points each (at most 9900, i.e. 10**6 points)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="egsolve-out")
     p.set_defaults(func=cmd_verify)

@@ -1,6 +1,8 @@
 import csv
+import hashlib
 import math
 import re
+import threading
 
 import pytest
 
@@ -14,6 +16,11 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# a 2x2 sweep on cubic1d whose cells cover a hit, a finite miss and divergence
+SWEEP_2X2 = ["sweep", "--op", "cubic1d", "--x0", "0.5,0.5", "--c0", "2,0.1", "--c1", "0,1",
+             "--iters", "90"]
 
 
 class TestExitCodes:
@@ -145,6 +152,20 @@ class TestSweep:
         assert body[0.1][2] == "-1" and body[0.1][3] == "inf"
         assert body[100.0][3] != "inf"
 
+    def test_outputs_are_pinned(self, tmp_path, capsys):
+        # sha256 and cell lines recorded at commit b11eec9; cubic1d's field is
+        # elementwise, so its bits do not depend on the CPU's BLAS
+        code, out, _ = run(capsys, *SWEEP_2X2, "--out", str(tmp_path))
+        assert code == 0
+        assert out.splitlines()[:-1] == [
+            "cell (2.0,0.0): iters_to_tol=85 relerr=3.3121481467182554e-09",
+            "cell (2.0,1.0): iters_to_tol=-1 relerr=1.4683011326276474e-08",
+            "cell (0.1,0.0): iters_to_tol=-1 diverged",
+            "cell (0.1,1.0): iters_to_tol=-1 diverged",
+        ]
+        assert (hashlib.sha256((tmp_path / "sweep.csv").read_bytes()).hexdigest()
+                == "97ee48c7cf4e916b5a9018fa6a3f1336bf9210b79d76a61d6574f0ee43ba8aa5")
+
     def test_rejects_non_numeric_grid(self, tmp_path, capsys):
         code, _, err = run(capsys, "sweep", "--op", "cubic1d", "--x0", "1,1",
                            "--c0", "10,abc", "--c1", "0", "--iters", "10",
@@ -173,24 +194,23 @@ class TestSweep:
 
 
 class TestGridLimits:
-    @pytest.mark.parametrize("argv", [
-        ["verify", "--op", "cubicRd:d=10"],                   # default 7^20 points
-        ["verify", "--op", "quadratic", "--grid", "1"],
-        ["estimate", "--op", "cubicRd:d=10", "--from-grid"],  # default 21^20 points
-        ["estimate", "--op", "quadratic", "--from-grid", "--grid", "0"],
-    ])
-    def test_bad_grid_exits_1_before_any_evaluation(self, argv, tmp_path, capsys,
+    @pytest.mark.parametrize("argv, flag", [
+        (["verify", "--op", "cubicRd:d=10"], "--grid"),                   # default 7^20 points
+        (["verify", "--op", "quadratic", "--grid", "1"], "--grid"),
+        (["estimate", "--op", "cubicRd:d=10", "--from-grid"], "--grid"),  # default 21^20 points
+        (["estimate", "--op", "quadratic", "--from-grid", "--grid", "0"], "--grid"),
+        (["verify", "--op", "quadratic", "--pairs", "0"], "--pairs"),
+        (["verify", "--op", "quadratic", "--pairs", "100000000"], "--pairs"),  # 101 points a pair
+    ], ids=[f"argv{i}" for i in range(6)])
+    def test_bad_grid_exits_1_before_any_evaluation(self, argv, flag, tmp_path, capsys,
                                                     monkeypatch):
-        evals = []
+        def evaluate(*a, **kw):
+            raise AssertionError("an operator was evaluated before the size check")
         for name in ("__call__", "jacobian_at", "call_batch", "jacobian_batch_at"):
-            real = getattr(OperatorInstance, name)
-            monkeypatch.setattr(OperatorInstance, name,
-                                lambda self, *a, _real=real, **kw:
-                                evals.append(a) or _real(self, *a, **kw))
+            monkeypatch.setattr(OperatorInstance, name, evaluate)
         code, out, err = run(capsys, *argv, "--out", str(tmp_path))
         assert code == 1 and out == ""
-        assert len(err.splitlines()) == 1 and "--grid" in err
-        assert evals == []
+        assert len(err.splitlines()) == 1 and flag in err
 
     @pytest.mark.parametrize("argv", [
         ["verify", "--pairs", "2"],
@@ -214,6 +234,53 @@ class TestGridLimits:
         assert code == 1 and out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith("error: non-finite ||F|| on sampled pair 0")
+
+
+class TestJobs:
+    # perfbench counts EG work only from the traces that the module attribute
+    # egsolve.solver.solve returns, so every job solves (and writes its traces)
+    # through solver.solve and solver.write_trace_csv; cells run one after
+    # another in the calling thread, which starts no other thread
+    @pytest.mark.parametrize("argv, solves, traces", [
+        (["reproduce", "fig3", "--iters", "50"], 2, 2),
+        (["reproduce", "fig4", "--iters", "50"], 15, 0),
+        (["reproduce", "fig5", "--iters", "50"], 3, 3),
+        (SWEEP_2X2, 4, 0),
+    ], ids=["fig3", "fig4", "fig5", "sweep"])
+    def test_solves_through_the_solver_module_in_the_calling_thread(
+            self, argv, solves, traces, tmp_path, capsys, monkeypatch):
+        calls = {"solve": 0, "write_trace_csv": 0}
+
+        def counted(name, real):
+            def wrapper(*a, **kw):
+                calls[name] += 1
+                return real(*a, **kw)
+            return wrapper
+        for name in calls:
+            monkeypatch.setattr(solver, name, counted(name, getattr(solver, name)))
+        starts = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda self: starts.append(self.name) or start(self))
+        run(capsys, *argv, "--out", str(tmp_path))
+        assert calls == {"solve": solves, "write_trace_csv": traces}
+        assert starts == []
+
+
+class TestOSErrors:
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--op", "quadratic", "--x0", "1,1", "--policy", "thm3"],
+        ["sweep", "--op", "cubic1d", "--x0", "0.5,0.5", "--c0", "2", "--c1", "0",
+         "--iters", "10"],
+        ["verify", "--op", "quadratic", "--grid", "3", "--pairs", "2"],
+        ["estimate", "--op", "quadratic", "--from-grid", "--grid", "3"],
+        ["reproduce", "fig5", "--iters", "50"],
+    ], ids=["solve", "sweep", "verify", "estimate", "fig5"])
+    def test_out_below_a_file_exits_1_with_one_line(self, argv, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        code, out, err = run(capsys, *argv, "--out", str(tmp_path / "file" / "out"))
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 class TestVerify:
