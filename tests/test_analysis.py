@@ -403,6 +403,22 @@ class TestFitConstants:
         fit = fit_constants(scatter_from_trace(op, tr), [1.0])
         assert fit.L1_hat == pytest.approx(SQ2, rel=0.1)
 
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75, 1.0])
+    def test_matches_per_sample_pow_alpha_loop(self, alpha):
+        # the alpha column is one array expression, whose exp/log may round
+        # differently from math's in the last bit: equal to 1e-12
+        samples = grid_samples(build("cubic1d"), 1.0, 9)   # (0, 0) gives ||F|| = 0
+        nf = np.array([sm.norm_F for sm in samples])
+        nj = np.array([sm.norm_J for sm in samples])
+        col = np.array([pow_alpha(v, alpha) for v in nf])
+        coef, *_ = np.linalg.lstsq(np.column_stack([np.ones_like(col), col]), nj, rcond=None)
+        L0, L1 = max(float(coef[0]), 0.0), max(float(coef[1]), 0.0)
+        L0 += max(float(np.max(nj - (L0 + L1 * col))), 0.0)
+        fit = fit_constants(samples, [alpha])
+        assert fit.L0_hat == pytest.approx(L0, rel=1e-12)
+        assert fit.L1_hat == pytest.approx(L1, rel=1e-12)
+        assert fit.max_violation == pytest.approx(float(np.min(L0 + L1 * col - nj)), abs=1e-12)
+
     def test_degenerate_inputs(self):
         with pytest.raises(DegenerateSamples):
             fit_constants([ScatterSample(0.0, 1.0), ScatterSample(1.0, 2.0)], [1.0])
