@@ -176,24 +176,25 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _sweep(op, cells, x0: np.ndarray, d20: float, iters: int, rel_tol: float,
-           out: str) -> List[Tuple[float, float, int, float]]:
-    """Run adaptive cells 1/(c0 + c1*||F||) in order (c1 = 0: step 1/c0), all
-    checked before the first runs; write sweep.csv and return (c0, c1,
-    iters_to_tol, final_relerr) rows, (-1, inf) for diverged or >10x error."""
+def _sweep_cell(op, policy, cfg, d20: float, rel_tol: float) -> Tuple[int, float]:
+    """(iters_to_tol, final_relerr) of one cell, (-1, inf) if it diverged or
+    ended above 10x its starting error. No trace outlives this frame."""
+    try:
+        tr = solver.solve(op, policy, cfg)
+    except NonFiniteIterate:
+        return -1, math.inf
+    relerr = tr.final_dist_sq / d20
+    if not math.isfinite(relerr) or relerr > 10.0:
+        return -1, math.inf
+    return _first_hit(tr.rows, lambda r: r.dist_sq / d20, rel_tol), relerr
+
+
+def _sweep(op, cells, x0, d20: float, iters: int, rel_tol: float, out: str) -> List[tuple]:
+    """Run adaptive cells 1/(c0 + c1*||F||) in order (c1 = 0: step 1/c0), all checked
+    before the first runs; write sweep.csv, return (c0, c1, iters_to_tol, final_relerr)."""
     policies = [StepSizePolicy(kind=PolicyKind.ADAPTIVE, c0=c0, c1=c1) for c0, c1 in cells]
     cfg = SolveConfig(max_iters=iters, x0=x0, stop_tol=0.0)
-    rows = []
-    for (c0, c1), policy in zip(cells, policies):
-        try:
-            tr = solver.solve(op, policy, cfg)
-            final = tr.final_dist_sq / d20
-        except NonFiniteIterate:
-            final = math.inf
-        if math.isfinite(final) and final <= 10.0:
-            rows.append((c0, c1, _first_hit(tr.rows, lambda r: r.dist_sq / d20, rel_tol), final))
-        else:
-            rows.append((c0, c1, -1, math.inf))
+    rows = [(*cell, *_sweep_cell(op, p, cfg, d20, rel_tol)) for cell, p in zip(cells, policies)]
     _write_csv(os.path.join(_ensure_out(out), "sweep.csv"),
                ["c0", "c1", "iters_to_tol", "final_relerr"],
                [[_fmt(c0), _fmt(c1), it, _fmt(fr)] for c0, c1, it, fr in rows])
@@ -294,8 +295,7 @@ def _print_checks(checks: List[Tuple[str, bool, str]]) -> int:
     return code
 
 
-def _compare(out: str, op, x0: np.ndarray, iters: int, runs, col: str, metric,
-             force: bool):
+def _compare(out: str, op, x0, iters: int, runs, col: str, metric, force: bool) -> dict:
     """Solve the named runs from x0; write each trace_<name>.csv and comparison.csv
     (k, then <col>_<name>, gamma_<name> per run, up to the shortest trace)."""
     cfg = SolveConfig(max_iters=iters, x0=x0, stop_tol=0.0)
