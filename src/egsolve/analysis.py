@@ -28,7 +28,7 @@ from .core import (
     spectral_norm,
     vec,
 )
-from .stepsize import NuKind, PolicyKind, k_constants, pow_alpha, solve_nu
+from .stepsize import PolicyKind, k_constants, pow_alpha, solve_nu
 
 BoxLike = Union[float, Tuple[float, float], Sequence[Tuple[float, float]]]
 
@@ -398,13 +398,6 @@ def theoretical_bounds(F: OperatorInstance, kind: PolicyKind, x0,
     amp = 1.0 + L1 * math.exp(L1 * D) * D   # growth factor over the radius-D ball
     rep = BoundReport(kind=kind, D=D)
 
-    if kind in (PolicyKind.STRONG_MONO, PolicyKind.STRONG_MONO_DESCENT,
-                PolicyKind.MONO, PolicyKind.WEAK_MINTY):
-        if s.alpha != 1.0:
-            raise InvalidAlpha(f"{kind.value} bound applies at alpha = 1, constants declare {s.alpha}")
-        if L0 <= 0.0:
-            raise MissingConstant(f"{kind.value} bound needs L0 > 0, constants declare {L0}")
-
     def _mu() -> float:
         if m is None or m.kind is not MonotoneClass.STRONGLY_MONOTONE:
             raise MissingConstant("this bound needs a declared strong monotonicity modulus")
@@ -415,42 +408,34 @@ def theoretical_bounds(F: OperatorInstance, kind: PolicyKind, x0,
             raise MissingConstant("this bound needs a declared weak-Minty rho")
         return m.rho
 
-    if kind is PolicyKind.STRONG_MONO:
-        nu = solve_nu(NuKind.STRONG_MONO)
+    if kind.nu is not None:   # the alpha = 1 rules nu / (L0 + L1 ||F||)
+        if s.alpha != 1.0:
+            raise InvalidAlpha(f"{kind.value} bound applies at alpha = 1, constants declare {s.alpha}")
+        if L0 <= 0.0:
+            raise MissingConstant(f"{kind.value} bound needs L0 > 0, constants declare {L0}")
+        nu = solve_nu(kind.nu)
         rep.zeta = nu / (L0 * amp)
-        rep.rate = 1.0 - rep.zeta * _mu()
-        return rep
-
-    if kind is PolicyKind.STRONG_MONO_DESCENT:
-        if epsilon is None or not (epsilon > 0):
-            raise ValueError("iteration-count bound needs epsilon > 0")
-        nu = solve_nu(NuKind.STRONG_MONO_DESCENT)
-        mu = _mu()
-        rep.zeta = nu / (L0 * amp)
-        rep.term1 = (2.0 * L0 / (nu * mu)) * math.log(D * D / epsilon)
-        if L1 == 0.0:
-            rep.term2 = 0.0   # no step-growth phase without the norm term
-        else:
-            arg = 2.0 * L1 * D * D / (rep.zeta ** 2 * L0)
-            rep.term2 = max(math.log(arg) / (rep.zeta * mu), 0.0) if arg > 0 else 0.0
-        rep.iters_to_eps = rep.term1 + rep.term2
-        return rep
-
-    if kind is PolicyKind.MONO:
-        nu = solve_nu(NuKind.MONO)
-        rep.zeta = nu / (L0 * amp)
-        rep.sublinear_const = 2.0 * L0 * L0 * amp * amp * D * D / (nu * nu)
-        return rep
-
-    if kind is PolicyKind.WEAK_MINTY:
-        nu = solve_nu(NuKind.WEAK_MINTY)
-        rho = _rho()
-        rep.zeta = nu / (L0 * amp)
-        rep.delta = rep.zeta - 4.0 * rho
-        if rep.delta <= 0:
-            rep.guarantee_void = True
-            return rep
-        rep.sublinear_const = 4.0 * L0 * amp * D * D / (nu * rep.delta)
+        if kind is PolicyKind.STRONG_MONO:
+            rep.rate = 1.0 - rep.zeta * _mu()
+        elif kind is PolicyKind.STRONG_MONO_DESCENT:
+            if epsilon is None or not (epsilon > 0):
+                raise ValueError("iteration-count bound needs epsilon > 0")
+            mu = _mu()
+            rep.term1 = (2.0 * L0 / (nu * mu)) * math.log(D * D / epsilon)
+            if L1 == 0.0:
+                rep.term2 = 0.0   # no step-growth phase without the norm term
+            else:
+                arg = 2.0 * L1 * D * D / (rep.zeta ** 2 * L0)
+                rep.term2 = max(math.log(arg) / (rep.zeta * mu), 0.0) if arg > 0 else 0.0
+            rep.iters_to_eps = rep.term1 + rep.term2
+        elif kind is PolicyKind.MONO:
+            rep.sublinear_const = 2.0 * L0 * L0 * amp * amp * D * D / (nu * nu)
+        else:   # WEAK_MINTY
+            rep.delta = rep.zeta - 4.0 * _rho()
+            if rep.delta <= 0:
+                rep.guarantee_void = True
+            else:
+                rep.sublinear_const = 4.0 * L0 * amp * D * D / (nu * rep.delta)
         return rep
 
     if kind is PolicyKind.WEAK_MINTY_FRAC:

@@ -193,9 +193,10 @@ def _sweep(op, cells, x0, d20: float, iters: int, rel_tol: float, out: str) -> L
     """Run adaptive cells 1/(c0 + c1*||F||) in order (c1 = 0: step 1/c0), all checked
     before the first runs; write sweep.csv, return (c0, c1, iters_to_tol, final_relerr)."""
     policies = [StepSizePolicy(kind=PolicyKind.ADAPTIVE, c0=c0, c1=c1) for c0, c1 in cells]
+    csv_path = os.path.join(_ensure_out(out), "sweep.csv")
     cfg = SolveConfig(max_iters=iters, x0=x0, stop_tol=0.0)
     rows = [(*cell, *_sweep_cell(op, p, cfg, d20, rel_tol)) for cell, p in zip(cells, policies)]
-    _write_csv(os.path.join(_ensure_out(out), "sweep.csv"),
+    _write_csv(csv_path,
                ["c0", "c1", "iters_to_tol", "final_relerr"],
                [[_fmt(c0), _fmt(c1), it, _fmt(fr)] for c0, c1, it, fr in rows])
     return rows
@@ -243,10 +244,10 @@ def cmd_verify(args) -> int:
     if not 1 <= args.pairs * 101 <= analysis.MAX_GRID_POINTS:
         raise _UsageError(f"--pairs {args.pairs}: must lie in 1..{analysis.MAX_GRID_POINTS // 101} "
                           f"(at most {analysis.MAX_GRID_POINTS} points at 101 per pair)")
+    out = _ensure_out(args.out)
     fit = analysis.verify_condition(op, s, box, grid_n)
     seg = analysis.verify_segment_condition(op, s, pairs=args.pairs, box=box,
                                             seed=args.seed)
-    out = _ensure_out(args.out)
     analysis.write_fit_csv(fit, os.path.join(out, "fit.csv"))
     print(f"jacobian-route: {'PASS' if fit.passed else 'FAIL'} "
           f"max_violation={_fmt(fit.max_violation)} (grid {grid_n}^{op.dim})")
@@ -260,7 +261,8 @@ def cmd_estimate(args) -> int:
     alphas = [float(v) for v in args.alphas.split(",") if v.strip()]
     if args.from_grid:
         box = args.box if args.box is not None else operators.default_box(op.label, op.dim)
-        samples = analysis.grid_samples(op, box, _grid_n(args, op.dim, 21))
+        grid_n = _grid_n(args, op.dim, 21)
+        sample = lambda: analysis.grid_samples(op, box, grid_n)
     else:
         if args.policy is None:
             raise _UsageError("estimate needs --from-grid or --policy (trace source)")
@@ -268,12 +270,13 @@ def cmd_estimate(args) -> int:
             policy = parse_policy(args.policy)
         except ValueError as e:
             raise _UsageError(str(e)) from None
-        x0 = parse_x0(args.x0, op.dim, args.seed)
-        cfg = SolveConfig(max_iters=args.iters, x0=x0, stop_tol=0.0)
-        tr = solver.solve(op, policy, cfg, force=args.force)
-        samples = analysis.scatter_from_trace(op, tr)
-    fit = analysis.fit_constants(samples, alphas)
+        cfg = SolveConfig(max_iters=args.iters, x0=parse_x0(args.x0, op.dim, args.seed),
+                          stop_tol=0.0)
+        sample = lambda: analysis.scatter_from_trace(
+            op, solver.solve(op, policy, cfg, force=args.force))
     out = _ensure_out(args.out)
+    samples = sample()
+    fit = analysis.fit_constants(samples, alphas)
     analysis.write_scatter_csv(samples, os.path.join(out, "scatter.csv"))
     analysis.write_fit_csv(fit, os.path.join(out, "fit.csv"))
     print(f"alpha_hat={_fmt(fit.alpha_hat)} L0_hat={_fmt(fit.L0_hat)} "

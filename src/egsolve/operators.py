@@ -26,6 +26,10 @@ from .core import (
 
 SQ2 = math.sqrt(2.0)
 
+# largest operator dimension the sized builders (cubicRd, nplayer) accept; their
+# dense dim x dim matrices then take at most 2 MB each (fig4 runs at dim 20)
+MAX_DIM = 512
+
 
 def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
@@ -157,8 +161,8 @@ def cubicRd(d: int = 2, seed: int = 0, scale: float = 1.0) -> OperatorInstance:
     Chat = 2^{5/4} max(||A||,||C||)/lambda_min^{1/4}, turned into a linear
     envelope via AM-GM: L1 = Chat/2, L0 = sigma_max(B) + Chat/2.
     """
-    if d < 1:
-        raise ValueError(f"cubicRd: d must be >= 1, got {d}")
+    if not 1 <= d <= MAX_DIM // 2:
+        raise ValueError(f"cubicRd: d must lie in 1..{MAX_DIM // 2} (dim 2d <= MAX_DIM), got {d}")
     rng = np.random.default_rng(seed)
     GA = rng.standard_normal((d, d))
     A = scale * (GA.T @ GA / d + 0.1 * np.eye(d))
@@ -387,8 +391,8 @@ def nplayer(n: int = 3) -> OperatorInstance:
     (sqrt(2n)*5, sqrt(2)*1); the per-player offset 5 covers pairs where one
     endpoint has F = 0 on the sampling box [-5, 5]^n.
     """
-    if n < 2:
-        raise ValueError(f"nplayer: need at least 2 players, got {n}")
+    if not 2 <= n <= MAX_DIM:
+        raise ValueError(f"nplayer: n must lie in 2..{MAX_DIM} (MAX_DIM), got {n}")
     S = np.zeros((n, n))
     for i in range(n):
         S[i, (i + 1) % n] = 1.0

@@ -87,7 +87,7 @@ def check_policy_compat(F: OperatorInstance, policy: StepSizePolicy,
     the allowed set; parameter-free baselines (constant, adaptive, EG+) run on
     anything. With force=True a mismatch downgrades to a warning.
     """
-    allowed = policy.allowed_classes()
+    allowed = policy.kind.classes
     if allowed is None:
         return
     m = F.monotonicity

@@ -126,69 +126,52 @@ def pow_alpha(value: float, alpha: float) -> float:
 # policies
 # ---------------------------------------------------------------------------
 
-class PolicyKind(enum.Enum):
-    CONSTANT = "const"
-    ADAPTIVE = "adaptive"
-    STRONG_MONO = "strong-mono"               # alpha = 1, equal steps
-    STRONG_MONO_DESCENT = "strong-mono-descent"
-    STRONG_MONO_FRAC = "strong-mono-frac"     # alpha < 1 via K constants
-    MONO = "mono"
-    MONO_FRAC = "mono-frac"
-    WEAK_MINTY = "weak-minty"                 # halved update step
-    WEAK_MINTY_FRAC = "weak-minty-frac"
-    VANKOV = "vankov"
-    PETHICK = "pethick"
-    EGPLUS = "egplus"
-
-
 class OmegaRule(enum.Enum):
     EQUAL = "equal-gamma"
     HALF = "half-gamma"
     PETHICK = "pethick"
 
 
-# update rule is dictated by the convergence argument behind each kind
-_OMEGA_RULE: dict = {
-    PolicyKind.CONSTANT: OmegaRule.EQUAL,
-    PolicyKind.ADAPTIVE: OmegaRule.EQUAL,
-    PolicyKind.STRONG_MONO: OmegaRule.EQUAL,
-    PolicyKind.STRONG_MONO_DESCENT: OmegaRule.EQUAL,
-    PolicyKind.STRONG_MONO_FRAC: OmegaRule.EQUAL,
-    PolicyKind.MONO: OmegaRule.EQUAL,
-    PolicyKind.MONO_FRAC: OmegaRule.EQUAL,
-    PolicyKind.VANKOV: OmegaRule.EQUAL,
-    PolicyKind.WEAK_MINTY: OmegaRule.HALF,
-    PolicyKind.WEAK_MINTY_FRAC: OmegaRule.HALF,
-    PolicyKind.EGPLUS: OmegaRule.HALF,
-    PolicyKind.PETHICK: OmegaRule.PETHICK,
-}
+# operator classes a guarantee covers: each class's theorems also hold on the
+# stronger classes
+_STRONG = frozenset({MonotoneClass.STRONGLY_MONOTONE})
+_MONO = _STRONG | {MonotoneClass.MONOTONE}
+_MINTY = _MONO | {MonotoneClass.WEAK_MINTY}
 
-_NU_FOR_KIND: dict = {
-    PolicyKind.STRONG_MONO: NuKind.STRONG_MONO,
-    PolicyKind.STRONG_MONO_DESCENT: NuKind.STRONG_MONO_DESCENT,
-    PolicyKind.STRONG_MONO_FRAC: NuKind.STRONG_MONO_FRAC,
-    PolicyKind.MONO: NuKind.MONO,
-    PolicyKind.WEAK_MINTY: NuKind.WEAK_MINTY,
-}
 
-# monotonicity classes each kind's guarantee covers; None entry = any class
-_ALLOWED_CLASSES: dict = {
-    PolicyKind.STRONG_MONO: {MonotoneClass.STRONGLY_MONOTONE},
-    PolicyKind.STRONG_MONO_DESCENT: {MonotoneClass.STRONGLY_MONOTONE},
-    PolicyKind.STRONG_MONO_FRAC: {MonotoneClass.STRONGLY_MONOTONE},
-    PolicyKind.VANKOV: {MonotoneClass.STRONGLY_MONOTONE},
-    PolicyKind.MONO: {MonotoneClass.STRONGLY_MONOTONE, MonotoneClass.MONOTONE},
-    PolicyKind.MONO_FRAC: {MonotoneClass.STRONGLY_MONOTONE, MonotoneClass.MONOTONE},
-    PolicyKind.WEAK_MINTY: {MonotoneClass.STRONGLY_MONOTONE, MonotoneClass.MONOTONE,
-                            MonotoneClass.WEAK_MINTY},
-    PolicyKind.WEAK_MINTY_FRAC: {MonotoneClass.STRONGLY_MONOTONE, MonotoneClass.MONOTONE,
-                                 MonotoneClass.WEAK_MINTY},
-    PolicyKind.PETHICK: {MonotoneClass.STRONGLY_MONOTONE, MonotoneClass.MONOTONE,
-                         MonotoneClass.WEAK_MINTY},
-    PolicyKind.CONSTANT: None,
-    PolicyKind.ADAPTIVE: None,
-    PolicyKind.EGPLUS: None,
-}
+class PolicyKind(enum.Enum):
+    """One row per step rule.
+
+    Each member carries its text key (`.value`), theorem key, update rule
+    (dictated by the convergence argument behind the kind), the monotonicity
+    classes its guarantee covers (None = any), the NuKind root of an
+    alpha = 1 rule `nu / (L0 + L1 ||F||)`, and its text parameters in order
+    ("[" marks an optional one).
+    """
+
+    def __new__(cls, value, thm, omega_rule, classes, nu, params):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.thm = thm
+        member.omega_rule = omega_rule
+        member.classes = classes
+        member.nu = nu
+        member.params = params
+        return member
+
+    CONSTANT = ("const", None, OmegaRule.EQUAL, None, None, ("step",))
+    ADAPTIVE = ("adaptive", None, OmegaRule.EQUAL, None, None, ("c0", "c1", "[alpha"))
+    STRONG_MONO = ("strong-mono", "thm3", OmegaRule.EQUAL, _STRONG, NuKind.STRONG_MONO, ())
+    STRONG_MONO_DESCENT = ("strong-mono-descent", "cor1", OmegaRule.EQUAL, _STRONG,
+                           NuKind.STRONG_MONO_DESCENT, ())
+    STRONG_MONO_FRAC = ("strong-mono-frac", "thm4", OmegaRule.EQUAL, _STRONG, None, ())
+    MONO = ("mono", "thm5", OmegaRule.EQUAL, _MONO, NuKind.MONO, ())
+    MONO_FRAC = ("mono-frac", "thm7", OmegaRule.EQUAL, _MONO, None, ())
+    WEAK_MINTY = ("weak-minty", "thm8", OmegaRule.HALF, _MINTY, NuKind.WEAK_MINTY, ())
+    WEAK_MINTY_FRAC = ("weak-minty-frac", "thm9", OmegaRule.HALF, _MINTY, None, ())
+    VANKOV = ("vankov", None, OmegaRule.EQUAL, _STRONG, None, ("[mu",))
+    PETHICK = ("pethick", None, OmegaRule.PETHICK, _MINTY, None, ("step", "[rho"))
+    EGPLUS = ("egplus", None, OmegaRule.HALF, None, None, ("step",))
 
 
 @dataclass(frozen=True)
@@ -209,26 +192,23 @@ class StepSizePolicy:
     rho: Optional[float] = None
 
     def __post_init__(self):
-        if self.kind in (PolicyKind.CONSTANT, PolicyKind.EGPLUS, PolicyKind.PETHICK):
-            if self.step is None or not (self.step > 0):
-                raise ValueError(f"{self.kind.value} policy needs a positive step, got {self.step}")
-        if self.kind is PolicyKind.ADAPTIVE:
-            if self.c0 is None or self.c1 is None:
-                raise ValueError("adaptive policy needs c0 and c1")
-            if not (self.c0 > 0):
-                raise ValueError(f"adaptive policy needs c0 > 0, got {self.c0}")
-            if self.c1 < 0:
-                raise ValueError(f"adaptive policy needs c1 >= 0, got {self.c1}")
-            a = 1.0 if self.alpha is None else self.alpha
-            if not (0.0 < a <= 1.0):
-                raise InvalidAlpha(f"adaptive policy alpha must be in (0, 1], got {a}")
+        name = self.kind.value
+        missing = [p for p in self.kind.params if p[0] != "[" and getattr(self, p) is None]
+        if missing:
+            raise ValueError(f"{name} policy needs {' and '.join(missing)}")
+        # every given number is finite; step, c0 and mu are positive, c1 and rho nonnegative
+        for field, positive in (("step", True), ("c0", True), ("mu", True),
+                                ("c1", False), ("rho", False)):
+            v = getattr(self, field)
+            if v is not None and not (math.isfinite(v) and (v > 0 if positive else v >= 0)):
+                raise ValueError(f"{name} policy needs finite {field} {'>' if positive else '>='} 0, "
+                                 f"got {v}")
+        if self.alpha is not None and not (0.0 < self.alpha <= 1.0):
+            raise InvalidAlpha(f"{name} policy alpha must be in (0, 1], got {self.alpha}")
 
     @property
     def omega_rule(self) -> OmegaRule:
-        return _OMEGA_RULE[self.kind]
-
-    def allowed_classes(self):
-        return _ALLOWED_CLASSES[self.kind]
+        return self.kind.omega_rule
 
 
 def _resolve_smoothness(policy: StepSizePolicy, s: Optional[SmoothnessParams]) -> SmoothnessParams:
@@ -253,12 +233,11 @@ def gamma(policy: StepSizePolicy, normF: float,
         a = 1.0 if policy.alpha is None else policy.alpha
         return 1.0 / (policy.c0 + policy.c1 * pow_alpha(normF, a))
 
-    if kind in (PolicyKind.STRONG_MONO, PolicyKind.STRONG_MONO_DESCENT,
-                PolicyKind.MONO, PolicyKind.WEAK_MINTY):
+    if kind.nu is not None:
         eff = _resolve_smoothness(policy, s)
         if eff.alpha != 1.0:
             raise InvalidAlpha(f"{kind.value} rule applies at alpha = 1, operator declares {eff.alpha}")
-        nu = solve_nu(_NU_FOR_KIND[kind])
+        nu = solve_nu(kind.nu)
         den = eff.L0 + eff.L1 * normF
         if den == 0.0:
             raise MissingConstant(f"{kind.value} step undefined: L0 = 0 and ||F|| = 0")
@@ -286,7 +265,7 @@ def gamma(policy: StepSizePolicy, normF: float,
         mu = policy.mu
         if mu is None and m is not None and m.kind is MonotoneClass.STRONGLY_MONOTONE:
             mu = m.mu
-        if mu is None or mu <= 0:
+        if mu is None:   # a given mu is positive: StepSizePolicy and MonotonicityParams check
             raise MissingConstant("Vankov baseline needs mu > 0 (policy override or declared)")
         cap = min(1.0 / (4.0 * mu), 1.0 / (2.0 * math.sqrt(2.0) * math.e * eff.L0)
                   if eff.L0 > 0 else math.inf)
@@ -332,62 +311,42 @@ def omega(policy: StepSizePolicy, gamma_k: float,
 # text keys
 # ---------------------------------------------------------------------------
 
-_KEY_ALIASES: dict = {
-    "thm3": PolicyKind.STRONG_MONO,
-    "strong-mono": PolicyKind.STRONG_MONO,
-    "cor1": PolicyKind.STRONG_MONO_DESCENT,
-    "strong-mono-descent": PolicyKind.STRONG_MONO_DESCENT,
-    "strongly-monotone": PolicyKind.STRONG_MONO_DESCENT,  # user-facing preset
-    "thm4": PolicyKind.STRONG_MONO_FRAC,
-    "strong-mono-frac": PolicyKind.STRONG_MONO_FRAC,
-    "thm5": PolicyKind.MONO,
-    "mono": PolicyKind.MONO,
-    "thm7": PolicyKind.MONO_FRAC,
-    "mono-frac": PolicyKind.MONO_FRAC,
-    "thm8": PolicyKind.WEAK_MINTY,
-    "weak-minty": PolicyKind.WEAK_MINTY,
-    "thm9": PolicyKind.WEAK_MINTY_FRAC,
-    "weak-minty-frac": PolicyKind.WEAK_MINTY_FRAC,
-}
+def _usage(kind: PolicyKind) -> str:
+    """Text key of a kind as POLICY_KEY_HELP lists it: 'thm3|strong-mono',
+    'adaptive:C0:C1[:ALPHA]'."""
+    if kind.thm is not None:
+        return f"{kind.thm}|{kind.value}"
+    return kind.value + "".join(f"[:{p[1:].upper()}]" if p[0] == "[" else f":{p.upper()}"
+                                for p in kind.params)
 
-POLICY_KEY_HELP = (
-    "const:STEP, adaptive:C0:C1[:ALPHA], thm3|strong-mono, cor1|strong-mono-descent, "
-    "thm4|strong-mono-frac, thm5|mono, thm7|mono-frac, thm8|weak-minty, "
-    "thm9|weak-minty-frac, vankov[:MU], pethick:STEP[:RHO], egplus:STEP"
-)
+
+POLICY_KEY_HELP = ", ".join(_usage(k) for k in PolicyKind)
 
 
 def parse_policy(text: str) -> StepSizePolicy:
-    """Build a policy from its stable text key (see POLICY_KEY_HELP)."""
+    """Build a policy from its stable text key (see POLICY_KEY_HELP).
+
+    The head is a kind's value or theorem key, in any case; the parameters
+    after it follow the kind's row. 'strongly-monotone' names cor1.
+    """
     parts = text.strip().split(":")
     head = parts[0].lower()
     args = parts[1:]
-
-    def _f(i: int, name: str) -> float:
+    want = "cor1" if head == "strongly-monotone" else head
+    kind = next((k for k in PolicyKind if want in (k.value, k.thm)), None)
+    if kind is None:
+        raise ValueError(f"unknown policy key '{text}'; valid keys: {POLICY_KEY_HELP}")
+    if not kind.params and args:
+        raise ValueError(f"policy '{text}': '{head}' takes no parameters")
+    if len(args) > len(kind.params):
+        raise ValueError(f"policy '{text}': too many parameters for {_usage(kind)}")
+    values = {}
+    for i, p in enumerate(kind.params):
+        name = p.lstrip("[")
+        if i >= len(args) and p[0] == "[":
+            break
         try:
-            return float(args[i])
+            values[name] = float(args[i])
         except (IndexError, ValueError):
             raise ValueError(f"policy '{text}': expected numeric {name}") from None
-
-    if head in _KEY_ALIASES:
-        if args:
-            raise ValueError(f"policy '{text}': '{head}' takes no parameters")
-        return StepSizePolicy(kind=_KEY_ALIASES[head])
-    if head == "const":
-        return StepSizePolicy(kind=PolicyKind.CONSTANT, step=_f(0, "step"))
-    if head == "egplus":
-        return StepSizePolicy(kind=PolicyKind.EGPLUS, step=_f(0, "step"))
-    if head == "adaptive":
-        c0, c1 = _f(0, "c0"), _f(1, "c1")
-        alpha = _f(2, "alpha") if len(args) > 2 else 1.0
-        return StepSizePolicy(kind=PolicyKind.ADAPTIVE, c0=c0, c1=c1, alpha=alpha)
-    if head == "vankov":
-        mu = _f(0, "mu") if args else None
-        return StepSizePolicy(kind=PolicyKind.VANKOV, mu=mu)
-    if head == "pethick":
-        if not args:
-            raise ValueError("policy 'pethick' needs a step: pethick:STEP[:RHO]")
-        step = _f(0, "step")
-        rho = _f(1, "rho") if len(args) > 1 else None
-        return StepSizePolicy(kind=PolicyKind.PETHICK, step=step, rho=rho)
-    raise ValueError(f"unknown policy key '{text}'; valid keys: {POLICY_KEY_HELP}")
+    return StepSizePolicy(kind=kind, **values)

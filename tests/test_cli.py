@@ -3,6 +3,7 @@ import hashlib
 import math
 import re
 import threading
+import time
 
 import pytest
 
@@ -43,9 +44,10 @@ class TestExitCodes:
         assert len(tr.rows) >= 1
 
     def test_bad_policy_exits_1(self, tmp_path, capsys):
-        code, _, err = run(capsys, "solve", "--op", "quadratic", "--x0", "1,1",
-                           "--policy", "bogus", "--out", str(tmp_path))
-        assert code == 1 and err
+        for policy in ("bogus", "const:inf", "vankov:nan"):
+            code, out, err = run(capsys, "solve", "--op", "quadratic", "--x0", "1,1",
+                                 "--policy", policy, "--out", str(tmp_path))
+            assert code == 1 and out == "" and len(err.splitlines()) == 1
 
     def test_missing_flag_exits_1(self, capsys):
         code, _, err = run(capsys, "solve", "--op", "quadratic")
@@ -184,13 +186,14 @@ class TestSweep:
         real = solver.solve
         monkeypatch.setattr(solver, "solve",
                             lambda *a, **kw: solves.append(a) or real(*a, **kw))
-        code, out, err = run(capsys, "sweep", "--op", "quadratic", "--x0", "1,1",
-                             "--c0", "100,0", "--c1", "0", "--iters", "10",
-                             "--out", str(tmp_path))
-        assert code == 1 and out == ""
-        assert len(err.splitlines()) == 1 and "c0 > 0" in err
-        assert solves == []
-        assert not (tmp_path / "sweep.csv").exists()
+        for c0, c1, why in (("100,0", "0", "c0 > 0"), ("100", "0,nan", "c1 >= 0")):
+            code, out, err = run(capsys, "sweep", "--op", "quadratic", "--x0", "1,1",
+                                 "--c0", c0, "--c1", c1, "--iters", "10",
+                                 "--out", str(tmp_path))
+            assert code == 1 and out == ""
+            assert len(err.splitlines()) == 1 and why in err
+            assert solves == []
+            assert not (tmp_path / "sweep.csv").exists()
 
 
 class TestGridLimits:
@@ -236,6 +239,17 @@ class TestGridLimits:
         assert err.startswith("error: non-finite ||F|| on sampled pair 0")
 
 
+class TestSizeLimits:
+    @pytest.mark.parametrize("op", ["nplayer:n=1000000000", "cubicRd:d=100000000"])
+    def test_oversized_operator_exits_1_at_once(self, op, tmp_path, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "solve", "--op", op, "--x0", "rand:1",
+                             "--policy", "const:0.1", "--out", str(tmp_path))
+        assert time.perf_counter() - start < 5.0
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and "MAX_DIM" in err
+
+
 class TestJobs:
     # perfbench counts EG work only from the traces that the module attribute
     # egsolve.solver.solve returns, so every job solves (and writes its traces)
@@ -276,7 +290,12 @@ class TestOSErrors:
         ["estimate", "--op", "quadratic", "--from-grid", "--grid", "3"],
         ["reproduce", "fig5", "--iters", "50"],
     ], ids=["solve", "sweep", "verify", "estimate", "fig5"])
-    def test_out_below_a_file_exits_1_with_one_line(self, argv, tmp_path, capsys):
+    def test_out_below_a_file_exits_1_with_one_line(self, argv, tmp_path, capsys, monkeypatch):
+        # every command creates --out before it evaluates the operator
+        def evaluate(*a, **kw):
+            raise AssertionError("an operator was evaluated before --out was created")
+        for name in ("__call__", "jacobian_at", "call_batch", "jacobian_batch_at"):
+            monkeypatch.setattr(OperatorInstance, name, evaluate)
         (tmp_path / "file").write_text("")
         code, out, err = run(capsys, *argv, "--out", str(tmp_path / "file" / "out"))
         assert code == 1 and out == ""

@@ -1,7 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from egsolve.core import (
     BracketFailure,
@@ -15,6 +18,7 @@ from egsolve.core import (
 from egsolve.stepsize import (
     NuKind,
     OmegaRule,
+    POLICY_KEY_HELP,
     PolicyKind,
     StepSizePolicy,
     bisect,
@@ -131,6 +135,23 @@ class TestGamma:
         vals = [gamma(p, nf, s=s) for nf in grid]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
         assert all(v > 0 for v in vals)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(list(PolicyKind)), st.data())
+    def test_positive_finite_nonincreasing_for_every_kind(self, kind, data):
+        # valid constants for each parameter the kind's row names, optional ones too
+        draw = data.draw
+        params = {p.lstrip("["): draw(st.floats(0.05, 1.0) if p == "[alpha"
+                                      else st.floats(0.0, 1e3) if p in ("c1", "[rho")
+                                      else st.floats(1e-3, 1e3))
+                  for p in kind.params}
+        policy = StepSizePolicy(kind=kind, **params)
+        alpha = draw(st.floats(0.05, 0.95)) if kind.value.endswith("-frac") else 1.0
+        s = SmoothnessParams(alpha, draw(st.floats(1e-3, 1e3)), draw(st.floats(0.0, 1e3)))
+        m = MonotonicityParams(MonotoneClass.STRONGLY_MONOTONE, mu=draw(st.floats(1e-3, 1e3)))
+        lo, hi = sorted(draw(st.lists(st.floats(0.0, 1e6), min_size=2, max_size=2)))
+        g_lo, g_hi = gamma(policy, lo, s=s, m=m), gamma(policy, hi, s=s, m=m)
+        assert 0.0 < g_hi <= g_lo < math.inf
 
     def test_fractional_kind_rejects_alpha_one(self):
         with pytest.raises(InvalidAlpha):
@@ -264,9 +285,47 @@ class TestParsePolicy:
 
     def test_rejects_garbage(self):
         for text in ("nope", "thm3:1", "const", "const:abc", "adaptive:1",
-                     "pethick", "const:-1", "adaptive:0:1"):
+                     "pethick", "const:-1", "adaptive:0:1",
+                     "const:inf", "const:nan", "egplus:inf", "pethick:nan",
+                     "adaptive:inf:1", "adaptive:1:nan", "adaptive:1:inf", "adaptive:1:1:nan",
+                     "vankov:nan", "vankov:inf", "vankov:0", "vankov:-1",
+                     "pethick:0.1:nan", "pethick:0.1:inf", "pethick:0.1:-1",
+                     "const:1:2", "vankov:1:2", "adaptive:1:1:1:1"):
             with pytest.raises((ValueError, InvalidAlpha)):
                 parse_policy(text)
+
+    def test_every_listed_key_parses_to_its_kind(self):
+        samples = {"STEP": "0.5", "C0": "2", "C1": "1", "ALPHA": "0.5", "MU": "3", "RHO": "0.1"}
+        reached = set()
+        for entry in POLICY_KEY_HELP.split(", "):
+            head = re.match(r"[a-z-]+", entry.split("|")[-1]).group()
+            kind = PolicyKind(head)
+            if "|" in entry:
+                texts = entry.split("|")
+            else:   # every parameter given, then only the required ones
+                full = re.sub(r"[A-Z0-9]+", lambda m: samples[m.group()], entry)
+                texts = [full.replace("[", "").replace("]", ""), re.sub(r"\[.*?\]", "", full)]
+            for text in texts + [t.upper() for t in texts]:
+                assert parse_policy(text).kind is kind, text
+            reached.add(kind)
+        assert reached == set(PolicyKind)
+        assert parse_policy("strongly-monotone").kind is PolicyKind.STRONG_MONO_DESCENT
+        assert parse_policy("Thm5").kind is PolicyKind.MONO
+
+    @pytest.mark.parametrize("text, wording", [
+        ("const", "policy 'const': expected numeric step"),
+        ("pethick", "policy 'pethick': expected numeric step"),
+        ("egplus:x", "policy 'egplus:x': expected numeric step"),
+        ("adaptive:1", "policy 'adaptive:1': expected numeric c1"),
+        ("vankov:", "policy 'vankov:': expected numeric mu"),
+        ("thm3:1", "policy 'thm3:1': 'thm3' takes no parameters"),
+        ("Mono:1", "policy 'Mono:1': 'mono' takes no parameters"),
+        ("const:1:2", "policy 'const:1:2': too many parameters for const:STEP"),
+    ])
+    def test_wrong_arity_wording(self, text, wording):
+        with pytest.raises(ValueError) as e:
+            parse_policy(text)
+        assert str(e.value) == wording
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):
