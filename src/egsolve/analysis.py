@@ -3,7 +3,6 @@ sampling checks of the norm-growth condition, constant fitting, and closed-form
 iteration-bound evaluation."""
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
@@ -25,8 +24,10 @@ from .core import (
     SolveTrace,
     norm,
     overflow_as_data,
+    read_csv,
     spectral_norm,
     vec,
+    write_csv,
 )
 from .stepsize import PolicyKind, k_constants, pow_alpha, solve_nu
 
@@ -61,6 +62,20 @@ def check_grid(dim: int, n: int) -> None:
     if n ** dim > MAX_GRID_POINTS:
         raise ValueError(f"a grid of {n}^{dim} points exceeds the limit of "
                          f"{MAX_GRID_POINTS} points")
+
+
+THETA_POINTS = 101   # theta points per pair of the segment route, by default
+
+
+def check_pairs(pairs: int, theta_grid: int = THETA_POINTS) -> None:
+    """Raise ValueError unless the segment route's sample of `pairs` pairs,
+    each checked at `theta_grid` >= 2 points, has at least one pair and at
+    most MAX_GRID_POINTS points."""
+    if theta_grid < 2:
+        raise ValueError(f"theta_grid must be >= 2, got {theta_grid}")
+    if not 1 <= pairs <= MAX_GRID_POINTS // theta_grid:
+        raise ValueError(f"pairs must lie in 1..{MAX_GRID_POINTS // theta_grid} (at most "
+                         f"{MAX_GRID_POINTS} points at {theta_grid} per pair), got {pairs}")
 
 
 # Bytes of a block's Jacobian stack plus a few of its (rows, dim) arrays;
@@ -229,19 +244,17 @@ class PairCheckReport:
 
 
 def verify_segment_condition(F: OperatorInstance, s: SmoothnessParams, pairs: int,
-                             theta_grid: int = 101, box: BoxLike = 50.0,
+                             theta_grid: int = THETA_POINTS, box: BoxLike = 50.0,
                              seed: int = 0) -> PairCheckReport:
     """Sampled check of the two-point bound with the segment maximum.
 
     For seeded uniform pairs (x, y) in the box, approximates
     max_theta ||F(theta x + (1-theta) y)|| on a uniform theta grid and checks
     ||F(x) - F(y)|| <= (L0 + L1 max^alpha) ||x - y|| + 1e-10. Raises
-    NonFiniteEvaluation when ||F|| is not finite on a sampled segment.
+    NonFiniteEvaluation when ||F|| is not finite on a sampled segment, and
+    ValueError when the sample breaks check_pairs.
     """
-    if pairs < 1:
-        raise ValueError(f"pairs must be >= 1, got {pairs}")
-    if theta_grid < 2:
-        raise ValueError(f"theta_grid must be >= 2, got {theta_grid}")
+    check_pairs(pairs, theta_grid)
     thetas = np.linspace(0.0, 1.0, theta_grid)[:, None]
     viol = 0
     min_slack = math.inf
@@ -315,6 +328,16 @@ def verify_proposition1(F: OperatorInstance, s: SmoothnessParams, pairs: int,
     return PairCheckReport(pairs, viol, min_slack, route=route)
 
 
+def check_alpha_grid(alpha_grid: Sequence[float]) -> None:
+    """Raise unless the alpha grid is non-empty and every entry lies in (0, 1]
+    (NaN does not): ValueError for an empty grid, InvalidAlpha for an entry."""
+    if not alpha_grid:
+        raise ValueError("the alpha grid is empty; give at least one alpha in (0, 1]")
+    for a in alpha_grid:
+        if not (0.0 < a <= 1.0):
+            raise InvalidAlpha(f"alpha grid entries must lie in (0, 1], got {a}")
+
+
 def fit_constants(samples: Sequence[ScatterSample],
                   alpha_grid: Iterable[float]) -> SmoothnessFit:
     """Envelope fit of (L0, L1, alpha) to scatter samples.
@@ -326,8 +349,7 @@ def fit_constants(samples: Sequence[ScatterSample],
     """
     samples = list(samples)
     alpha_grid = list(alpha_grid)
-    if not alpha_grid:
-        raise ValueError("the alpha grid is empty; give at least one alpha in (0, 1]")
+    check_alpha_grid(alpha_grid)
     if len(samples) < 3:
         raise DegenerateSamples(f"need >= 3 samples to fit, got {len(samples)}")
     nf = np.array([sm.norm_F for sm in samples])
@@ -336,8 +358,6 @@ def fit_constants(samples: Sequence[ScatterSample],
         raise DegenerateSamples("all samples share one ||F|| value; constants are unidentifiable")
     best = None
     for a in alpha_grid:
-        if not (0.0 < a <= 1.0):
-            raise InvalidAlpha(f"alpha grid entries must lie in (0, 1], got {a}")
         with overflow_as_data():
             col = _pow_alpha_rows(nf, a)
         design = np.column_stack([np.ones_like(col), col])
@@ -466,34 +486,22 @@ _FIT_HEADER = ["alpha", "L0", "L1", "max_violation"]
 
 
 def write_scatter_csv(samples: Sequence[ScatterSample], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(_SCATTER_HEADER)
-        for sm in samples:
-            w.writerow([repr(sm.norm_F), repr(sm.norm_J), sm.iterate_index])
+    write_csv(path, _SCATTER_HEADER, ([sm.norm_F, sm.norm_J, sm.iterate_index] for sm in samples))
 
 
 def read_scatter_csv(path: str) -> List[ScatterSample]:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != _SCATTER_HEADER:
-        raise ValueError(f"{path}: not a scatter CSV")
     return [ScatterSample(norm_F=float(a), norm_J=float(b), iterate_index=int(c))
-            for a, b, c in rows[1:]]
+            for a, b, c in read_csv(path, _SCATTER_HEADER, "scatter")]
 
 
 def write_fit_csv(fit: SmoothnessFit, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(_FIT_HEADER)
-        w.writerow([repr(fit.alpha_hat), repr(fit.L0_hat), repr(fit.L1_hat),
-                    repr(fit.max_violation)])
+    write_csv(path, _FIT_HEADER,
+              [[fit.alpha_hat, fit.L0_hat, fit.L1_hat, fit.max_violation]])
 
 
 def read_fit_csv(path: str) -> SmoothnessFit:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if len(rows) != 2 or rows[0] != _FIT_HEADER:
-        raise ValueError(f"{path}: not a fit CSV")
-    a, L0, L1, mv = map(float, rows[1])
+    rows = read_csv(path, _FIT_HEADER, "fit")
+    if len(rows) != 1:
+        raise ValueError(f"{path}: a fit CSV holds one row, found {len(rows)}")
+    a, L0, L1, mv = map(float, rows[0])
     return SmoothnessFit(alpha_hat=a, L0_hat=L0, L1_hat=L1, max_violation=mv)

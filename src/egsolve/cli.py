@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor  # unused; perfbench/layers.py subclasses it
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -27,6 +26,7 @@ from .core import (
     SolveConfig,
     norm,
     spectral_norm,  # unused here; perfbench/layers.py still wraps cli.spectral_norm by name
+    write_csv,
 )
 from .stepsize import (
     NuKind,
@@ -112,23 +112,6 @@ def _grid_n(args, dim: int, default: int) -> int:
     return n
 
 
-def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(rows)
-
-
-def _fmt(v) -> str:
-    return repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
-
-
-def _write_meta(path: str, items: Sequence[Tuple[str, object]]) -> None:
-    with open(path, "w") as fh:
-        for k, v in items:
-            fh.write(f"{k} = {v}\n")
-
-
 def _first_hit(rows, metric, tol: float) -> int:
     """First iterate index k with metric(row) <= tol, else -1."""
     return next((r.k for r in rows if metric(r) <= tol), -1)
@@ -144,7 +127,7 @@ def cmd_nu(args) -> int:
     except ValueError:
         raise _UsageError(f"unknown kind '{args.kind}'; one of "
                           f"{', '.join(k.value for k in NuKind)}") from None
-    print(repr(solve_nu(kind)))
+    print(solve_nu(kind))
     return EXIT_OK
 
 
@@ -168,9 +151,9 @@ def cmd_solve(args) -> int:
         return EXIT_DIVERGED
     solver.write_trace_csv(tr, trace_path)
     summary = (f"reason={tr.reason} iters={tr.iterations_run} "
-               f"min_normF={_fmt(tr.min_norm_F_x)}@{tr.argmin_norm_F_x}")
+               f"min_normF={tr.min_norm_F_x}@{tr.argmin_norm_F_x}")
     if tr.final_dist_sq is not None:
-        summary += f" final_dist_sq={_fmt(tr.final_dist_sq)}"
+        summary += f" final_dist_sq={tr.final_dist_sq}"
     print(summary)
     print(f"trace: {trace_path}")
     return EXIT_OK
@@ -189,16 +172,19 @@ def _sweep_cell(op, policy, cfg, d20: float, rel_tol: float) -> Tuple[int, float
     return _first_hit(tr.rows, lambda r: r.dist_sq / d20, rel_tol), relerr
 
 
-def _sweep(op, cells, x0, d20: float, iters: int, rel_tol: float, out: str) -> List[tuple]:
-    """Run adaptive cells 1/(c0 + c1*||F||) in order (c1 = 0: step 1/c0), all checked
-    before the first runs; write sweep.csv, return (c0, c1, iters_to_tol, final_relerr)."""
+def _sweep(op, cells, x0, iters: int, rel_tol: float, out: str) -> List[tuple]:
+    """Run adaptive cells 1/(c0 + c1*||F||) in order (c1 = 0: step 1/c0) from x0,
+    relative to ||x0 - x*||^2 of op's root; x0 and all cells are checked before
+    the first runs. Write sweep.csv, return (c0, c1, iters_to_tol, final_relerr)."""
+    cfg = SolveConfig(max_iters=iters, x0=x0, stop_tol=0.0)
+    d20 = float((cfg.x0 - op.solution) @ (cfg.x0 - op.solution))
+    if d20 == 0.0:
+        raise _UsageError(f"sweep: x0 is the root of '{op.label}'; the relative error "
+                          f"||x_k - x*||^2 / ||x0 - x*||^2 is undefined")
     policies = [StepSizePolicy(kind=PolicyKind.ADAPTIVE, c0=c0, c1=c1) for c0, c1 in cells]
     csv_path = os.path.join(_ensure_out(out), "sweep.csv")
-    cfg = SolveConfig(max_iters=iters, x0=x0, stop_tol=0.0)
     rows = [(*cell, *_sweep_cell(op, p, cfg, d20, rel_tol)) for cell, p in zip(cells, policies)]
-    _write_csv(csv_path,
-               ["c0", "c1", "iters_to_tol", "final_relerr"],
-               [[_fmt(c0), _fmt(c1), it, _fmt(fr)] for c0, c1, it, fr in rows])
+    write_csv(csv_path, ["c0", "c1", "iters_to_tol", "final_relerr"], rows)
     return rows
 
 
@@ -215,14 +201,10 @@ def cmd_sweep(args) -> int:
     if not c0s or not c1s:
         raise _UsageError("--c0 and --c1 grids must be non-empty")
     x0 = parse_x0(args.x0, op.dim, args.seed)
-    d20 = float((x0 - op.solution) @ (x0 - op.solution))
-    if d20 == 0.0:
-        raise _UsageError(f"sweep: x0 is the root of '{op.label}'; the relative error "
-                          f"||x_k - x*||^2 / ||x0 - x*||^2 is undefined")
     cells = [(c0, c1) for c0 in c0s for c1 in c1s]
-    for c0, c1, it, fr in _sweep(op, cells, x0, d20, args.iters, args.tol, args.out):
-        tag = "diverged" if it == -1 and math.isinf(fr) else f"relerr={_fmt(fr)}"
-        print(f"cell ({_fmt(c0)},{_fmt(c1)}): iters_to_tol={it} {tag}")
+    for c0, c1, it, fr in _sweep(op, cells, x0, args.iters, args.tol, args.out):
+        tag = "diverged" if it == -1 and math.isinf(fr) else f"relerr={fr}"
+        print(f"cell ({c0},{c1}): iters_to_tol={it} {tag}")
     print(f"summary: {os.path.join(args.out, 'sweep.csv')}")
     return EXIT_OK
 
@@ -240,25 +222,26 @@ def cmd_verify(args) -> int:
         raise _UsageError(f"'{op.label}' declares no constants; pass --alpha/--L0/--L1")
     box = args.box if args.box is not None else operators.default_box(op.label, op.dim)
     grid_n = _grid_n(args, op.dim, 201 if op.dim <= 2 else 7)
-    # the segment route evaluates F at 101 theta points per pair
-    if not 1 <= args.pairs * 101 <= analysis.MAX_GRID_POINTS:
-        raise _UsageError(f"--pairs {args.pairs}: must lie in 1..{analysis.MAX_GRID_POINTS // 101} "
-                          f"(at most {analysis.MAX_GRID_POINTS} points at 101 per pair)")
+    try:
+        analysis.check_pairs(args.pairs)
+    except ValueError as e:
+        raise _UsageError(f"--pairs {args.pairs}: {e}") from None
     out = _ensure_out(args.out)
     fit = analysis.verify_condition(op, s, box, grid_n)
     seg = analysis.verify_segment_condition(op, s, pairs=args.pairs, box=box,
                                             seed=args.seed)
     analysis.write_fit_csv(fit, os.path.join(out, "fit.csv"))
     print(f"jacobian-route: {'PASS' if fit.passed else 'FAIL'} "
-          f"max_violation={_fmt(fit.max_violation)} (grid {grid_n}^{op.dim})")
+          f"max_violation={fit.max_violation} (grid {grid_n}^{op.dim})")
     print(f"segment-route:  {'PASS' if seg.passed else 'FAIL'} "
-          f"violations={seg.n_violations}/{seg.n_pairs} min_slack={_fmt(seg.min_slack)}")
+          f"violations={seg.n_violations}/{seg.n_pairs} min_slack={seg.min_slack}")
     return EXIT_OK if fit.passed and seg.passed else EXIT_ASSERT
 
 
 def cmd_estimate(args) -> int:
     op = parse_op_key(args.op)
     alphas = [float(v) for v in args.alphas.split(",") if v.strip()]
+    analysis.check_alpha_grid(alphas)
     if args.from_grid:
         box = args.box if args.box is not None else operators.default_box(op.label, op.dim)
         grid_n = _grid_n(args, op.dim, 21)
@@ -279,8 +262,8 @@ def cmd_estimate(args) -> int:
     fit = analysis.fit_constants(samples, alphas)
     analysis.write_scatter_csv(samples, os.path.join(out, "scatter.csv"))
     analysis.write_fit_csv(fit, os.path.join(out, "fit.csv"))
-    print(f"alpha_hat={_fmt(fit.alpha_hat)} L0_hat={_fmt(fit.L0_hat)} "
-          f"L1_hat={_fmt(fit.L1_hat)} max_violation={_fmt(fit.max_violation)}")
+    print(f"alpha_hat={fit.alpha_hat} L0_hat={fit.L0_hat} "
+          f"L1_hat={fit.L1_hat} max_violation={fit.max_violation}")
     print(f"samples: {len(samples)} -> {os.path.join(out, 'scatter.csv')}")
     return EXIT_OK
 
@@ -289,15 +272,6 @@ def cmd_estimate(args) -> int:
 # experiment reproductions
 # ---------------------------------------------------------------------------
 
-def _print_checks(checks: List[Tuple[str, bool, str]]) -> int:
-    code = EXIT_OK
-    for name, ok, detail in checks:
-        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-        if not ok:
-            code = EXIT_ASSERT
-    return code
-
-
 def _compare(out: str, op, x0, iters: int, runs, col: str, metric, force: bool) -> dict:
     """Solve the named runs from x0; write each trace_<name>.csv and comparison.csv
     (k, then <col>_<name>, gamma_<name> per run, up to the shortest trace)."""
@@ -305,14 +279,18 @@ def _compare(out: str, op, x0, iters: int, runs, col: str, metric, force: bool) 
     traces = {name: solver.solve(op, pol, cfg, force=force) for name, pol in runs.items()}
     for name, tr in traces.items():
         solver.write_trace_csv(tr, os.path.join(out, f"trace_{name}.csv"))
-    comp = [[rows[0].k] + [_fmt(v) for r in rows for v in (metric(r), r.gamma_k)]
-            for rows in zip(*(tr.rows for tr in traces.values()))]
-    _write_csv(os.path.join(out, "comparison.csv"),
-               ["k"] + [f"{c}_{name}" for name in traces for c in (col, "gamma")], comp)
+    write_csv(os.path.join(out, "comparison.csv"),
+              ["k"] + [f"{c}_{name}" for name in traces for c in (col, "gamma")],
+              ([rows[0].k] + [v for r in rows for v in (metric(r), r.gamma_k)]
+               for rows in zip(*(tr.rows for tr in traces.values()))))
     return traces
 
 
-def _reproduce_fig3(out: str, iters: int, seed: int) -> int:
+# Each _reproduce_<fig>(out, iters, seed) writes its CSVs into out and returns
+# (meta items, gnuplot body, checks); cmd_reproduce writes meta.txt and
+# <fig>.gnuplot around them and prints one line per (name, ok, detail) check.
+
+def _reproduce_fig3(out: str, iters: int, seed: int) -> tuple:
     op = operators.build("signpower")
     x0 = np.array([5.0, 5.0])
     d20 = float(x0 @ x0)
@@ -326,23 +304,17 @@ def _reproduce_fig3(out: str, iters: int, seed: int) -> int:
     relerr = lambda r: r.dist_sq / d20
     traces = _compare(out, op, x0, iters, runs, "relerr", relerr, force=True)
     rows_o, rows_v = traces["ours"].rows, traces["vankov"].rows
-    _write_meta(os.path.join(out, "meta.txt"),
-                [("experiment", "fig3"), ("operator", "signpower"), ("x0", "5,5"),
-                 ("iters", iters), ("mu_local", mu_local), ("rel_tol", "1e-8"),
-                 ("seed", seed)])
-    with open(os.path.join(out, "fig3.gnuplot"), "w") as fh:
-        fh.write(
-            "set datafile separator comma\n"
-            "set terminal pngcairo size 1200,500\n"
-            "set output 'fig3.png'\n"
-            "set multiplot layout 1,2\n"
-            "set logscale y\nset xlabel 'iteration'\nset ylabel 'relative squared error'\n"
-            "plot 'comparison.csv' using 1:2 every ::1 with lines title 'norm-adaptive (ours)', \\\n"
-            "     'comparison.csv' using 1:4 every ::1 with lines title 'capped baseline'\n"
-            "unset logscale y\nset ylabel 'step size'\n"
-            "plot 'comparison.csv' using 1:3 every ::1 with lines title 'norm-adaptive (ours)', \\\n"
-            "     'comparison.csv' using 1:5 every ::1 with lines title 'capped baseline'\n"
-            "unset multiplot\n")
+    meta = [("operator", "signpower"), ("x0", "5,5"), ("iters", iters),
+            ("mu_local", mu_local), ("rel_tol", "1e-8")]
+    plot = (
+        "set multiplot layout 1,2\n"
+        "set logscale y\nset xlabel 'iteration'\nset ylabel 'relative squared error'\n"
+        "plot 'comparison.csv' using 1:2 every ::1 with lines title 'norm-adaptive (ours)', \\\n"
+        "     'comparison.csv' using 1:4 every ::1 with lines title 'capped baseline'\n"
+        "unset logscale y\nset ylabel 'step size'\n"
+        "plot 'comparison.csv' using 1:3 every ::1 with lines title 'norm-adaptive (ours)', \\\n"
+        "     'comparison.csv' using 1:5 every ::1 with lines title 'capped baseline'\n"
+        "unset multiplot\n")
     hit_o = _first_hit(rows_o, relerr, 1e-8)
     hit_v = _first_hit(rows_v, relerr, 1e-8)
     g_v = [r.gamma_k for r in rows_v]
@@ -356,36 +328,26 @@ def _reproduce_fig3(out: str, iters: int, seed: int) -> int:
         ("fig3-baseline-step",
          enter != -1 and all(abs(v - 0.02) <= 0.005 for v in g_v[enter:]),
          f"baseline step reaches 0.02 +/- 0.005 at k={enter} and holds it"),
-        ("fig3-our-step-grows", g_o_max > 0.032,
-         f"our max step {_fmt(g_o_max)} > 0.032"),
+        ("fig3-our-step-grows", g_o_max > 0.032, f"our max step {g_o_max} > 0.032"),
     ]
-    return _print_checks(checks)
+    return meta, plot, checks
 
 
 _FIG4_CONSTS = [1e2, 1e3, 1e4, 1e5, 1e6, 1e7]
 _FIG4_GRID = [(c0, c1) for c0 in (10.0, 100.0, 1000.0) for c1 in (0.1, 1.0, 10.0)]
 
 
-def _reproduce_fig4(out: str, iters: int, seed: int) -> int:
+def _reproduce_fig4(out: str, iters: int, seed: int) -> tuple:
     op = operators.build("cubicRd", d=10, seed=42, scale=5.0)
     x0 = parse_x0("rand:1000", op.dim, seed)
-    d20 = float((x0 - op.solution) @ (x0 - op.solution))
-    results = _sweep(op, [(c, 0.0) for c in _FIG4_CONSTS] + _FIG4_GRID, x0, d20, iters,
-                     1e-8, out)
-    _write_meta(os.path.join(out, "meta.txt"),
-                [("experiment", "fig4"), ("operator", "cubicRd:d=10,seed=42,scale=5"),
-                 ("x0", ",".join(repr(float(v)) for v in x0)),
-                 ("x0_rule", f"rand:1000 with seed {seed}"),
-                 ("iters", iters), ("rel_tol", "1e-8"), ("seed", seed)])
-    with open(os.path.join(out, "fig4.gnuplot"), "w") as fh:
-        fh.write(
-            "set datafile separator comma\n"
-            "set terminal pngcairo size 900,500\n"
-            "set output 'fig4.png'\n"
-            "set logscale y\nset xlabel 'grid cell'\nset ylabel 'final relative squared error'\n"
-            "set xtics rotate by -45\n"
-            "plot 'sweep.csv' every ::1 using 0:4:xtic(sprintf('(%g,%g)', "
-            "column(1), column(2))) with points pt 7 title 'final error'\n")
+    results = _sweep(op, [(c, 0.0) for c in _FIG4_CONSTS] + _FIG4_GRID, x0, iters, 1e-8, out)
+    meta = [("operator", "cubicRd:d=10,seed=42,scale=5"), ("x0", ",".join(map(str, x0))),
+            ("x0_rule", f"rand:1000 with seed {seed}"), ("iters", iters), ("rel_tol", "1e-8")]
+    plot = (
+        "set logscale y\nset xlabel 'grid cell'\nset ylabel 'final relative squared error'\n"
+        "set xtics rotate by -45\n"
+        "plot 'sweep.csv' every ::1 using 0:4:xtic(sprintf('(%g,%g)', "
+        "column(1), column(2))) with points pt 7 title 'final error'\n")
     const_res = results[:len(_FIG4_CONSTS)]
     adapt_res = {(c0, c1): (it, fr) for c0, c1, it, fr in results[len(_FIG4_CONSTS):]}
     finite_consts = [(c0, fr) for c0, _, it, fr in const_res if math.isfinite(fr)]
@@ -394,17 +356,17 @@ def _reproduce_fig4(out: str, iters: int, seed: int) -> int:
     a_fr = adapt_res[(10.0, 10.0)][1]
     checks = [
         ("fig4-best-constant", best_c == 1e5,
-         f"best constant cell c={_fmt(best_c) if best_c else 'none'} "
-         f"(relerr {_fmt(best_fr)}), expected 1e5"),
+         f"best constant cell c={best_c if best_c else 'none'} "
+         f"(relerr {best_fr}), expected 1e5"),
         ("fig4-small-constants-diverge", small_diverged,
          "constant cells c in {1e2,1e3,1e4} all diverged"),
         ("fig4-adaptive-beats-constant", a_fr < best_fr,
-         f"adaptive (10,10) relerr {_fmt(a_fr)} < best constant {_fmt(best_fr)}"),
+         f"adaptive (10,10) relerr {a_fr} < best constant {best_fr}"),
     ]
-    return _print_checks(checks)
+    return meta, plot, checks
 
 
-def _reproduce_fig5(out: str, iters: int, seed: int) -> int:
+def _reproduce_fig5(out: str, iters: int, seed: int) -> tuple:
     op = operators.build("forsaken")
     x0 = np.array([1.0, 1.0])
     # ours runs with locally valid constants (1,1) over the visited region;
@@ -420,38 +382,49 @@ def _reproduce_fig5(out: str, iters: int, seed: int) -> int:
     names = list(runs)
     hits = {n: _first_hit(traces[n].rows, norm_x, 1e-3) for n in names}
     finals = {n: math.sqrt(traces[n].final_dist_sq) for n in names}
-    _write_meta(os.path.join(out, "meta.txt"),
-                [("experiment", "fig5"), ("operator", "forsaken"), ("x0", "1,1"),
-                 ("iters", iters), ("ours_constants", "alpha=1,L0=1,L1=1"),
-                 ("baseline_step", 0.1), ("hit_metric", "||x|| <= 1e-3"), ("seed", seed)])
-    with open(os.path.join(out, "fig5.gnuplot"), "w") as fh:
-        fh.write(
-            "set datafile separator comma\n"
-            "set terminal pngcairo size 900,500\n"
-            "set output 'fig5.png'\n"
-            "set logscale y\nset xlabel 'iteration'\nset ylabel 'distance to origin'\n"
-            "plot 'comparison.csv' using 1:2 every ::1 with lines title 'norm-adaptive (ours)', \\\n"
-            "     'comparison.csv' using 1:4 every ::1 with lines title 'EG+ 0.1', \\\n"
-            "     'comparison.csv' using 1:6 every ::1 with lines title 'residual-adaptive 0.1'\n")
+    meta = [("operator", "forsaken"), ("x0", "1,1"), ("iters", iters),
+            ("ours_constants", "alpha=1,L0=1,L1=1"), ("baseline_step", 0.1),
+            ("hit_metric", "||x|| <= 1e-3")]
+    plot = (
+        "set logscale y\nset xlabel 'iteration'\nset ylabel 'distance to origin'\n"
+        "plot 'comparison.csv' using 1:2 every ::1 with lines title 'norm-adaptive (ours)', \\\n"
+        "     'comparison.csv' using 1:4 every ::1 with lines title 'EG+ 0.1', \\\n"
+        "     'comparison.csv' using 1:6 every ::1 with lines title 'residual-adaptive 0.1'\n")
     checks = [
         ("fig5-all-converge", all(finals[n] <= 1e-3 for n in names),
-         "final distances " + ", ".join(f"{n}={_fmt(finals[n])}" for n in names)),
+         "final distances " + ", ".join(f"{n}={finals[n]}" for n in names)),
         ("fig5-ours-fastest",
          hits["ours"] != -1 and all(hits["ours"] < hits[n] or hits[n] == -1
                                     for n in names[1:]),
          f"iterations to 1e-3: " + ", ".join(f"{n}@{hits[n]}" for n in names)),
     ]
-    return _print_checks(checks)
+    return meta, plot, checks
 
 
-_FIG_DEFAULT_ITERS = {"fig3": 20000, "fig4": 20000, "fig5": 3000}
-_FIGS = {"fig3": _reproduce_fig3, "fig4": _reproduce_fig4, "fig5": _reproduce_fig5}
+# figure -> (runner, default iterations, gnuplot terminal size)
+_FIGS = {"fig3": (_reproduce_fig3, 20000, "1200,500"),
+         "fig4": (_reproduce_fig4, 20000, "900,500"),
+         "fig5": (_reproduce_fig5, 3000, "900,500")}
 
 
 def cmd_reproduce(args) -> int:
-    iters = args.iters if args.iters is not None else _FIG_DEFAULT_ITERS[args.figure]
+    fig = args.figure
+    run, default_iters, size = _FIGS[fig]
     out = _ensure_out(args.out)
-    return _FIGS[args.figure](out, iters, args.seed)
+    meta, plot, checks = run(out, args.iters if args.iters is not None else default_iters,
+                             args.seed)
+    with open(os.path.join(out, "meta.txt"), "w") as fh:
+        for k, v in [("experiment", fig), *meta, ("seed", args.seed)]:
+            fh.write(f"{k} = {v}\n")
+    with open(os.path.join(out, f"{fig}.gnuplot"), "w") as fh:
+        fh.write(f"set datafile separator comma\nset terminal pngcairo size {size}\n"
+                 f"set output '{fig}.png'\n{plot}")
+    code = EXIT_OK
+    for name, ok, detail in checks:
+        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
+        if not ok:
+            code = EXIT_ASSERT
+    return code
 
 
 # ---------------------------------------------------------------------------

@@ -4,14 +4,17 @@ Vectors are immutable float64 ndarrays. Operators are plain callables wrapped
 in :class:`OperatorInstance` together with their declared smoothness and
 monotonicity parameters, an optional analytic Jacobian, and an optional known
 root. Everything downstream (step-size policies, the solver, the verification
-tools) consumes these records.
+tools) consumes these records. Every CSV output file is written by
+:func:`write_csv` and read back by :func:`read_csv`.
 """
 from __future__ import annotations
 
+import csv
 import enum
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, TextIO, Tuple, Union
 
 import numpy as np
 from numpy import linalg as la
@@ -115,8 +118,8 @@ class SmoothnessParams:
     """Declared constants of the norm-adaptive Lipschitz condition.
 
     The condition bounds ||F(x)-F(y)|| by (L0 + L1 * max_seg ||F||^alpha) ||x-y||,
-    with the segment maximum taken between x and y. alpha in (0, 1]; L0, L1 >= 0
-    and not both zero.
+    with the segment maximum taken between x and y. alpha in (0, 1]; L0, L1 finite
+    and >= 0, not both zero.
     """
     alpha: float
     L0: float
@@ -125,8 +128,8 @@ class SmoothnessParams:
     def __post_init__(self):
         if not (0.0 < self.alpha <= 1.0):
             raise InvalidAlpha(f"alpha must lie in (0, 1], got {self.alpha}")
-        if self.L0 < 0 or self.L1 < 0:
-            raise ValueError(f"L0, L1 must be nonnegative, got ({self.L0}, {self.L1})")
+        if not (0.0 <= self.L0 < math.inf and 0.0 <= self.L1 < math.inf):
+            raise ValueError(f"L0, L1 must be finite and nonnegative, got ({self.L0}, {self.L1})")
         if self.L0 + self.L1 <= 0:
             raise ValueError("L0 + L1 must be positive")
 
@@ -142,7 +145,7 @@ class MonotonicityParams:
     """Declared monotonicity class with its modulus.
 
     mu > 0 only (and exactly) for the strongly monotone class; rho >= 0 only for
-    the weak Minty class.
+    the weak Minty class; both finite.
     """
     kind: MonotoneClass
     mu: float = 0.0
@@ -150,13 +153,13 @@ class MonotonicityParams:
 
     def __post_init__(self):
         if self.kind is MonotoneClass.STRONGLY_MONOTONE:
-            if self.mu <= 0:
-                raise ValueError("strongly monotone requires mu > 0")
+            if not (0.0 < self.mu < math.inf):
+                raise ValueError(f"strongly monotone requires a finite mu > 0, got mu={self.mu}")
         elif self.mu != 0.0:
             raise ValueError(f"mu is only meaningful for the strongly monotone class, got mu={self.mu}")
         if self.kind is MonotoneClass.WEAK_MINTY:
-            if self.rho < 0:
-                raise ValueError("weak Minty requires rho >= 0")
+            if not (0.0 <= self.rho < math.inf):
+                raise ValueError(f"weak Minty requires a finite rho >= 0, got rho={self.rho}")
         elif self.rho != 0.0:
             raise ValueError(f"rho is only meaningful for the weak Minty class, got rho={self.rho}")
 
@@ -338,3 +341,33 @@ class SolveTrace:
         mf = min(r.norm_F_x for r in self.rows)
         mh = min(r.norm_F_xhat for r in self.rows)
         return mf, mh
+
+
+# ---------------------------------------------------------------------------
+# CSV files
+# ---------------------------------------------------------------------------
+
+def write_csv(out: Union[str, TextIO], header: Sequence[str], rows: Iterable[Sequence],
+              footer: str = "") -> None:
+    """Write the header row, the rows and then `footer` verbatim to a path or
+    an open text stream.
+
+    Cells go to `csv.writer` as they are: `str()` of a Python or numpy float
+    is its shortest repr, so every number reads back exactly and identical
+    runs write identical bytes; None becomes an empty cell.
+    """
+    with open(out, "w", newline="") if isinstance(out, str) else nullcontext(out) as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
+        fh.write(footer)
+
+
+def read_csv(path: str, header: Sequence[str], what: str) -> List[List[str]]:
+    """The rows after the header of a CSV file, as strings; ValueError when
+    its first row is not `header` (the file is not a `what` CSV)."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows or rows[0] != list(header):
+        raise ValueError(f"{path}: not a {what} CSV (header {rows[0] if rows else 'missing'})")
+    return rows[1:]

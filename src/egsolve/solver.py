@@ -2,7 +2,6 @@
 and trace CSV round-trip."""
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -23,7 +22,9 @@ from .core import (
     TraceRow,
     norm,
     overflow_as_data,
+    read_csv,
     vec,
+    write_csv,
 )
 from .stepsize import OmegaRule, StepSizePolicy, gamma, omega
 
@@ -245,38 +246,21 @@ _TRACE_HEADER = ["k", "gamma", "omega", "norm_F_x", "norm_F_xhat", "dist_sq"]
 
 
 def write_trace_csv(trace: SolveTrace, out: Union[str, TextIO]) -> None:
-    """Write the scalar trace columns plus a summary comment line.
-
-    Floats are written with repr so a round-trip is exact and two identical
-    runs produce byte-identical files.
-    """
-    own = isinstance(out, str)
-    fh = open(out, "w", newline="") if own else out
-    try:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(_TRACE_HEADER)
-        for r in trace.rows:
-            w.writerow([r.k, repr(r.gamma_k), repr(r.omega_k), repr(r.norm_F_x),
-                        repr(r.norm_F_xhat),
-                        "" if r.dist_sq is None else repr(r.dist_sq)])
-        fh.write(f"# iters={trace.iterations_run},min_normF={repr(trace.min_norm_F_x)},"
-                 f"reason={trace.reason}\n")
-    finally:
-        if own:
-            fh.close()
+    """Write the scalar trace columns plus a summary comment line (see
+    `core.write_csv`: the round-trip is exact, reruns byte-identical)."""
+    write_csv(out, _TRACE_HEADER,
+              ([r.k, r.gamma_k, r.omega_k, r.norm_F_x, r.norm_F_xhat, r.dist_sq]
+               for r in trace.rows),
+              footer=f"# iters={trace.iterations_run},min_normF={trace.min_norm_F_x},"
+                     f"reason={trace.reason}\n")
 
 
 def read_trace_csv(path: str) -> SolveTrace:
     """Rebuild a trace from the CSV; iterate vectors are not stored there."""
     tr = SolveTrace()
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != _TRACE_HEADER:
-        raise ValueError(f"{path}: not a trace CSV (header {rows[0] if rows else 'missing'})")
-    for rec in rows[1:]:
+    for rec in read_csv(path, _TRACE_HEADER, "trace"):
         if rec and rec[0].startswith("#"):
-            meta = rec[0].lstrip("# ")
-            fields = dict(p.split("=", 1) for p in ",".join([meta] + rec[1:]).split(","))
+            fields = dict(p.split("=", 1) for p in [rec[0].lstrip("# ")] + rec[1:])
             tr.iterations_run = int(fields["iters"])
             tr.min_norm_F_x = float(fields["min_normF"])
             tr.reason = fields["reason"]

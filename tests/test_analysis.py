@@ -10,7 +10,9 @@ from egsolve.analysis import (
     BoundReport,
     ScatterSample,
     box_bounds,
+    check_alpha_grid,
     check_grid,
+    check_pairs,
     fit_constants,
     grid_points,
     grid_samples,
@@ -362,6 +364,20 @@ class TestPairChecks:
         with pytest.raises(ValueError):
             verify_proposition1(op, op.smoothness, pairs=0)
 
+    def test_pair_limit(self):
+        check_pairs(MAX_GRID_POINTS // 101)
+        check_pairs(MAX_GRID_POINTS // 11, theta_grid=11)
+        for pairs, theta_grid in ((0, 101), (MAX_GRID_POINTS // 101 + 1, 101), (10, 1)):
+            with pytest.raises(ValueError):
+                check_pairs(pairs, theta_grid)
+
+        def evaluate(*a, **kw):
+            raise AssertionError("an operator was evaluated before the size check")
+        op = OperatorInstance(dim=2, fn=evaluate, fn_batch=evaluate)
+        with pytest.raises(ValueError, match="pairs must lie in"):
+            verify_segment_condition(op, SmoothnessParams(1.0, 1.0, 1.0),
+                                     pairs=MAX_GRID_POINTS // 101 + 1)
+
 
 class TestFitConstants:
     def test_affine_operator_recovers_constant_norm(self):
@@ -433,6 +449,10 @@ class TestFitConstants:
             fit_constants(s, [1.5])
         with pytest.raises(ValueError, match="alpha grid is empty"):
             fit_constants(s, [])
+        for grid in ([0.5, 0.0], [math.nan], [0.5, 2.0]):
+            with pytest.raises(InvalidAlpha):
+                check_alpha_grid(grid)
+        check_alpha_grid([1e-9, 0.5, 1.0])
 
 
 class TestTheoreticalBounds:
@@ -517,3 +537,15 @@ class TestCsvRoundTrip:
         assert (back.alpha_hat, back.L0_hat, back.L1_hat) == (
             fit.alpha_hat, fit.L0_hat, fit.L1_hat)
         assert back.max_violation == fit.max_violation
+
+    def test_fit_of_numpy_scalars(self, tmp_path):
+        # cubicRd declares numpy float64 constants, which the fit echoes
+        op = build("cubicRd", d=2)
+        fit = verify_condition(op, op.smoothness, 1.0, 5)
+        fields = (fit.alpha_hat, fit.L0_hat, fit.L1_hat, fit.max_violation)
+        assert any(isinstance(v, np.floating) for v in fields)
+        p = tmp_path / "fit.csv"
+        write_fit_csv(fit, str(p))
+        assert "np." not in p.read_text()
+        back = read_fit_csv(str(p))
+        assert (back.alpha_hat, back.L0_hat, back.L1_hat, back.max_violation) == fields

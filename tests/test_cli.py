@@ -49,6 +49,19 @@ class TestExitCodes:
                                  "--policy", policy, "--out", str(tmp_path))
             assert code == 1 and out == "" and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--op", "quadratic", "--alpha", "1", "--L0", "nan", "--L1", "0",
+         "--grid", "5", "--pairs", "3"],
+        ["verify", "--op", "quadratic", "--alpha", "1", "--L0", "inf", "--L1", "0",
+         "--grid", "5", "--pairs", "3"],
+        ["solve", "--op", "signpower:mu=nan", "--x0", "1,1", "--policy", "thm3"],
+        ["solve", "--op", "bilinear:R=inf", "--x0", "1,1", "--policy", "thm5"],
+    ], ids=["L0-nan", "L0-inf", "mu-nan", "R-inf"])
+    def test_non_finite_constants_exit_1(self, argv, tmp_path, capsys):
+        code, out, err = run(capsys, *argv, "--out", str(tmp_path))
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and "finite" in err
+
     def test_missing_flag_exits_1(self, capsys):
         code, _, err = run(capsys, "solve", "--op", "quadratic")
         assert code == 1 and err
@@ -181,6 +194,14 @@ class TestSweep:
         assert len(err.splitlines()) == 1 and "relative error" in err
         assert not (tmp_path / "sweep.csv").exists()
 
+    def test_rejects_non_finite_x0_before_creating_out(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, "sweep", "--op", "quadratic", "--x0", "nan,1",
+                             "--c0", "10", "--c1", "0", "--out", str(out_dir))
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and "non-finite" in err
+        assert not out_dir.exists()
+
     def test_bad_cell_fails_before_any_solve(self, tmp_path, capsys, monkeypatch):
         solves = []
         real = solver.solve
@@ -204,7 +225,14 @@ class TestGridLimits:
         (["estimate", "--op", "quadratic", "--from-grid", "--grid", "0"], "--grid"),
         (["verify", "--op", "quadratic", "--pairs", "0"], "--pairs"),
         (["verify", "--op", "quadratic", "--pairs", "100000000"], "--pairs"),  # 101 points a pair
-    ], ids=[f"argv{i}" for i in range(6)])
+        (["estimate", "--op", "cubicRd:d=2", "--from-grid", "--grid", "30", "--alphas", "2"],
+         "alpha"),
+        (["estimate", "--op", "cubicRd:d=2", "--from-grid", "--grid", "30", "--alphas", "0"],
+         "alpha"),
+        (["estimate", "--op", "cubicRd:d=2", "--from-grid", "--grid", "30", "--alphas", ","],
+         "alpha"),
+        (["estimate", "--op", "quadratic", "--policy", "thm3", "--alphas", "0.5,nan"], "alpha"),
+    ], ids=[f"argv{i}" for i in range(10)])
     def test_bad_grid_exits_1_before_any_evaluation(self, argv, flag, tmp_path, capsys,
                                                     monkeypatch):
         def evaluate(*a, **kw):

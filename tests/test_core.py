@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 from egsolve.core import (
     DimensionMismatch,
     EmptyTrace,
+    InvalidAlpha,
     MonotoneClass,
     MonotonicityParams,
     NonFiniteEvaluation,
@@ -19,8 +20,10 @@ from egsolve.core import (
     TraceRow,
     finite_diff_jacobian,
     norm,
+    read_csv,
     spectral_norm,
     vec,
+    write_csv,
 )
 
 
@@ -145,6 +148,11 @@ class TestParams:
             SmoothnessParams(1.0, -1.0, 1.0)
         with pytest.raises(ValueError):
             SmoothnessParams(1.0, 1.0, -0.5)
+        for L0, L1 in ((math.nan, 1.0), (1.0, math.nan), (math.inf, 0.0), (0.0, math.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                SmoothnessParams(1.0, L0, L1)
+        with pytest.raises(InvalidAlpha):
+            SmoothnessParams(math.nan, 1.0, 1.0)
 
     def test_monotonicity_validation(self):
         MonotonicityParams(MonotoneClass.STRONGLY_MONOTONE, mu=2.0)
@@ -157,6 +165,29 @@ class TestParams:
             MonotonicityParams(MonotoneClass.MONOTONE, rho=0.3)
         with pytest.raises(ValueError):
             MonotonicityParams(MonotoneClass.WEAK_MINTY, rho=-0.1)
+        for v in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                MonotonicityParams(MonotoneClass.STRONGLY_MONOTONE, mu=v)
+            with pytest.raises(ValueError):
+                MonotonicityParams(MonotoneClass.WEAK_MINTY, rho=v)
+            with pytest.raises(ValueError):
+                MonotonicityParams(MonotoneClass.MONOTONE, mu=v)
+            with pytest.raises(ValueError):
+                MonotonicityParams(MonotoneClass.MONOTONE, rho=v)
+
+
+class TestCsv:
+    def test_cells_are_plain_numbers(self, tmp_path):
+        p = str(tmp_path / "t.csv")
+        write_csv(p, ["a", "b", "c"],
+                  [[1, np.float64(0.1), None], [np.float64(-0.0), math.inf, 5e-324]],
+                  footer="# done\n")
+        with open(p, newline="") as fh:
+            assert fh.read() == "a,b,c\n1,0.1,\n-0.0,inf,5e-324\n# done\n"
+        assert read_csv(p, ["a", "b", "c"], "test") == [
+            ["1", "0.1", ""], ["-0.0", "inf", "5e-324"], ["# done"]]
+        with pytest.raises(ValueError, match="not a fit CSV"):
+            read_csv(p, ["a", "b"], "fit")
 
 
 class TestOperatorInstance:

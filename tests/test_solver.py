@@ -374,6 +374,23 @@ class TestTraceCsv:
         write_trace_csv(read_trace_csv(p), buf2)
         assert buf1.getvalue() == buf2.getvalue()
 
+    def test_numpy_scalar_cells_round_trip(self, tmp_path):
+        # cubicRd's theorem steps are numpy float64 scalars; each cell must
+        # still hold a plain number that reads back exactly
+        op = build("cubicRd", d=2)
+        cfg = SolveConfig(max_iters=30, x0=[1.0, -0.5, 0.25, 2.0], stop_tol=0.0)
+        tr = solve(op, parse_policy("thm5"), cfg)
+        assert isinstance(tr.rows[0].gamma_k, np.floating)
+        p = tmp_path / "trace.csv"
+        write_trace_csv(tr, str(p))
+        assert "np." not in p.read_text()
+        back = read_trace_csv(str(p))
+        cells = lambda t: [(r.k, r.gamma_k, r.omega_k, r.norm_F_x, r.norm_F_xhat, r.dist_sq)
+                           for r in t.rows]
+        assert cells(back) == cells(tr)
+        assert (back.iterations_run, back.min_norm_F_x, back.reason) == (
+            tr.iterations_run, tr.min_norm_F_x, tr.reason)
+
     def test_rejects_foreign_csv(self, tmp_path):
         p = tmp_path / "junk.csv"
         p.write_text("a,b,c\n1,2,3\n")
