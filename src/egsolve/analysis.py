@@ -35,19 +35,25 @@ BoxLike = Union[float, Tuple[float, float], Sequence[Tuple[float, float]]]
 
 
 def box_bounds(box: BoxLike, dim: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Normalize a box spec: halfwidth h, one (lo, hi) pair, or per-axis pairs."""
+    """Normalize a box spec: halfwidth h, one (lo, hi) pair, or per-axis pairs.
+    Every bound and every width hi - lo must be finite, so a grid can be laid."""
     if isinstance(box, (int, float)):
         h = float(box)
-        if not (h > 0):
-            raise ValueError(f"box halfwidth must be positive, got {h}")
-        return -h * np.ones(dim), h * np.ones(dim)
+        if not (0.0 < h < math.inf):
+            raise ValueError(f"box halfwidth must be positive and finite, got {h}")
+        box = (-h, h)
     arr = np.asarray(box, dtype=np.float64)
     if arr.shape == (2,):
         arr = np.tile(arr, (dim, 1))
     if arr.shape != (dim, 2):
         raise DimensionMismatch(f"box must give (lo, hi) per axis for dim {dim}, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError("box bounds must be finite")
     if np.any(arr[:, 0] >= arr[:, 1]):
         raise ValueError("box must have lo < hi on every axis")
+    with overflow_as_data():
+        if not np.isfinite(arr[:, 1] - arr[:, 0]).all():
+            raise ValueError("box width hi - lo overflows a float")
     return arr[:, 0].copy(), arr[:, 1].copy()
 
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import analysis, operators, solver
 from .core import (
+    MAX_TRACE_ROWS,
     EgsolveError,
     IncompatiblePolicy,
     NonFiniteIterate,
@@ -110,6 +111,16 @@ def _grid_n(args, dim: int, default: int) -> int:
     except ValueError as e:
         raise _UsageError(f"--grid {n}: {e}") from None
     return n
+
+
+def _box(args, op):
+    """--box (or the registry's default box), checked before --out is created."""
+    box = args.box if args.box is not None else operators.default_box(op.label, op.dim)
+    try:
+        analysis.box_bounds(box, op.dim)
+    except ValueError as e:
+        raise _UsageError(f"--box {args.box}: {e}") from None
+    return box
 
 
 def _first_hit(rows, metric, tol: float) -> int:
@@ -220,7 +231,7 @@ def cmd_verify(args) -> int:
         s = op.smoothness
     else:
         raise _UsageError(f"'{op.label}' declares no constants; pass --alpha/--L0/--L1")
-    box = args.box if args.box is not None else operators.default_box(op.label, op.dim)
+    box = _box(args, op)
     grid_n = _grid_n(args, op.dim, 201 if op.dim <= 2 else 7)
     try:
         analysis.check_pairs(args.pairs)
@@ -243,7 +254,7 @@ def cmd_estimate(args) -> int:
     alphas = [float(v) for v in args.alphas.split(",") if v.strip()]
     analysis.check_alpha_grid(alphas)
     if args.from_grid:
-        box = args.box if args.box is not None else operators.default_box(op.label, op.dim)
+        box = _box(args, op)
         grid_n = _grid_n(args, op.dim, 21)
         sample = lambda: analysis.grid_samples(op, box, grid_n)
     else:
@@ -431,10 +442,13 @@ def cmd_reproduce(args) -> int:
 # parser wiring
 # ---------------------------------------------------------------------------
 
+_ITERS_HELP = f"iteration budget (at most {MAX_TRACE_ROWS}: every iteration is traced)"
+
+
 def _add_common(p, iters_default=None, tol_default=None):
     p.add_argument("--op", required=True, help="operator key, e.g. quadratic or cubicRd:d=10,seed=42")
     p.add_argument("--x0", required=True, help="'v1,v2,...' or 'rand:RADIUS' (seeded)")
-    p.add_argument("--iters", type=int, default=iters_default)
+    p.add_argument("--iters", type=int, default=iters_default, help=_ITERS_HELP)
     p.add_argument("--tol", type=float, default=tol_default)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="egsolve-out")
@@ -461,7 +475,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("reproduce", help="rerun a named experiment and assert its orderings")
     p.add_argument("figure", choices=sorted(_FIGS))
-    p.add_argument("--iters", type=int, default=None)
+    p.add_argument("--iters", type=int, default=None, help=_ITERS_HELP)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--out", default="egsolve-out")
     p.set_defaults(func=cmd_reproduce)
@@ -485,7 +499,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--from-grid", action="store_true", dest="from_grid")
     p.add_argument("--policy", help="trace source policy (when not --from-grid)")
     p.add_argument("--x0", default="1,1")
-    p.add_argument("--iters", type=int, default=200)
+    p.add_argument("--iters", type=int, default=200, help=_ITERS_HELP)
     p.add_argument("--grid", type=int,
                    help="points per axis with --from-grid (default 21; at most 10**6 points)")
     p.add_argument("--box", type=float)

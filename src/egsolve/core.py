@@ -135,6 +135,7 @@ class SmoothnessParams:
 
 
 class MonotoneClass(enum.Enum):
+    """Monotonicity classes, strongest first; each contains the ones before it."""
     STRONGLY_MONOTONE = "strongly-monotone"
     MONOTONE = "monotone"
     WEAK_MINTY = "weak-minty"
@@ -289,8 +290,15 @@ class OperatorInstance:
 # solver configuration and traces
 # ---------------------------------------------------------------------------
 
+# a recorded TraceRow holds two iterate vectors: about 0.5 KB at dim 2, 0.8 KB
+# at dim 20, so a full trace of this many rows stays under about 1 GB
+MAX_TRACE_ROWS = 10 ** 6
+
+
 @dataclass(frozen=True)
 class SolveConfig:
+    """Iteration budget, start and stopping tolerance; a recorded trace takes
+    at most MAX_TRACE_ROWS iterations, a summary-only run any number."""
     max_iters: int
     x0: np.ndarray
     stop_tol: float = 1e-14
@@ -299,6 +307,9 @@ class SolveConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        if self.record_trace and self.max_iters > MAX_TRACE_ROWS:
+            raise ValueError(f"max_iters {self.max_iters} exceeds MAX_TRACE_ROWS = "
+                             f"{MAX_TRACE_ROWS}, the most iterations a recorded trace keeps")
         if not (self.stop_tol >= 0):
             raise ValueError(f"stop_tol must be nonnegative, got {self.stop_tol}")
         object.__setattr__(self, "x0", vec(self.x0, what="x0"))
@@ -322,7 +333,8 @@ class SolveTrace:
 
     The minima are over all visited iterates (extrapolation points for
     min_norm_F_xhat), first index wins ties. `final_x` is the iterate after the
-    last update; rows may be empty when the run was summary-only.
+    last update; rows may be empty when the run was summary-only. `kind` is the
+    PolicyKind that produced the trace (None for a trace read back from CSV).
     """
     rows: list = field(default_factory=list)
     iterations_run: int = 0
@@ -333,6 +345,7 @@ class SolveTrace:
     final_dist_sq: Optional[float] = None
     final_x: Optional[np.ndarray] = None
     reason: str = ""
+    kind: Optional[enum.Enum] = None
 
     def recomputed_minima(self):
         """Recompute (min ||F(x_k)||, min ||F(xhat_k)||) from rows."""
@@ -365,9 +378,17 @@ def write_csv(out: Union[str, TextIO], header: Sequence[str], rows: Iterable[Seq
 
 def read_csv(path: str, header: Sequence[str], what: str) -> List[List[str]]:
     """The rows after the header of a CSV file, as strings; ValueError when
-    its first row is not `header` (the file is not a `what` CSV)."""
+    its first row is not `header` (the file is not a `what` CSV) or a row
+    other than a `#` comment has a different number of cells."""
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != list(header):
-        raise ValueError(f"{path}: not a {what} CSV (header {rows[0] if rows else 'missing'})")
-    return rows[1:]
+        reader = csv.reader(fh)
+        head = next(reader, None)
+        if head != list(header):
+            raise ValueError(f"{path}: not a {what} CSV (header {head or 'missing'})")
+        rows = []
+        for rec in reader:
+            if len(rec) != len(header) and not (rec and rec[0].startswith("#")):
+                raise ValueError(f"{path}, line {reader.line_num}: {len(rec)} cells, "
+                                 f"a {what} CSV row has {len(header)}")
+            rows.append(rec)
+    return rows

@@ -26,7 +26,7 @@ from .core import (
     vec,
     write_csv,
 )
-from .stepsize import OmegaRule, StepSizePolicy, gamma, omega
+from .stepsize import OmegaRule, StepSizePolicy, gamma, omega  # gamma unused; perfbench wraps it
 
 
 @dataclass(frozen=True)
@@ -42,13 +42,13 @@ class IterationState:
     next_x: np.ndarray
 
 
-def _one_step(F: OperatorInstance, x: np.ndarray, policy: StepSizePolicy,
+def _one_step(F: OperatorInstance, x: np.ndarray, policy: StepSizePolicy, rule,
               F_x: np.ndarray, norm_F_x: float) -> tuple:
     """(gamma_k, xhat, F(xhat), omega_k, next_x) of one step from x.
 
     F(x) and its norm come from the caller, so a step evaluates F only at xhat.
     """
-    g = gamma(policy, norm_F_x, s=F.smoothness, m=F.monotonicity)
+    g = rule(norm_F_x)
     xhat = x - g * F_x
     F_xhat = F(xhat)
     if policy.omega_rule is not OmegaRule.PETHICK:
@@ -66,9 +66,10 @@ def _one_step(F: OperatorInstance, x: np.ndarray, policy: StepSizePolicy,
 def eg_step(F: OperatorInstance, x_k, policy: StepSizePolicy, k: int = 0) -> IterationState:
     """Run one extragradient step from x_k under the given policy."""
     x = vec(x_k, F.dim, what="x_k")
+    rule = policy.rule(F.smoothness, F.monotonicity)
     with overflow_as_data():
         F_x = F(x)
-        g, xhat, F_xhat, w, next_x = _one_step(F, x, policy, F_x, norm(F_x))
+        g, xhat, F_xhat, w, next_x = _one_step(F, x, policy, rule, F_x, norm(F_x))
     return IterationState(k=k, x=x, F_x=F_x, gamma_k=g, xhat=xhat,
                           F_xhat=F_xhat, omega_k=w, next_x=next_x)
 
@@ -116,12 +117,13 @@ def solve(F: OperatorInstance, policy: StepSizePolicy, cfg: SolveConfig,
     `trace` attribute and the offending index on `k`.
     """
     check_policy_compat(F, policy, force=force)
+    rule = policy.rule(F.smoothness, F.monotonicity)
     x = np.array(cfg.x0, dtype=np.float64)
     if x.shape[0] != F.dim:
         x = vec(x, F.dim, what="x0")
     xstar = F.solution
     stop_tol = cfg.stop_tol
-    tr = SolveTrace()
+    tr = SolveTrace(kind=policy.kind)
     append = tr.rows.append if cfg.record_trace else None
     # running minima over the recorded rows, first index wins ties; they are
     # written to the trace on return and with every NonFiniteIterate
@@ -148,7 +150,7 @@ def solve(F: OperatorInstance, policy: StepSizePolicy, cfg: SolveConfig,
             if not math.isfinite(nfx):
                 raise _fail(k, "non-finite operator value")
             d2 = _dist_sq(x, xstar)
-            g, xhat, F_xhat, w, next_x = _one_step(F, x, policy, F_x, nfx)
+            g, xhat, F_xhat, w, next_x = _one_step(F, x, policy, rule, F_x, nfx)
             nfxh = norm(F_xhat)
             stop = nfx <= stop_tol
             if not stop and not math.isfinite(nfxh):
@@ -189,12 +191,18 @@ class InvariantReport:
 def check_descent_invariants(trace: SolveTrace, F: OperatorInstance,
                              m: Optional[MonotonicityParams] = None,
                              tol: float = 1e-10) -> InvariantReport:
-    """Check the per-step distance inequality matching the operator's class.
+    """Check the per-step distance inequality of the trace's theorem.
 
     Strongly monotone: d_{k+1}^2 <= (1 - gamma_k mu) d_k^2.
     Monotone:          d_{k+1}^2 <= d_k^2 - (gamma_k^2 / 2) ||F(x_k)||^2.
     Weak Minty:        d_{k+1}^2 <= d_k^2 - (gamma_k/4)(gamma_k - 4 rho)
                        ||F(xhat_k)||^2, checked only when gamma_k > 4 rho.
+
+    A trace whose policy kind covers a set of classes is checked under the
+    weakest of them (thm8's weak-Minty inequality also on a strongly monotone
+    operator), with mu and rho from `m` (rho = 0 unless `m` is weak Minty); a
+    class outside that set raises IncompatiblePolicy. Other traces use `m`'s
+    own class. `m` defaults to the operator's declared class.
 
     Distances come from the recorded rows plus the post-final-update
     `final_dist_sq`; a stop_tol run's terminal row has no outgoing transition.
@@ -204,9 +212,16 @@ def check_descent_invariants(trace: SolveTrace, F: OperatorInstance,
         raise MissingConstant("no monotonicity class declared and none supplied")
     if F.solution is None:
         raise MissingSolution(f"{F.label or 'operator'} has no known solution")
+    cls = m.kind
+    allowed = trace.kind.classes if trace.kind is not None else None
+    if allowed is not None:
+        if cls not in allowed:
+            raise IncompatiblePolicy(f"policy '{trace.kind.value}' guarantees nothing on a "
+                                     f"{cls.value} operator; no inequality to check")
+        cls = [c for c in MonotoneClass if c in allowed][-1]   # classes run strongest first
     rows = trace.rows
     if not rows:
-        return InvariantReport(m.kind, 0, 0, 0, -math.inf)
+        return InvariantReport(cls, 0, 0, 0, -math.inf)
 
     d2 = [r.dist_sq for r in rows]
     if any(v is None for v in d2):
@@ -222,9 +237,9 @@ def check_descent_invariants(trace: SolveTrace, F: OperatorInstance,
     for i in range(n_trans):
         r = rows[i]
         lhs = d2[i + 1]
-        if m.kind is MonotoneClass.STRONGLY_MONOTONE:
+        if cls is MonotoneClass.STRONGLY_MONOTONE:
             rhs = (1.0 - r.gamma_k * m.mu) * d2[i]
-        elif m.kind is MonotoneClass.MONOTONE:
+        elif cls is MonotoneClass.MONOTONE:
             rhs = d2[i] - 0.5 * r.gamma_k ** 2 * r.norm_F_x ** 2
         else:
             if not (r.gamma_k > 4.0 * m.rho):
@@ -235,7 +250,7 @@ def check_descent_invariants(trace: SolveTrace, F: OperatorInstance,
         worst = max(worst, excess)
         if excess > tol:
             viol += 1
-    return InvariantReport(m.kind, n_trans, checked, viol, worst)
+    return InvariantReport(cls, n_trans, checked, viol, worst)
 
 
 # ---------------------------------------------------------------------------

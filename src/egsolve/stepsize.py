@@ -180,7 +180,7 @@ class StepSizePolicy:
 
     `smoothness`, `mu` and `rho` override the operator's declared values when
     set; that is how experiment configs run a rule with constants that differ
-    from the declared ones (for example locally valid constants).
+    from the declared ones (for example locally valid constants). `rule` resolves them.
     """
     kind: PolicyKind
     step: Optional[float] = None          # Constant / EG+ / Pethick extrapolation step
@@ -210,12 +210,52 @@ class StepSizePolicy:
     def omega_rule(self) -> OmegaRule:
         return self.kind.omega_rule
 
+    def rule(self, s: Optional[SmoothnessParams] = None,
+             m: Optional[MonotonicityParams] = None) -> Callable[[float], float]:
+        """The map ||F(x_k)|| -> gamma_k, its constants resolved and checked here, once."""
+        kind = self.kind
+        if kind in (PolicyKind.CONSTANT, PolicyKind.EGPLUS, PolicyKind.PETHICK):
+            return lambda normF, step=float(self.step): step
+        if kind is PolicyKind.ADAPTIVE:
+            c0, c1, a = self.c0, self.c1, 1.0 if self.alpha is None else self.alpha
+            return lambda normF: 1.0 / (c0 + c1 * pow_alpha(normF, a))
+        eff = self.smoothness if self.smoothness is not None else s
+        if eff is None:
+            raise MissingConstant(f"{kind.value} policy needs smoothness constants")
+        if kind is PolicyKind.VANKOV:
+            mu = self.mu or (m.mu if m is not None else 0.0)  # declared: 0 unless strongly monotone
+            if not mu:
+                raise MissingConstant("Vankov baseline needs mu > 0 (policy override or declared)")
+            c, L1 = 2.0 * math.sqrt(2.0) * math.e, eff.L1
+            cap0 = min(1.0 / (4.0 * mu), 1.0 / (c * eff.L0) if eff.L0 > 0 else math.inf)
 
-def _resolve_smoothness(policy: StepSizePolicy, s: Optional[SmoothnessParams]) -> SmoothnessParams:
-    eff = policy.smoothness if policy.smoothness is not None else s
-    if eff is None:
-        raise MissingConstant(f"{policy.kind.value} policy needs smoothness constants")
-    return eff
+            def vankov(normF: float) -> float:
+                third = L1 * normF
+                cap = min(cap0, 1.0 / (c * third)) if third > 0 else cap0
+                if not math.isfinite(cap):
+                    raise MissingConstant("Vankov baseline needs L0 > 0 or L1*normF > 0")
+                return cap
+            return vankov
+
+        a = eff.alpha   # nu / (c0 + c1 ||F||^a): declared constants at a = 1, else K constants
+        if kind.nu is not None:
+            if a != 1.0:
+                raise InvalidAlpha(f"{kind.value} rule applies at alpha = 1, operator declares {a}")
+            nu, c0, c1 = solve_nu(kind.nu), eff.L0, eff.L1
+        else:
+            kc = k_constants(eff)  # raises InvalidAlpha at alpha = 1
+            if kind is PolicyKind.STRONG_MONO_FRAC:
+                nu, p, q = solve_nu(NuKind.STRONG_MONO_FRAC), 2.0, 2.0 ** (1.0 - a)
+            else:
+                nu, p, q = 1.0, 2.0 * math.sqrt(2.0), 2.0 ** (1.5 * (1.0 - a))
+            c0, c1 = p * kc.K0, p * kc.K1 + q * kc.K2 ** (1.0 - a)
+
+        def ratio(normF: float) -> float:
+            den = c0 + c1 * (normF if a == 1.0 else pow_alpha(normF, a))
+            if den == 0.0:
+                raise MissingConstant(f"{kind.value} step undefined: every constant and ||F|| are 0")
+            return nu / den
+        return ratio
 
 
 def gamma(policy: StepSizePolicy, normF: float,
@@ -224,59 +264,7 @@ def gamma(policy: StepSizePolicy, normF: float,
     """Extrapolation step gamma_k as a function of ||F(x_k)||."""
     if not math.isfinite(normF) or normF < 0:
         raise ValueError(f"normF must be finite and nonnegative, got {normF}")
-    kind = policy.kind
-
-    if kind is PolicyKind.CONSTANT or kind is PolicyKind.EGPLUS or kind is PolicyKind.PETHICK:
-        return float(policy.step)
-
-    if kind is PolicyKind.ADAPTIVE:
-        a = 1.0 if policy.alpha is None else policy.alpha
-        return 1.0 / (policy.c0 + policy.c1 * pow_alpha(normF, a))
-
-    if kind.nu is not None:
-        eff = _resolve_smoothness(policy, s)
-        if eff.alpha != 1.0:
-            raise InvalidAlpha(f"{kind.value} rule applies at alpha = 1, operator declares {eff.alpha}")
-        nu = solve_nu(kind.nu)
-        den = eff.L0 + eff.L1 * normF
-        if den == 0.0:
-            raise MissingConstant(f"{kind.value} step undefined: L0 = 0 and ||F|| = 0")
-        return nu / den
-
-    if kind in (PolicyKind.STRONG_MONO_FRAC, PolicyKind.MONO_FRAC, PolicyKind.WEAK_MINTY_FRAC):
-        eff = _resolve_smoothness(policy, s)
-        kc = k_constants(eff)  # raises InvalidAlpha at alpha = 1
-        a = eff.alpha
-        fa = pow_alpha(normF, a)
-        if kind is PolicyKind.STRONG_MONO_FRAC:
-            nu = solve_nu(NuKind.STRONG_MONO_FRAC)
-            den = 2.0 * kc.K0 + (2.0 * kc.K1 + 2.0 ** (1.0 - a) * kc.K2 ** (1.0 - a)) * fa
-        else:
-            nu = 1.0
-            den = (2.0 * math.sqrt(2.0) * kc.K0
-                   + (2.0 * math.sqrt(2.0) * kc.K1
-                      + 2.0 ** (1.5 * (1.0 - a)) * kc.K2 ** (1.0 - a)) * fa)
-        if den == 0.0:
-            raise MissingConstant(f"{kind.value} step undefined: all constants and ||F|| are 0")
-        return nu / den
-
-    if kind is PolicyKind.VANKOV:
-        eff = _resolve_smoothness(policy, s)
-        mu = policy.mu
-        if mu is None and m is not None and m.kind is MonotoneClass.STRONGLY_MONOTONE:
-            mu = m.mu
-        if mu is None:   # a given mu is positive: StepSizePolicy and MonotonicityParams check
-            raise MissingConstant("Vankov baseline needs mu > 0 (policy override or declared)")
-        cap = min(1.0 / (4.0 * mu), 1.0 / (2.0 * math.sqrt(2.0) * math.e * eff.L0)
-                  if eff.L0 > 0 else math.inf)
-        third = eff.L1 * normF
-        if third > 0:
-            cap = min(cap, 1.0 / (2.0 * math.sqrt(2.0) * math.e * third))
-        if not math.isfinite(cap):
-            raise MissingConstant("Vankov baseline needs L0 > 0 or L1*normF > 0")
-        return cap
-
-    raise MissingConstant(f"no gamma formula for kind {kind}")
+    return policy.rule(s, m)(normF)
 
 
 def omega(policy: StepSizePolicy, gamma_k: float,

@@ -91,6 +91,15 @@ class TestBoxBounds:
         with pytest.raises(ValueError):
             box_bounds([(1, 1), (0, 2)], 2)
 
+    @pytest.mark.parametrize("box, match", [
+        (math.inf, "finite"), (math.nan, "finite"), ((0.0, math.inf), "finite"),
+        ([(-1.0, 1.0), (math.nan, 1.0)], "finite"), (1e308, "overflows"),
+        ((-1.5e308, 1.5e308), "overflows"),
+    ])
+    def test_refuses_boxes_that_cannot_be_gridded(self, box, match):
+        with pytest.raises(ValueError, match=match):
+            box_bounds(box, 2)
+
 
 class TestScatter:
     def test_constant_jacobian_norm(self):

@@ -244,6 +244,24 @@ class TestGridLimits:
         assert len(err.splitlines()) == 1 and flag in err
 
     @pytest.mark.parametrize("argv", [
+        ["verify", "--op", "quadratic", "--box", "inf", "--grid", "3", "--pairs", "2"],
+        ["verify", "--op", "quadratic", "--box", "nan", "--grid", "3", "--pairs", "2"],
+        ["estimate", "--op", "quadratic", "--from-grid", "--box", "1e308", "--grid", "3"],
+        ["estimate", "--op", "quadratic", "--from-grid", "--box=-1", "--grid", "3"],
+    ], ids=["verify-inf", "verify-nan", "estimate-overflowing-width", "estimate-negative"])
+    def test_ungriddable_box_exits_1_before_out_exists(self, argv, tmp_path, capsys,
+                                                       monkeypatch):
+        def evaluate(*a, **kw):
+            raise AssertionError("an operator was evaluated before the box check")
+        for name in ("__call__", "jacobian_at", "call_batch", "jacobian_batch_at"):
+            monkeypatch.setattr(OperatorInstance, name, evaluate)
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, *argv, "--out", str(out_dir))
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("--box ")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("argv", [
         ["verify", "--pairs", "2"],
         ["estimate", "--from-grid"],
     ])
@@ -276,6 +294,22 @@ class TestSizeLimits:
         assert time.perf_counter() - start < 5.0
         assert code == 1 and out == ""
         assert len(err.splitlines()) == 1 and "MAX_DIM" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--op", "quadratic", "--x0", "1,1", "--policy", "thm3",
+         "--iters", "1000000000000"],
+        ["reproduce", "fig5", "--iters", "10000000"],
+    ], ids=["solve", "reproduce-fig5"])
+    def test_oversized_traced_iterations_exit_1_at_once(self, argv, tmp_path, capsys,
+                                                        monkeypatch):
+        def no_solve(*a, **kw):
+            raise AssertionError("a solve started before the --iters check")
+        monkeypatch.setattr(solver, "solve", no_solve)
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv, "--out", str(tmp_path))
+        assert time.perf_counter() - start < 5.0
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and "MAX_TRACE_ROWS" in err
 
 
 class TestJobs:

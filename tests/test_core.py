@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -25,6 +26,8 @@ from egsolve.core import (
     vec,
     write_csv,
 )
+from egsolve.analysis import read_fit_csv, read_scatter_csv
+from egsolve.solver import read_trace_csv
 
 
 class TestVec:
@@ -188,6 +191,21 @@ class TestCsv:
             ["1", "0.1", ""], ["-0.0", "inf", "5e-324"], ["# done"]]
         with pytest.raises(ValueError, match="not a fit CSV"):
             read_csv(p, ["a", "b"], "fit")
+
+    @pytest.mark.parametrize("reader, header, good", [
+        (read_trace_csv, "k,gamma,omega,norm_F_x,norm_F_xhat,dist_sq", "0,1,1,1,1,1"),
+        (read_scatter_csv, "norm_F,norm_J,k", "1,2,0"),
+        (read_fit_csv, "alpha,L0,L1,max_violation", "1,2,3,0"),
+    ], ids=["trace", "scatter", "fit"])
+    @pytest.mark.parametrize("bad", ["1,2", "1,2,3,4,5,6,7", ""], ids=["short", "long", "empty"])
+    def test_row_of_the_wrong_width_names_file_and_line(self, reader, header, good, bad,
+                                                        tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text(f"{header}\n{good}\n{bad}\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}, line 3: "):
+            reader(str(p))
+        p.write_text(f"{header}\n{good}\n")
+        reader(str(p))
 
 
 class TestOperatorInstance:

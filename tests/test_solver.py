@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from egsolve.core import (
     EmptyTrace,
     IncompatiblePolicy,
+    InvalidAlpha,
+    MissingConstant,
     MonotoneClass,
     MonotonicityParams,
     NonFiniteIterate,
@@ -186,6 +188,29 @@ def _counting(op):
     return calls
 
 
+def _monotone_without_constants():
+    return OperatorInstance(dim=2, fn=lambda x: np.array([x[1], -x[0]]), solution=np.zeros(2),
+                            monotonicity=MonotonicityParams(MonotoneClass.MONOTONE),
+                            label="rotation")
+
+
+class TestConstantsBeforeEvaluation:
+    # the policy's rule is built, and its constants checked, before F(x0)
+    @pytest.mark.parametrize("make_op, key, err", [
+        (_monotone_without_constants, "thm5", MissingConstant),
+        (lambda: build("logistic"), "thm7", InvalidAlpha),      # alpha = 1, thm7 needs < 1
+    ], ids=["missing", "mismatched"])
+    def test_solve_and_eg_step(self, make_op, key, err):
+        op = make_op()
+        calls = _counting(op)
+        cfg = SolveConfig(max_iters=5, x0=[1.0, 1.0], stop_tol=0.0)
+        with pytest.raises(err):
+            solve(op, parse_policy(key), cfg)
+        with pytest.raises(err):
+            eg_step(op, [1.0, 1.0], parse_policy(key))
+        assert calls[0] == 0
+
+
 class TestEvaluationCount:
     def test_two_evaluations_per_budget_iteration(self):
         op = build("quadratic")
@@ -336,6 +361,36 @@ class TestInvariants:
         assert rep.n_checked == 1153  # transitions with gamma_k > 4 rho
         assert rep.n_violations == 0 and rep.passed
         assert rep.max_excess <= 0.0
+
+    def test_thm8_checked_under_its_own_inequality(self):
+        # thm8 claims the weak-Minty descent (rho = 0 here), not the strongly
+        # monotone contraction the operator's class would pick: 47 of these 300
+        # transitions break that contraction
+        op = build("quadratic")
+        cfg = SolveConfig(max_iters=300, x0=[1.0, 1.0], stop_tol=0.0)
+        tr = solve(op, parse_policy("thm8"), cfg)
+        assert tr.kind is PolicyKind.WEAK_MINTY
+        rep = check_descent_invariants(tr, op)
+        assert rep.kind is MonotoneClass.WEAK_MINTY
+        assert rep.n_checked == 300 and rep.n_violations == 0
+
+    def test_trace_without_kind_keeps_the_operator_class(self, tmp_path):
+        op = build("quadratic")
+        cfg = SolveConfig(max_iters=300, x0=[1.0, 1.0], stop_tol=0.0)
+        p = str(tmp_path / "trace.csv")
+        write_trace_csv(solve(op, parse_policy("thm8"), cfg), p)
+        back = read_trace_csv(p)
+        assert back.kind is None
+        rep = check_descent_invariants(back, op)
+        assert rep.kind is MonotoneClass.STRONGLY_MONOTONE and rep.n_violations == 47
+
+    def test_class_outside_the_policy_guarantee_raises(self):
+        op = build("signpower")   # monotone; cor1 covers strongly monotone only
+        cfg = SolveConfig(max_iters=20, x0=[5.0, 5.0], stop_tol=0.0)
+        with pytest.warns(UserWarning):
+            tr = solve(op, parse_policy("cor1"), cfg, force=True)
+        with pytest.raises(IncompatiblePolicy):
+            check_descent_invariants(tr, op)
 
     def test_tolerance_knob(self):
         op = build("quadratic")

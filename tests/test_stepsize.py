@@ -221,6 +221,69 @@ class TestGamma:
             gamma(parse_policy("const:0.1"), math.nan)
 
 
+def _per_call_gamma(policy, nf, s, m):
+    """The step formulas written out per call, as gamma evaluated them before
+    the rule resolved its constants once."""
+    kind, eff = policy.kind, policy.smoothness or s
+    if kind in (PolicyKind.CONSTANT, PolicyKind.EGPLUS, PolicyKind.PETHICK):
+        return float(policy.step)
+    if kind is PolicyKind.ADAPTIVE:
+        return 1.0 / (policy.c0 + policy.c1 * pow_alpha(nf, policy.alpha or 1.0))
+    if kind.nu is not None:
+        return solve_nu(kind.nu) / (eff.L0 + eff.L1 * nf)
+    if kind is PolicyKind.VANKOV:
+        mu = policy.mu or m.mu
+        cap = min(1.0 / (4.0 * mu), 1.0 / (2.0 * math.sqrt(2.0) * math.e * eff.L0))
+        third = eff.L1 * nf
+        return min(cap, 1.0 / (2.0 * math.sqrt(2.0) * math.e * third)) if third > 0 else cap
+    kc, a = k_constants(eff), eff.alpha
+    fa = pow_alpha(nf, a)
+    if kind is PolicyKind.STRONG_MONO_FRAC:
+        return solve_nu(NuKind.STRONG_MONO_FRAC) / (
+            2.0 * kc.K0 + (2.0 * kc.K1 + 2.0 ** (1.0 - a) * kc.K2 ** (1.0 - a)) * fa)
+    return 1.0 / (2.0 * math.sqrt(2.0) * kc.K0
+                  + (2.0 * math.sqrt(2.0) * kc.K1
+                     + 2.0 ** (1.5 * (1.0 - a)) * kc.K2 ** (1.0 - a)) * fa)
+
+
+_NF_SPREAD = [0.0, 5e-324, 1e-300, 1e-12, 0.1, 1.0 / 3.0, 1.0, 2.5, 1e3, 1e12, 1e300]
+
+
+class TestRule:
+    @pytest.mark.parametrize("kind", list(PolicyKind), ids=lambda k: k.value)
+    def test_rule_equals_gamma_bit_for_bit(self, kind):
+        params = {"step": 0.1, "c0": 2.0, "c1": 3.0, "[alpha": 0.7, "[mu": 0.3, "[rho": 0.05}
+        policy = StepSizePolicy(kind=kind, **{p.lstrip("["): params[p] for p in kind.params})
+        s = SmoothnessParams(0.4 if kind.value.endswith("-frac") else 1.0, 1.7, 2.3)
+        m = MonotonicityParams(MonotoneClass.STRONGLY_MONOTONE, mu=0.9)
+        rule = policy.rule(s, m)
+        for nf in _NF_SPREAD:
+            got = rule(nf)
+            assert got == gamma(policy, nf, s=s, m=m) == _per_call_gamma(policy, nf, s, m)
+            assert got.hex() == _per_call_gamma(policy, nf, s, m).hex()
+
+    @pytest.mark.parametrize("key, s, m, err", [
+        ("thm3", None, None, MissingConstant),
+        ("thm9", None, None, MissingConstant),
+        ("vankov:1", None, None, MissingConstant),
+        ("vankov", SmoothnessParams(1.0, 1.0, 1.0), MonotonicityParams(MonotoneClass.MONOTONE),
+         MissingConstant),
+        ("thm5", SmoothnessParams(0.5, 1.0, 1.0), None, InvalidAlpha),
+        ("thm7", SmoothnessParams(1.0, 1.0, 1.0), None, InvalidAlpha),
+    ])
+    def test_constants_are_checked_when_the_rule_is_built(self, key, s, m, err):
+        with pytest.raises(err):
+            parse_policy(key).rule(s, m)
+
+    @pytest.mark.parametrize("key, alpha", [("thm5", 1.0), ("thm9", 0.5)])
+    def test_undefined_step_raises_per_call(self, key, alpha):
+        # L0 = 0: the step exists for ||F|| > 0 and is undefined at 0
+        rule = parse_policy(key).rule(SmoothnessParams(alpha, 0.0, 2.0))
+        assert rule(1.0) > 0
+        with pytest.raises(MissingConstant):
+            rule(0.0)
+
+
 class TestOmega:
     def test_equal_and_half_rules(self):
         assert omega(parse_policy("thm3"), 0.2) == 0.2
