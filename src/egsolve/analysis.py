@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from numpy import linalg as la
@@ -170,8 +170,14 @@ class SmoothnessFit:
         return self.max_violation >= -1e-9
 
 
-def _grid_norms(F: OperatorInstance, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def _grid_norms(F: OperatorInstance, X: np.ndarray,
+                screen: Optional[Callable] = None) -> Tuple[np.ndarray, np.ndarray]:
     """(||F(x)||, ||J(x)||) for the rows x of a grid block.
+
+    ||J(x)|| is LAPACK's largest singular value on every row, or on the rows
+    that screen(nf, fro) keeps given ||F|| and the Frobenius norms ||J||_F;
+    a row it drops holds its ||J||_F, an upper bound. A screen keeps every
+    row whose ||J||_F is not finite.
 
     The first offending row raises what a per-point ScatterSample of
     (norm(F(x)), spectral_norm(F.jacobian_at(x))) raises there: a non-finite
@@ -181,7 +187,10 @@ def _grid_norms(F: OperatorInstance, X: np.ndarray) -> Tuple[np.ndarray, np.ndar
     J = F.jacobian_batch_at(X)
     bad_J = ~np.isfinite(J).all(axis=(1, 2))
     cut = int(np.argmax(bad_J)) if bad_J.any() else X.shape[0]
-    nj = la.svd(J[:cut], compute_uv=False)[:, 0] if cut else np.empty(0)
+    nj = np.sqrt(np.einsum("ijk,ijk->i", J[:cut], J[:cut]))
+    svd = screen(nf[:cut], nj) if screen is not None else np.ones(cut, dtype=bool)
+    if svd.any():
+        nj[svd] = la.svd(J[:cut][svd], compute_uv=False)[:, 0]
     ok = np.isfinite(nf[:cut]) & np.isfinite(nj)
     if not ok.all():
         i = int(np.argmin(ok))
@@ -221,13 +230,32 @@ def verify_condition(F: OperatorInstance, s: SmoothnessParams, box: BoxLike,
 
     Returns a fit echoing s whose max_violation is the grid minimum of the
     slack; the minimum location enters the sample list with index -1.
+
+    Since ||J||_F / sqrt(dim) <= ||J|| <= ||J||_F, the Frobenius norms bound
+    each point's slack from both sides; the SVD runs only on the points whose
+    lower bound does not exceed the smallest upper bound of their block or the
+    minimum so far. Each bound is widened by 1e-9 of ||J||_F to bracket
+    LAPACK's rounding, and a point whose ||J||_F is not finite or below
+    1e-100 (where its squares underflow) gets a lower bound of -inf. Rounding
+    is monotone, so the first minimum in grid order is always kept, and a
+    dropped point's slack from its ||J||_F still tops the minimum: the result
+    is the one an SVD at every point gives.
     """
     worst = math.inf
     worst_sample = None
+    root_dim = math.sqrt(F.dim)
+    bound = lambda nf: s.L0 + s.L1 * _pow_alpha_rows(nf, s.alpha)
+
+    def screen(nf, fro):
+        a = bound(nf)
+        upper = np.where(np.isfinite(fro), a - fro * ((1.0 - 1e-9) / root_dim), math.inf)
+        lower = np.where(fro >= 1e-100, a - fro * (1.0 + 1e-9), -math.inf)
+        return ~(lower > min(worst, upper.min(initial=math.inf)))   # NaN: kept
+
     with overflow_as_data():
         for X in _grid_blocks(box, F.dim, grid_n):
-            nf, nj = _grid_norms(F, X)
-            g = s.L0 + s.L1 * _pow_alpha_rows(nf, s.alpha) - nj
+            nf, nj = _grid_norms(F, X, screen)
+            g = bound(nf) - nj
             i = int(np.argmin(g))   # first minimum in grid order
             if g[i] < worst:
                 worst = float(g[i])

@@ -185,8 +185,10 @@ def _sweep_cell(op, policy, cfg, d20: float, rel_tol: float) -> Tuple[int, float
 
 def _sweep(op, cells, x0, iters: int, rel_tol: float, out: str) -> List[tuple]:
     """Run adaptive cells 1/(c0 + c1*||F||) in order (c1 = 0: step 1/c0) from x0,
-    relative to ||x0 - x*||^2 of op's root; x0 and all cells are checked before
+    relative to ||x0 - x*||^2 of op's root; rel_tol, x0 and all cells are checked before
     the first runs. Write sweep.csv, return (c0, c1, iters_to_tol, final_relerr)."""
+    if not 0.0 <= rel_tol < math.inf:
+        raise _UsageError(f"--tol {rel_tol}: the relative tolerance must be finite and >= 0")
     cfg = SolveConfig(max_iters=iters, x0=x0, stop_tol=0.0)
     d20 = float((cfg.x0 - op.solution) @ (cfg.x0 - op.solution))
     if d20 == 0.0:
@@ -421,9 +423,12 @@ _FIGS = {"fig3": (_reproduce_fig3, 20000, "1200,500"),
 def cmd_reproduce(args) -> int:
     fig = args.figure
     run, default_iters, size = _FIGS[fig]
+    iters = args.iters if args.iters is not None else default_iters
+    if not 1 <= iters <= MAX_TRACE_ROWS:
+        raise _UsageError(f"--iters {iters}: a traced run takes 1..{MAX_TRACE_ROWS} "
+                          f"(MAX_TRACE_ROWS) iterations")
     out = _ensure_out(args.out)
-    meta, plot, checks = run(out, args.iters if args.iters is not None else default_iters,
-                             args.seed)
+    meta, plot, checks = run(out, iters, args.seed)
     with open(os.path.join(out, "meta.txt"), "w") as fh:
         for k, v in [("experiment", fig), *meta, ("seed", args.seed)]:
             fh.write(f"{k} = {v}\n")

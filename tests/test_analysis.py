@@ -4,7 +4,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from egsolve import analysis
 from egsolve.analysis import (
     MAX_GRID_POINTS,
     BoundReport,
@@ -240,6 +243,133 @@ class TestBlockGridRoute:
             tracemalloc.stop()
         assert fit.passed
         assert peak < 8 * 2 ** 20
+
+
+def all_svd_fit(F, s, box, n):
+    """(max_violation, worst norm_F, worst norm_J) of the grid route with an
+    SVD at every point: the reference of the Frobenius screen, block by block
+    as verify_condition computes the slack, keeping the first minimum."""
+    worst, at = math.inf, (None, None)
+    with overflow_as_data():
+        for X in analysis._grid_blocks(box, F.dim, n):
+            nf, nj = analysis._grid_norms(F, X)
+            g = s.L0 + s.L1 * np.exp(s.alpha * np.log(nf)) - nj
+            i = int(np.argmin(g))
+            if g[i] < worst:
+                worst, at = float(g[i]), (float(nf[i]), float(nj[i]))
+    return worst, at
+
+
+def assert_screen_matches_all_svd(F, s, box, n):
+    fit = verify_condition(F, s, box, n)
+    worst, (nf, nj) = all_svd_fit(F, s, box, n)
+    assert fit.max_violation.hex() == worst.hex()
+    (got,) = fit.samples
+    assert got.norm_F.hex() == nf.hex() and got.norm_J.hex() == nj.hex()
+    return fit
+
+
+def affine_operator(M):
+    """F(x) = M x with block kernels, so a grid costs a few numpy calls."""
+    n = M.shape[0]
+    return OperatorInstance(dim=n, fn=lambda x: M @ x, jacobian=lambda x: M,
+                            fn_batch=lambda X: X @ M.T,
+                            jacobian_batch=lambda X: np.repeat(M[None], len(X), axis=0),
+                            solution=np.zeros(n), label="affine")
+
+
+RANK_ONE = np.outer([1.65, 1.83], [1.25, 1.49])
+RANK_ONE_NORM = float(analysis.la.svd(RANK_ONE[None], compute_uv=False)[0, 0])
+
+_CONSTANTS = st.builds(SmoothnessParams, alpha=st.floats(0.05, 1.0),
+                       L0=st.floats(0.01, 100.0), L1=st.floats(0.0, 10.0))
+
+
+class TestSvdScreen:
+    # verify_condition runs the SVD only at points whose Frobenius bounds can
+    # reach the minimum slack; its result must be the all-SVD one bit for bit
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(1, 3), seed=st.integers(0, 10 ** 6), scale=st.floats(0.1, 10.0),
+           halfwidth=st.floats(0.5, 20.0), declared=st.booleans(), s=_CONSTANTS,
+           data=st.data())
+    def test_cubic_equals_all_svd(self, d, seed, scale, halfwidth, declared, s, data):
+        op = build("cubicRd", d=d, seed=seed, scale=scale)
+        n = data.draw(st.integers(3, {1: 61, 2: 9, 3: 5}[d]), label="grid_n")
+        assert_screen_matches_all_svd(op, op.smoothness if declared else s, halfwidth, n)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 5), seed=st.integers(0, 10 ** 6), s=_CONSTANTS)
+    def test_rank_one_equals_all_svd(self, n, seed, s):
+        # ||J|| = ||J||_F: the Frobenius upper bound on ||J|| is attained
+        rng = np.random.default_rng(seed)
+        M = np.outer(rng.standard_normal(n), rng.standard_normal(n))
+        assert_screen_matches_all_svd(affine_operator(M), s, 3.0, {2: 41, 3: 11}.get(n, 5))
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 5), c=st.floats(-10.0, 10.0), s=_CONSTANTS)
+    def test_scaled_identity_equals_all_svd(self, n, c, s):
+        # ||J|| = ||J||_F / sqrt(n): the lower bound on ||J|| is attained
+        op = affine_operator(c * np.eye(n))
+        assert_screen_matches_all_svd(op, s, 3.0, {2: 41, 3: 11}.get(n, 5))
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(2, 4), seed=st.integers(0, 10 ** 6), L0=st.floats(0.01, 100.0))
+    def test_constant_slack_keeps_the_first_grid_point(self, n, seed, L0):
+        # L1 = 0 and a constant Jacobian: every point ties on L0 - ||M||
+        M = np.random.default_rng(seed).standard_normal((n, n))
+        op = affine_operator(M)
+        fit = assert_screen_matches_all_svd(op, SmoothnessParams(1.0, L0, 0.0), 2.0, 7)
+        nf, _ = analysis._grid_norms(op, next(analysis._grid_blocks(2.0, n, 7)))
+        assert fit.samples[0].norm_F == nf[0]
+
+    @pytest.mark.parametrize("J, norm_F, s", [
+        # squares of 1.5e-162 underflow to 0, so ||J||_F reads 0 while ||J|| is
+        # 3e-162: only the -inf lower bound of such a row keeps the minimum
+        ([2.3e-162 * np.diag([1.0, 0.0]), 1.5e-162 * np.ones((2, 2))], [0.0, 0.0],
+         SmoothnessParams(1.0, 1e-161, 0.0)),
+        # ||J||_F overflows while ||J|| = 2e154 and the slack stay finite; the
+        # minimum sits on a finite row
+        ([np.eye(2), 1e154 * np.ones((2, 2))], [0.0, 1e150], SmoothnessParams(1.0, 2.0, 1e10)),
+        # rank 1, so ||J|| = ||J||_F in exact arithmetic, but LAPACK's ||J||
+        # reads above the computed ||J||_F; the second row ties on the slack
+        # L0 = ||J||, so the first row is kept only by the margin of the lower bound
+        ([RANK_ONE, np.zeros((2, 2))], [1.0, 0.0],
+         SmoothnessParams(1.0, RANK_ONE_NORM, RANK_ONE_NORM)),
+        # both rows have slack c; ||cI||_F / sqrt(3) reads 2 ulps above ||cI|| = c,
+        # so without the margin the second row's upper bound would read 2 ulps
+        # below c, under the first row's lower bound c - 1e-50 = c
+        ([1e-50 * np.eye(3), 1.00025 * np.eye(3)], [0.0, 1.0],
+         SmoothnessParams(1.0, 1.00025, 1.00025)),
+        # every slack rounds to 1e20, so the first row's lower bound equals the
+        # second row's exact upper bound, and the first row must be kept
+        ([np.eye(2), np.zeros((2, 2))], [0.0, 0.0], SmoothnessParams(1.0, 1e20, 0.0)),
+    ], ids=["underflow", "overflow", "rank-one-tie", "identity-tie", "absorbed-tie"])
+    def test_extreme_frobenius_norms_equal_all_svd(self, J, norm_F, s):
+        # one block: the 2^dim points of a 2-per-axis grid, the last row repeated
+        dim = J[0].shape[0]
+        Js = np.array(J + [J[-1]] * (2 ** dim - len(J)))
+        Fs = np.zeros((2 ** dim, dim))
+        Fs[:, 0] = norm_F + [norm_F[-1]] * (2 ** dim - len(J))
+        op = OperatorInstance(dim=dim, fn=lambda x: np.zeros(dim), label="custom",
+                              fn_batch=lambda X: Fs, jacobian_batch=lambda X: Js)
+        assert_screen_matches_all_svd(op, s, 1.0, 2)
+
+    def test_svd_runs_on_few_forsaken_points(self, monkeypatch):
+        rows = []
+        svd = analysis.la.svd
+
+        def counting(J, **kw):
+            rows.append(len(J))
+            return svd(J, **kw)
+        monkeypatch.setattr(analysis.la, "svd", counting)
+        op = build("forsaken")
+        box = default_box("forsaken", 2)
+        verify_condition(op, op.smoothness, box, 201)
+        assert 0 < sum(rows) < 0.05 * 201 ** 2
+        rows.clear()
+        grid_samples(op, box, 201)
+        assert sum(rows) == 201 ** 2
 
 
 class TestGridPoints:

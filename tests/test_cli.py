@@ -216,6 +216,19 @@ class TestSweep:
             assert solves == []
             assert not (tmp_path / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_rejects_bad_relative_tolerance_before_creating_out(self, tol, tmp_path, capsys,
+                                                                monkeypatch):
+        def no_solve(*a, **kw):
+            raise AssertionError("a cell ran before the --tol check")
+        monkeypatch.setattr(solver, "solve", no_solve)
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, "sweep", "--op", "cubic1d", "--x0", "1,1", "--c0", "1",
+                             "--c1", "1", "--iters", "10", "--tol", tol, "--out", str(out_dir))
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith(f"--tol {float(tol)}")
+        assert not out_dir.exists()
+
 
 class TestGridLimits:
     @pytest.mark.parametrize("argv, flag", [
@@ -310,6 +323,15 @@ class TestSizeLimits:
         assert time.perf_counter() - start < 5.0
         assert code == 1 and out == ""
         assert len(err.splitlines()) == 1 and "MAX_TRACE_ROWS" in err
+
+    @pytest.mark.parametrize("fig, iters", [("fig5", "10000000"), ("fig4", "0"),
+                                            ("fig3", "-5")])
+    def test_reproduce_budget_refused_before_out_exists(self, fig, iters, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, "reproduce", fig, "--iters", iters, "--out", str(out_dir))
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith(f"--iters {iters}:")
+        assert not out_dir.exists()
 
 
 class TestJobs:

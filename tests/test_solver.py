@@ -392,6 +392,32 @@ class TestInvariants:
         with pytest.raises(IncompatiblePolicy):
             check_descent_invariants(tr, op)
 
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 5), seed=st.integers(0, 10 ** 6), strong=st.booleans())
+    def test_random_affine_operators_keep_their_theorem(self, n, seed, strong):
+        # F(x) = M x with a skew part plus mu I (thm3, exact modulus mu) or plus a
+        # rank-deficient PSD part (thm5, monotone), declared Lipschitz with ||M||
+        rng = np.random.default_rng(seed)
+        K = rng.standard_normal((n, n))
+        if strong:
+            mu = float(rng.uniform(0.1, 2.0))
+            M = mu * np.eye(n) + (K - K.T) / 2
+            m = MonotonicityParams(MonotoneClass.STRONGLY_MONOTONE, mu=mu)
+        else:
+            P = rng.standard_normal((n, int(rng.integers(0, n))))
+            M = P @ P.T + (K - K.T) / 2
+            m = MonotonicityParams(MonotoneClass.MONOTONE)
+        op = OperatorInstance(dim=n, fn=lambda x: M @ x, solution=np.zeros(n), label="affine",
+                              smoothness=SmoothnessParams(1.0, float(np.linalg.norm(M, 2)), 0.0),
+                              monotonicity=m)
+        key = "thm3" if strong else "thm5"
+        tr = solve(op, parse_policy(key), SolveConfig(max_iters=300, x0=rng.standard_normal(n),
+                                                       stop_tol=0.0))
+        rep = check_descent_invariants(tr, op)
+        assert rep.kind is m.kind and tr.kind is parse_policy(key).kind
+        assert rep.n_checked == rep.n_transitions > 0
+        assert rep.n_violations == 0, (key, rep.max_excess)
+
     def test_tolerance_knob(self):
         op = build("quadratic")
         cfg = SolveConfig(max_iters=20, x0=[1.0, 1.0], stop_tol=0.0)
