@@ -12,6 +12,7 @@ import configparser
 import math
 import os
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor  # unused; perfbench/layers.py subclasses it
 from typing import List, Optional, Tuple
 
@@ -123,6 +124,18 @@ def _box(args, op):
     return box
 
 
+def _policy(args, op) -> StepSizePolicy:
+    """--policy, with solve's checks on op (the class unless --force) run before --out exists."""
+    try:
+        policy = parse_policy(args.policy)
+        if not args.force:
+            solver.check_policy_compat(op, policy)
+    except (ValueError, IncompatiblePolicy) as e:
+        raise _UsageError(str(e)) from None
+    solver.resolve_policy(op, policy)
+    return policy
+
+
 def _first_hit(rows, metric, tol: float) -> int:
     """First iterate index k with metric(row) <= tol, else -1."""
     return next((r.k for r in rows if metric(r) <= tol), -1)
@@ -144,18 +157,13 @@ def cmd_nu(args) -> int:
 
 def cmd_solve(args) -> int:
     op = parse_op_key(args.op)
-    try:
-        policy = parse_policy(args.policy)
-    except ValueError as e:
-        raise _UsageError(str(e)) from None
+    policy = _policy(args, op)
     x0 = parse_x0(args.x0, op.dim, args.seed)
     cfg = SolveConfig(max_iters=args.iters, x0=x0, stop_tol=args.tol)
     out = _ensure_out(args.out)
     trace_path = os.path.join(out, "trace.csv")
     try:
         tr = solver.solve(op, policy, cfg, force=args.force)
-    except IncompatiblePolicy as e:
-        raise _UsageError(str(e)) from None
     except NonFiniteIterate as e:
         solver.write_trace_csv(e.trace, trace_path)
         print(f"diverged: {e} (partial trace: {trace_path})")
@@ -262,10 +270,7 @@ def cmd_estimate(args) -> int:
     else:
         if args.policy is None:
             raise _UsageError("estimate needs --from-grid or --policy (trace source)")
-        try:
-            policy = parse_policy(args.policy)
-        except ValueError as e:
-            raise _UsageError(str(e)) from None
+        policy = _policy(args, op)
         cfg = SolveConfig(max_iters=args.iters, x0=parse_x0(args.x0, op.dim, args.seed),
                           stop_tol=0.0)
         sample = lambda: analysis.scatter_from_trace(
@@ -562,13 +567,10 @@ def _apply_config(argv: List[str]) -> List[str]:
 
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    # a library warning prints as one line; the warning filters stay as they are
+    shown, warnings.formatwarning = warnings.formatwarning, lambda msg, *_: f"warning: {msg}\n"
     try:
-        argv = _apply_config(argv)
-        args = _build_parser().parse_args(argv)
-    except _UsageError as e:
-        print(str(e), file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        args = _build_parser().parse_args(_apply_config(argv))
         return args.func(args)
     except _UsageError as e:
         print(str(e), file=sys.stderr)
@@ -579,6 +581,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (EgsolveError, ValueError, KeyError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        warnings.formatwarning = shown
 
 
 if __name__ == "__main__":

@@ -35,15 +35,21 @@ def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
 
 
-def _coupled_2x2(a, b):
-    """Stack of [[a_i, 1], [-1, b_i]]: the Jacobians of the 2-dim fields whose
-    coupling is (w2, -w1)."""
-    J = np.empty((a.shape[0], 2, 2))
-    J[:, 0, 0] = a
-    J[:, 0, 1] = 1.0
-    J[:, 1, 0] = -1.0
-    J[:, 1, 1] = b
-    return J
+def _coupled_2x2(a, b, c=1.0):
+    """Stack of [[a_i, c], [-c, b_i]]: the Jacobians of the 2-dim fields whose
+    coupling is c (w2, -w1)."""
+    c = np.full_like(a, c)
+    return np.stack([a, c, -c, b], axis=1).reshape(-1, 2, 2)
+
+
+def _instance(fn, jac_batch, fn_batch=None, **declared) -> OperatorInstance:
+    """An operator from its field and its block Jacobian (rows are points). The
+    per-point Jacobian is the kernel's one-row case; the block field defaults to
+    fn, which must work elementwise, on the transposed block, copied back to rows
+    (a norm along strided rows can sum in another order)."""
+    return OperatorInstance(fn=fn, jacobian=lambda x: jac_batch(x[None])[0],
+                            fn_batch=fn_batch or (lambda X: np.ascontiguousarray(fn(X.T).T)),
+                            jacobian_batch=jac_batch, **declared)
 
 
 # ---------------------------------------------------------------------------
@@ -88,8 +94,8 @@ def quadratic() -> OperatorInstance:
     def fn(x):
         return np.array([x[0] + x[1], x[1] - x[0]])
 
-    return OperatorInstance(
-        dim=2, fn=fn, jacobian=lambda x: J, solution=np.zeros(2),
+    return _instance(
+        fn, lambda X: np.repeat(J[None], X.shape[0], axis=0), dim=2, solution=np.zeros(2),
         smoothness=SmoothnessParams(1.0, SQ2, 0.0),
         monotonicity=MonotonicityParams(MonotoneClass.STRONGLY_MONOTONE, mu=1.0),
         label="quadratic",
@@ -107,11 +113,11 @@ def cubic1d() -> OperatorInstance:
     def fn(x):
         return np.array([x[0] * x[0] + x[1], x[1] * x[1] - x[0]])
 
-    def jac(x):
-        return np.array([[2.0 * x[0], 1.0], [-1.0, 2.0 * x[1]]])
+    def jac_batch(X):
+        return _coupled_2x2(2.0 * X[:, 0], 2.0 * X[:, 1])
 
-    return OperatorInstance(
-        dim=2, fn=fn, jacobian=jac, solution=np.zeros(2),
+    return _instance(
+        fn, jac_batch, dim=2, solution=np.zeros(2),
         smoothness=SmoothnessParams(1.0, 10.0, 10.0),
         monotonicity=None,
         label="cubic1d",
@@ -129,24 +135,16 @@ def signpower(mu: Optional[float] = None) -> OperatorInstance:
     def fn(x):
         return np.array([x[0] * abs(x[0]) + x[1], x[1] * abs(x[1]) - x[0]])
 
-    def jac(x):
-        return np.array([[2.0 * abs(x[0]), 1.0], [-1.0, 2.0 * abs(x[1])]])
-
-    def fn_batch(X):
-        u1, u2 = X[:, 0], X[:, 1]
-        return np.column_stack([u1 * np.abs(u1) + u2, u2 * np.abs(u2) - u1])
-
     def jac_batch(X):
         return _coupled_2x2(2.0 * np.abs(X[:, 0]), 2.0 * np.abs(X[:, 1]))
 
     mono = (MonotonicityParams(MonotoneClass.STRONGLY_MONOTONE, mu=mu)
             if mu is not None else MonotonicityParams(MonotoneClass.MONOTONE))
-    return OperatorInstance(
-        dim=2, fn=fn, jacobian=jac, solution=np.zeros(2),
+    return _instance(
+        fn, jac_batch, dim=2, solution=np.zeros(2),
         smoothness=SmoothnessParams(1.0, 1.0 + 2.0 * SQ2, 2.0 * SQ2),
         monotonicity=mono,
         label="signpower",
-        fn_batch=fn_batch, jacobian_batch=jac_batch,
     )
 
 
@@ -176,7 +174,9 @@ def cubicRd(d: int = 2, seed: int = 0, scale: float = 1.0) -> OperatorInstance:
     L1 = chat / 2.0
     L0 = float(la.norm(B, 2)) + chat / 2.0
 
-    # one mat-vec gives (A w1, C w2, B w2, -B^T w1)
+    # one mat-vec gives (A w1, C w2, B w2, -B^T w1). The EG loop calls this point
+    # form, where gemv and dot beat a one-row gemm and einsum; the block form
+    # sums in another order, so the two can differ in the last bits.
     Z = np.zeros((d, d))
     M = np.block([[A, Z], [Z, C], [Z, B], [-B.T, Z]])
 
@@ -188,15 +188,6 @@ def cubicRd(d: int = 2, seed: int = 0, scale: float = 1.0) -> OperatorInstance:
         Aw1 *= s
         Cw2 *= t
         return y[:2 * d] + y[2 * d:]
-
-    def jac(x):
-        w1, w2 = x[:d], x[d:]
-        s = math.sqrt(float(w1 @ A @ w1))
-        t = math.sqrt(float(w2 @ C @ w2))
-        # diagonal blocks have limit 0 at w = 0
-        D1 = s * A + np.outer(A @ w1, A @ w1) / s if s > 0 else np.zeros((d, d))
-        D2 = t * C + np.outer(C @ w2, C @ w2) / t if t > 0 else np.zeros((d, d))
-        return np.block([[D1, B], [-B.T, D2]])
 
     # the block kernels: rows are points, so X @ M.T stacks the four mat-vecs
     def _scaled(X):
@@ -229,13 +220,12 @@ def cubicRd(d: int = 2, seed: int = 0, scale: float = 1.0) -> OperatorInstance:
         J[:, d:, d:] = _diag_blocks(C, Y[:, d:2 * d], t)
         return J
 
-    return OperatorInstance(
-        dim=2 * d, fn=fn, jacobian=jac, solution=np.zeros(2 * d),
+    return _instance(
+        fn, jac_batch, fn_batch, dim=2 * d, solution=np.zeros(2 * d),
         smoothness=SmoothnessParams(1.0, L0, L1),
         monotonicity=MonotonicityParams(MonotoneClass.MONOTONE),
         label=f"cubicRd(d={d},seed={seed},scale={scale:g})",
         matrices=(A, B, C),
-        fn_batch=fn_batch, jacobian_batch=jac_batch,
     )
 
 
@@ -295,11 +285,11 @@ def square() -> OperatorInstance:
     def fn(x):
         return np.array([x[0] * x[0], x[1] * x[1]])
 
-    def jac(x):
-        return np.array([[2.0 * x[0], 0.0], [0.0, 2.0 * x[1]]])
+    def jac_batch(X):
+        return _coupled_2x2(2.0 * X[:, 0], 2.0 * X[:, 1], 0.0)
 
-    return OperatorInstance(
-        dim=2, fn=fn, jacobian=jac, solution=np.zeros(2),
+    return _instance(
+        fn, jac_batch, dim=2, solution=np.zeros(2),
         smoothness=SmoothnessParams(0.5, 0.0, 2.0),
         monotonicity=None,
         label="square",
@@ -328,22 +318,14 @@ def forsaken() -> OperatorInstance:
     def fn(x):
         return np.array([x[1] + psi_p(x[0]), psi_p(x[1]) - x[0]])
 
-    def jac(x):
-        return np.array([[psi_pp(x[0]), 1.0], [-1.0, psi_pp(x[1])]])
-
-    def fn_batch(X):
-        w1, w2 = X[:, 0], X[:, 1]
-        return np.column_stack([w2 + psi_p(w1), psi_p(w2) - w1])
-
     def jac_batch(X):
         return _coupled_2x2(psi_pp(X[:, 0]), psi_pp(X[:, 1]))
 
-    return OperatorInstance(
-        dim=2, fn=fn, jacobian=jac, solution=np.zeros(2),
+    return _instance(
+        fn, jac_batch, dim=2, solution=np.zeros(2),
         smoothness=SmoothnessParams(1.0, 2.5, 5.0),
         monotonicity=MonotonicityParams(MonotoneClass.WEAK_MINTY, rho=FORSAKEN_RHO),
         label="forsaken",
-        fn_batch=fn_batch, jacobian_batch=jac_batch,
     )
 
 
@@ -369,12 +351,12 @@ def bilinear(R: float = 5.0) -> OperatorInstance:
     def fn(x):
         return np.array([fp(x[0]) + x[1], fp(x[1]) - x[0]])
 
-    def jac(x):
-        return np.array([[fpp(x[0]), 1.0], [-1.0, fpp(x[1])]])
+    def jac_batch(X):
+        return _coupled_2x2(fpp(X[:, 0]), fpp(X[:, 1]))
 
     L0 = (1.0 + 2.0 * 1.0 * R) * 1.0
-    return OperatorInstance(
-        dim=2, fn=fn, jacobian=jac, solution=None,
+    return _instance(
+        fn, jac_batch, dim=2, solution=None,
         smoothness=SmoothnessParams(1.0, L0, SQ2),
         monotonicity=MonotonicityParams(MonotoneClass.MONOTONE),
         label=f"bilinear(R={R:g})",
@@ -394,18 +376,20 @@ def nplayer(n: int = 3) -> OperatorInstance:
     if not 2 <= n <= MAX_DIM:
         raise ValueError(f"nplayer: n must lie in 2..{MAX_DIM} (MAX_DIM), got {n}")
     S = np.zeros((n, n))
-    for i in range(n):
-        S[i, (i + 1) % n] = 1.0
-        S[i, (i - 1) % n] = -1.0
+    i = np.arange(n)
+    S[i, (i + 1) % n] = 1.0
+    S[i, (i - 1) % n] = -1.0   # after the +1 entries, as n = 2 needs
 
     def fn(x):
         return x * np.abs(x) + S @ x
 
-    def jac(x):
-        return np.diag(2.0 * np.abs(x)) + S
+    def jac_batch(X):
+        J = np.repeat(S[None], X.shape[0], axis=0)
+        J[:, i, i] = 2.0 * np.abs(X)   # S has a zero diagonal
+        return J
 
-    return OperatorInstance(
-        dim=n, fn=fn, jacobian=jac, solution=np.zeros(n),
+    return _instance(
+        fn, jac_batch, dim=n, solution=np.zeros(n),
         smoothness=SmoothnessParams(1.0, math.sqrt(2.0 * n) * 5.0, SQ2),
         monotonicity=MonotonicityParams(MonotoneClass.MONOTONE),
         label=f"nplayer(n={n})",

@@ -42,7 +42,17 @@ class IterationState:
     next_x: np.ndarray
 
 
-def _one_step(F: OperatorInstance, x: np.ndarray, policy: StepSizePolicy, rule,
+def resolve_policy(F: OperatorInstance, policy: StepSizePolicy) -> tuple:
+    """(rule, rho) of the policy on F, checked before any evaluation: `policy.rule`'s
+    ||F(x_k)|| -> gamma_k, and rho, the policy's or else the declared one."""
+    m = F.monotonicity
+    rho = policy.rho if policy.rho is not None else (m.rho if m is not None else None)
+    if rho is None and policy.omega_rule is OmegaRule.PETHICK:
+        raise MissingConstant("Pethick rule needs rho (policy override or declared)")
+    return policy.rule(F.smoothness, m), rho
+
+
+def _one_step(F: OperatorInstance, x: np.ndarray, policy: StepSizePolicy, rule, rho,
               F_x: np.ndarray, norm_F_x: float) -> tuple:
     """(gamma_k, xhat, F(xhat), omega_k, next_x) of one step from x.
 
@@ -57,19 +67,17 @@ def _one_step(F: OperatorInstance, x: np.ndarray, policy: StepSizePolicy, rule,
         # update term is zero either way; keep the row well-defined
         w = g
     else:
-        m = F.monotonicity
-        w = omega(policy, g, F_xhat=F_xhat, x_minus_xhat=x - xhat,
-                  rho=m.rho if m is not None else None)
+        w = omega(policy, g, F_xhat=F_xhat, x_minus_xhat=x - xhat, rho=rho)
     return g, xhat, F_xhat, w, x - w * F_xhat
 
 
 def eg_step(F: OperatorInstance, x_k, policy: StepSizePolicy, k: int = 0) -> IterationState:
     """Run one extragradient step from x_k under the given policy."""
     x = vec(x_k, F.dim, what="x_k")
-    rule = policy.rule(F.smoothness, F.monotonicity)
+    rule, rho = resolve_policy(F, policy)
     with overflow_as_data():
         F_x = F(x)
-        g, xhat, F_xhat, w, next_x = _one_step(F, x, policy, rule, F_x, norm(F_x))
+        g, xhat, F_xhat, w, next_x = _one_step(F, x, policy, rule, rho, F_x, norm(F_x))
     return IterationState(k=k, x=x, F_x=F_x, gamma_k=g, xhat=xhat,
                           F_xhat=F_xhat, omega_k=w, next_x=next_x)
 
@@ -117,7 +125,7 @@ def solve(F: OperatorInstance, policy: StepSizePolicy, cfg: SolveConfig,
     `trace` attribute and the offending index on `k`.
     """
     check_policy_compat(F, policy, force=force)
-    rule = policy.rule(F.smoothness, F.monotonicity)
+    rule, rho = resolve_policy(F, policy)
     x = np.array(cfg.x0, dtype=np.float64)
     if x.shape[0] != F.dim:
         x = vec(x, F.dim, what="x0")
@@ -150,7 +158,7 @@ def solve(F: OperatorInstance, policy: StepSizePolicy, cfg: SolveConfig,
             if not math.isfinite(nfx):
                 raise _fail(k, "non-finite operator value")
             d2 = _dist_sq(x, xstar)
-            g, xhat, F_xhat, w, next_x = _one_step(F, x, policy, rule, F_x, nfx)
+            g, xhat, F_xhat, w, next_x = _one_step(F, x, policy, rule, rho, F_x, nfx)
             nfxh = norm(F_xhat)
             stop = nfx <= stop_tol
             if not stop and not math.isfinite(nfxh):

@@ -1,12 +1,16 @@
 import csv
 import hashlib
 import math
+import os
 import re
+import subprocess
+import sys
 import threading
 import time
 
 import pytest
 
+import egsolve
 from egsolve import analysis, solver
 from egsolve.cli import main
 from egsolve.core import OperatorInstance
@@ -386,7 +390,57 @@ class TestOSErrors:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+class TestRefusedPolicy:
+    @pytest.mark.parametrize("argv,match", [
+        (["solve", "--op", "square", "--x0", "1,1", "--policy", "thm3"], "assumes one of"),
+        (["solve", "--op", "square", "--x0", "1,1", "--policy", "thm5", "--force"],
+         "alpha = 1"),
+        (["estimate", "--op", "square", "--policy", "thm3", "--x0", "1,1"], "assumes one of"),
+        (["solve", "--op", "cubic1d", "--x0", "0.5,0.5", "--policy", "pethick:0.1", "--force"],
+         "needs rho"),
+    ], ids=["incompatible", "forced-bad-alpha", "estimate-incompatible", "forced-no-rho"])
+    def test_exits_1_before_out_exists(self, argv, match, tmp_path, capsys, monkeypatch):
+        def evaluate(*a, **kw):
+            raise AssertionError("an operator was evaluated before the policy check")
+        for name in ("__call__", "jacobian_at", "call_batch", "jacobian_batch_at"):
+            monkeypatch.setattr(OperatorInstance, name, evaluate)
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, *argv, "--out", str(out_dir))
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and match in err
+        assert not out_dir.exists()
+
+
+class TestWarnings:
+    def test_forced_run_prints_one_line_per_warning(self, tmp_path):
+        # pytest records the warnings of an in-process run, so the CLI runs in
+        # a child process with the default warning filters
+        src = os.path.dirname(os.path.dirname(egsolve.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from egsolve.cli import main; sys.exit(main())",
+             "reproduce", "fig3", "--iters", "50", "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 3   # 50 iterations are too few for fig3's checks
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 2 and all(ln.startswith("warning: policy ") for ln in lines)
+
+    def test_pytest_warns_still_records_them(self, tmp_path, capsys):
+        with pytest.warns(UserWarning, match="policy 'vankov'"):
+            code, _, err = run(capsys, "reproduce", "fig3", "--iters", "50",
+                               "--out", str(tmp_path))
+        assert code == 3 and err == ""
+
+
 class TestVerify:
+    def test_quadratic_grid_runs_on_block_kernels(self, tmp_path, capsys, monkeypatch):
+        def per_point(*a, **kw):
+            raise AssertionError("a point was evaluated on its own")
+        for name in ("__call__", "jacobian_at"):
+            monkeypatch.setattr(OperatorInstance, name, per_point)
+        code, out, _ = run(capsys, "verify", "--op", "quadratic", "--out", str(tmp_path))
+        assert code == 0 and "FAIL" not in out
+
     def test_declared_constants_pass(self, tmp_path, capsys):
         code, out, _ = run(capsys, "verify", "--op", "forsaken",
                            "--pairs", "50", "--grid", "41", "--out", str(tmp_path))

@@ -204,6 +204,8 @@ def _batch_points(dim, seed):
 @pytest.mark.parametrize("key,params", [
     ("forsaken", {}), ("signpower", {}),
     ("cubicRd", {"d": 1}), ("cubicRd", {"d": 2}), ("cubicRd", {"d": 10}),
+    ("quadratic", {}), ("cubic1d", {}), ("square", {}), ("bilinear", {}),
+    ("nplayer", {"n": 2}), ("nplayer", {"n": 6}),
 ])
 def test_batch_kernels_match_rows(key, params):
     op = build(key, **params)

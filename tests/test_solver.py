@@ -20,6 +20,7 @@ from egsolve.core import (
     SolveConfig,
     norm,
 )
+from egsolve.analysis import theoretical_bounds
 from egsolve.operators import build
 from egsolve.solver import (
     check_descent_invariants,
@@ -209,6 +210,20 @@ class TestConstantsBeforeEvaluation:
         with pytest.raises(err):
             eg_step(op, [1.0, 1.0], parse_policy(key))
         assert calls[0] == 0
+
+    def test_pethick_rho_is_resolved_before_evaluation(self):
+        # cubic1d declares no class, so no rho: a forced Pethick run cannot start
+        op = build("cubic1d")
+        calls = _counting(op)
+        cfg = SolveConfig(max_iters=5, x0=[0.5, 0.5], stop_tol=0.0)
+        with pytest.warns(UserWarning), pytest.raises(MissingConstant, match="rho"):
+            solve(op, parse_policy("pethick:0.1"), cfg, force=True)
+        with pytest.raises(MissingConstant, match="rho"):
+            eg_step(op, [0.5, 0.5], parse_policy("pethick:0.1"))
+        assert calls[0] == 0
+        with pytest.warns(UserWarning):   # a rho on the policy is enough
+            solve(op, parse_policy("pethick:0.1:0.05"), cfg, force=True)
+        assert calls[0] == 10
 
 
 class TestEvaluationCount:
@@ -417,6 +432,87 @@ class TestInvariants:
         assert rep.kind is m.kind and tr.kind is parse_policy(key).kind
         assert rep.n_checked == rep.n_transitions > 0
         assert rep.n_violations == 0, (key, rep.max_excess)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 5), seed=st.integers(0, 10 ** 6))
+    def test_random_weak_minty_operators_keep_thm8(self, n, seed):
+        # F(x) = M x, weak Minty with the exact rho; the descent is checked
+        # where gamma_k > 4 rho, so a void margin checks nothing
+        rng = np.random.default_rng(seed)
+        op = _weak_minty_affine(rng, n)
+        tr = solve(op, parse_policy("thm8"), SolveConfig(max_iters=300, x0=rng.standard_normal(n),
+                                                          stop_tol=0.0))
+        rep = check_descent_invariants(tr, op)
+        assert rep.kind is MonotoneClass.WEAK_MINTY
+        assert rep.n_checked in (0, rep.n_transitions)
+        assert rep.n_violations == 0, rep.max_excess
+
+
+def _weak_minty_affine(rng, n):
+    """F(x) = M x: 2 x 2 rotation-scalings [[a, b], [-b, a]] (a < 0 makes M
+    nonmonotone) and, for odd n, one positive 1 x 1 block, in a random
+    orthonormal basis; rho = max(0, -lambda_min(sym(M^-1))) is exact, since
+    <M x, x> >= -rho ||M x||^2 reads <y, M^-1 y> >= -rho ||y||^2 for y = M x."""
+    B = np.zeros((n, n))
+    for i in range(0, n - 1, 2):
+        r, c = rng.uniform(0.5, 2.0), rng.uniform(-0.2, 0.5)
+        a, b = c * r, r * math.sqrt(1.0 - c * c)
+        B[i:i + 2, i:i + 2] = [[a, b], [-b, a]]
+    if n % 2:
+        B[-1, -1] = rng.uniform(0.5, 2.0)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    M = Q @ B @ Q.T
+    Minv = np.linalg.inv(M)
+    rho = max(0.0, -float(np.linalg.eigvalsh((Minv + Minv.T) / 2).min()))
+    return OperatorInstance(dim=n, fn=lambda x: M @ x, solution=np.zeros(n), label="affine",
+                            smoothness=SmoothnessParams(1.0, float(np.linalg.norm(M, 2)), 0.0),
+                            monotonicity=MonotonicityParams(MonotoneClass.WEAK_MINTY, rho=rho))
+
+
+def _random_affine(rng, n, cls):
+    """F(x) = M x of the class: mu I + skew (exact mu), P P^T + skew with
+    rank P < n (monotone), or _weak_minty_affine's family."""
+    if cls is MonotoneClass.WEAK_MINTY:
+        return _weak_minty_affine(rng, n)
+    K = rng.standard_normal((n, n))
+    if cls is MonotoneClass.STRONGLY_MONOTONE:
+        mu = float(rng.uniform(0.1, 2.0))
+        M, m = mu * np.eye(n) + (K - K.T) / 2, MonotonicityParams(cls, mu=mu)
+    else:
+        P = rng.standard_normal((n, int(rng.integers(0, n))))
+        M, m = P @ P.T + (K - K.T) / 2, MonotonicityParams(cls)
+    return OperatorInstance(dim=n, fn=lambda x: M @ x, solution=np.zeros(n), label="affine",
+                            smoothness=SmoothnessParams(1.0, float(np.linalg.norm(M, 2)), 0.0),
+                            monotonicity=m)
+
+
+class TestRatesOnRandomOperators:
+    # the observed rate stays inside theoretical_bounds' closed form: thm3's
+    # d_K^2 <= rate^K d_0^2, and thm5's and thm8's min_{k<=K} ||F||^2 (K+1)
+    # <= sublinear_const (thm8 on ||F(xhat_k)||, the norm its descent controls)
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 5), seed=st.integers(0, 10 ** 6),
+           key=st.sampled_from(["thm3", "thm5", "thm8"]))
+    def test_observed_rate_inside_the_bound(self, n, seed, key):
+        cls = {"thm3": MonotoneClass.STRONGLY_MONOTONE, "thm5": MonotoneClass.MONOTONE,
+               "thm8": MonotoneClass.WEAK_MINTY}[key]
+        rng = np.random.default_rng(seed)
+        op = _random_affine(rng, n, cls)
+        x0 = rng.standard_normal(n)
+        policy = parse_policy(key)
+        tr = solve(op, policy, SolveConfig(max_iters=300, x0=x0, stop_tol=0.0))
+        bound = theoretical_bounds(op, policy.kind, x0)
+        if key == "thm3":
+            d2 = np.array([r.dist_sq for r in tr.rows] + [tr.final_dist_sq])
+            envelope = bound.rate ** np.arange(len(d2)) * d2[0]
+            assert (d2 <= envelope * (1.0 + 1e-9)).all()
+            return
+        if bound.guarantee_void:
+            assert key == "thm8"
+            return
+        norms = [r.norm_F_xhat if key == "thm8" else r.norm_F_x for r in tr.rows]
+        best = np.minimum.accumulate(np.square(norms)) * np.arange(1, len(norms) + 1)
+        assert (best <= bound.sublinear_const * (1.0 + 1e-9)).all()
 
     def test_tolerance_knob(self):
         op = build("quadratic")
