@@ -447,6 +447,13 @@ class TestInvariants:
         assert rep.n_checked in (0, rep.n_transitions)
         assert rep.n_violations == 0, rep.max_excess
 
+    def test_tolerance_knob(self):
+        op = build("quadratic")
+        cfg = SolveConfig(max_iters=20, x0=[1.0, 1.0], stop_tol=0.0)
+        tr = solve(op, parse_policy("thm3"), cfg)
+        strict = check_descent_invariants(tr, op, tol=-1.0)
+        assert strict.n_violations == strict.n_checked  # negative tol flags everything
+
 
 def _weak_minty_affine(rng, n):
     """F(x) = M x: 2 x 2 rotation-scalings [[a, b], [-b, a]] (a < 0 makes M
@@ -513,13 +520,6 @@ class TestRatesOnRandomOperators:
         norms = [r.norm_F_xhat if key == "thm8" else r.norm_F_x for r in tr.rows]
         best = np.minimum.accumulate(np.square(norms)) * np.arange(1, len(norms) + 1)
         assert (best <= bound.sublinear_const * (1.0 + 1e-9)).all()
-
-    def test_tolerance_knob(self):
-        op = build("quadratic")
-        cfg = SolveConfig(max_iters=20, x0=[1.0, 1.0], stop_tol=0.0)
-        tr = solve(op, parse_policy("thm3"), cfg)
-        strict = check_descent_invariants(tr, op, tol=-1.0)
-        assert strict.n_violations == strict.n_checked  # negative tol flags everything
 
 
 class TestTraceCsv:
