@@ -288,78 +288,66 @@ def verify_segment_condition(F: OperatorInstance, s: SmoothnessParams, pairs: in
     NonFiniteEvaluation when ||F|| is not finite on a sampled segment, and
     ValueError when the sample breaks check_pairs.
     """
+    rhs = lambda nF, dist: (s.L0 + s.L1 * _pow_alpha_rows(nF.max(axis=1), s.alpha)) * dist
+    return _pair_check(F, box, pairs, seed, theta_grid, rhs, 1e-10, "segment-max")
+
+
+def _pair_check(F: OperatorInstance, box: BoxLike, pairs: int, seed: int, theta_grid: int,
+                rhs: Callable, tol: float, route: str) -> PairCheckReport:
+    """Check ||F(x) - F(y)|| <= rhs(nF, ||x - y||) + tol on seeded uniform pairs
+    (x, y) in the box, drawn in blocks; nF holds a pair's ||F(theta x + (1 - theta) y)||
+    on the uniform theta grid from 0 (y) to 1 (x). Raises ValueError before any
+    evaluation when the sample breaks check_pairs, and NonFiniteEvaluation at the
+    first pair with a non-finite ||F||, whose slack would be meaningless."""
     check_pairs(pairs, theta_grid)
     thetas = np.linspace(0.0, 1.0, theta_grid)[:, None]
-    viol = 0
-    min_slack = math.inf
-    with overflow_as_data():
-        for x, y, FP, nF in _pair_blocks(F, box, pairs, seed, thetas):
-            # theta = 1 and theta = 0 give x and y exactly: 1*x + 0*y == x
-            lhs = _row_norms(FP[:, -1] - FP[:, 0])
-            rhs = (s.L0 + s.L1 * _pow_alpha_rows(nF.max(axis=1), s.alpha)) * _row_norms(x - y)
-            slack = rhs + 1e-10 - lhs
-            viol += int(np.count_nonzero(slack < 0))
-            min_slack = min(min_slack, float(slack.min()))
-    return PairCheckReport(pairs, viol, min_slack, route="segment-max")
-
-
-def _pair_blocks(F: OperatorInstance, box: BoxLike, pairs: int, seed: int,
-                 thetas: np.ndarray):
-    """Seeded uniform pairs (x, y) in the box, in blocks: yields x, y, the
-    values F(theta x + (1 - theta) y) per pair and theta row, and their norms.
-    Raises NonFiniteEvaluation at the first pair with a non-finite ||F||, whose
-    slack would be meaningless."""
     lo, hi = box_bounds(box, F.dim)
     rng = np.random.default_rng(seed)
-    step = _block_len(F.dim, thetas.shape[0])
-    for start in range(0, pairs, step):
-        # drawn in (pair, x|y, coordinate) order: the stream of per-pair draws
-        x, y = rng.uniform(lo, hi, size=(min(step, pairs - start), 2, F.dim)).transpose(1, 0, 2)
-        pts = thetas * x[:, None, :] + (1.0 - thetas) * y[:, None, :]
-        FP = F.call_batch(pts.reshape(-1, F.dim)).reshape(pts.shape)
-        nF = _row_norms(FP)
-        bad = ~np.isfinite(nF).all(axis=1)
-        if bad.any():
-            k = int(np.argmax(bad))
-            raise NonFiniteEvaluation(
-                f"non-finite ||F|| on sampled pair {start + k} (x={x[k]}, y={y[k]})")
-        yield x, y, FP, nF
+    step = _block_len(F.dim, theta_grid)
+    viol, min_slack = 0, math.inf
+    with overflow_as_data():
+        for start in range(0, pairs, step):
+            # drawn in (pair, x|y, coordinate) order: the stream of per-pair draws
+            x, y = rng.uniform(lo, hi, size=(min(step, pairs - start), 2, F.dim)).transpose(1, 0, 2)
+            pts = thetas * x[:, None, :] + (1.0 - thetas) * y[:, None, :]
+            FP = F.call_batch(pts.reshape(-1, F.dim)).reshape(pts.shape)
+            nF = _row_norms(FP)
+            bad = ~np.isfinite(nF).all(axis=1)
+            if bad.any():
+                k = int(np.argmax(bad))
+                raise NonFiniteEvaluation(
+                    f"non-finite ||F|| on sampled pair {start + k} (x={x[k]}, y={y[k]})")
+            # theta = 1 and theta = 0 give x and y exactly: 1*x + 0*y == x
+            slack = rhs(nF, _row_norms(x - y)) + tol - _row_norms(FP[:, -1] - FP[:, 0])
+            viol += int(np.count_nonzero(slack < 0))
+            min_slack = min(min_slack, float(slack.min()))
+    return PairCheckReport(pairs, viol, min_slack, route)
 
 
-def prop1_rhs(s: SmoothnessParams, norm_Fx: float, dist: float) -> float:
-    """Two-point bound free of the segment maximum, from the declared constants.
+def prop1_rhs(s: SmoothnessParams, norm_Fx, dist):
+    """Two-point bound free of the segment maximum, from the declared constants,
+    at numbers or elementwise over arrays.
 
     alpha = 1: (L0 + L1 ||F(x)||) exp(L1 ||x-y||) ||x-y||.
     alpha < 1: (K0 + K1 ||F(x)||^alpha + K2 ||x-y||^{alpha/(1-alpha)}) ||x-y||.
     """
-    if s.alpha == 1.0:
-        return (s.L0 + s.L1 * norm_Fx) * math.exp(s.L1 * dist) * dist
-    kc = k_constants(s)
-    a = s.alpha
-    return (kc.K0 + kc.K1 * pow_alpha(norm_Fx, a)
-            + kc.K2 * pow_alpha(dist, a / (1.0 - a))) * dist
+    with overflow_as_data():   # an overflow gives inf, and log 0 = -inf gives 0 ** a = 0
+        if s.alpha == 1.0:
+            return (s.L0 + s.L1 * norm_Fx) * np.exp(s.L1 * dist) * dist
+        kc = k_constants(s)
+        a = s.alpha
+        return (kc.K0 + kc.K1 * _pow_alpha_rows(norm_Fx, a)
+                + kc.K2 * _pow_alpha_rows(dist, a / (1.0 - a))) * dist
 
 
 def verify_proposition1(F: OperatorInstance, s: SmoothnessParams, pairs: int,
                         box: BoxLike = 3.0, seed: int = 0) -> PairCheckReport:
     """Sampled check of the segment-free two-point bound (see prop1_rhs).
-    Raises NonFiniteEvaluation when ||F|| is not finite at a sampled point."""
-    if pairs < 1:
-        raise ValueError(f"pairs must be >= 1, got {pairs}")
-    viol = 0
-    min_slack = math.inf
-    with overflow_as_data():
-        # theta = 1 and theta = 0 are the pair's endpoints x and y
-        for x, y, FP, nF in _pair_blocks(F, box, pairs, seed, np.array([[1.0], [0.0]])):
-            lhs = _row_norms(FP[:, 0] - FP[:, 1])
-            dist = _row_norms(x - y)
-            for nfx, d, l in zip(nF[:, 0].tolist(), dist.tolist(), lhs.tolist()):
-                slack = prop1_rhs(s, nfx, d) + 1e-9 - l
-                min_slack = min(min_slack, slack)
-                if slack < 0:
-                    viol += 1
+    Raises NonFiniteEvaluation when ||F|| is not finite at a sampled point,
+    and ValueError when the sample breaks check_pairs at 2 points per pair."""
+    rhs = lambda nF, dist: prop1_rhs(s, nF[:, -1], dist)
     route = "exp-bound" if s.alpha == 1.0 else "k-constants"
-    return PairCheckReport(pairs, viol, min_slack, route=route)
+    return _pair_check(F, box, pairs, seed, 2, rhs, 1e-9, route)
 
 
 def check_alpha_grid(alpha_grid: Sequence[float]) -> None:

@@ -131,7 +131,7 @@ def _policy(args, op) -> StepSizePolicy:
         if not args.force:
             solver.check_policy_compat(op, policy)
     except (ValueError, IncompatiblePolicy) as e:
-        raise _UsageError(str(e)) from None
+        raise _UsageError(str(e).replace("force=True", "--force")) from None
     solver.resolve_policy(op, policy)
     return policy
 
@@ -462,19 +462,19 @@ def _add_common(p, iters_default=None, tol_default=None):
     p.add_argument("--tol", type=float, default=tol_default)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="egsolve-out")
-    p.add_argument("--force", action="store_true",
-                   help="run despite a policy/class mismatch (downgrades to a warning)")
 
 
 def _build_parser() -> _Parser:
     ap = _Parser(prog="egsolve", description=__doc__,
                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--config", help="INI file; section [SUBCOMMAND] supplies flag defaults")
-    sub = ap.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    sub = ap.commands = ap.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("solve", help="run one policy on one operator")
     _add_common(p, iters_default=1000, tol_default=1e-14)
     p.add_argument("--policy", required=True, help=POLICY_KEY_HELP)
+    p.add_argument("--force", action="store_true",
+                   help="run despite a policy/class mismatch (downgrades to a warning)")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("sweep", help="grid of adaptive denominators 1/(c0 + c1*||F||)")
@@ -529,13 +529,15 @@ def _build_parser() -> _Parser:
 _TRUE = {"1", "true", "yes", "on"}
 
 
-def _apply_config(argv: List[str]) -> List[str]:
-    """Expand --config FILE into per-subcommand default tokens.
+def _apply_config(argv: List[str], parser: _Parser) -> List[str]:
+    """Expand --config FILE or --config=FILE into per-subcommand default tokens.
 
-    Section [SUBCOMMAND] keys become '--key value' tokens inserted right after
-    the subcommand, so explicit command-line flags still win (last occurrence
-    takes precedence for argparse store actions).
+    Section [SUBCOMMAND] keys name the subcommand's flags in any case ('l0'
+    gives --L0) and become '--flag value' tokens (a bare --force or --from-grid
+    when true) inserted right after the subcommand, so explicit command-line
+    flags still win (last occurrence takes precedence for argparse store actions).
     """
+    argv = [t for a in argv for t in (a.split("=", 1) if a.startswith("--config=") else [a])]
     if "--config" not in argv:
         return argv
     i = argv.index("--config")
@@ -555,13 +557,15 @@ def _apply_config(argv: List[str]) -> List[str]:
         raise _UsageError(f"bad config file {path}: {' '.join(str(e).split())}") from None
     cmd = rest[0]
     tokens: List[str] = []
-    if ini.has_section(cmd):
+    if ini.has_section(cmd) and cmd in parser.commands.choices:
+        flags = {o.lower(): (o, a.nargs == 0)
+                 for a in parser.commands.choices[cmd]._actions for o in a.option_strings}
         for key, val in ini.items(cmd):
-            if key in ("force", "from-grid", "from_grid"):
-                if val.strip().lower() in _TRUE:
-                    tokens.append(f"--{key.replace('_', '-')}")
-            else:
-                tokens += [f"--{key}", val]
+            flag, switch = flags.get(f"--{key.replace('_', '-')}".lower(), (f"--{key}", False))
+            if not switch:
+                tokens += [flag, val]
+            elif val.strip().lower() in _TRUE:
+                tokens.append(flag)
     return [cmd] + tokens + rest[1:]
 
 
@@ -570,7 +574,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     # a library warning prints as one line; the warning filters stay as they are
     shown, warnings.formatwarning = warnings.formatwarning, lambda msg, *_: f"warning: {msg}\n"
     try:
-        args = _build_parser().parse_args(_apply_config(argv))
+        parser = _build_parser()
+        args = parser.parse_args(_apply_config(argv, parser))
         return args.func(args)
     except _UsageError as e:
         print(str(e), file=sys.stderr)

@@ -214,7 +214,8 @@ class OperatorInstance:
     an operator was built from, when its builder exposes them (cubicRd:
     (A, B, C)). `fn_batch` and `jacobian_batch` are optional block kernels
     whose rows are points: (N, dim) -> (N, dim) and (N, dim) -> (N, dim, dim);
-    `call_batch` and `jacobian_batch_at` loop over the rows without them.
+    `call_batch` and `jacobian_batch_at` loop over the rows without them, and
+    return C-contiguous blocks either way.
     """
     dim: int
     fn: Callable[[np.ndarray], np.ndarray]
@@ -283,7 +284,7 @@ class OperatorInstance:
         if out.shape != shape:
             raise DimensionMismatch(
                 f"{self.label or 'operator'} returned shape {out.shape}, expected {shape}")
-        return out
+        return np.ascontiguousarray(out)   # a norm along strided rows can sum in another order
 
 
 # ---------------------------------------------------------------------------

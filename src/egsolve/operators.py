@@ -45,10 +45,9 @@ def _coupled_2x2(a, b, c=1.0):
 def _instance(fn, jac_batch, fn_batch=None, **declared) -> OperatorInstance:
     """An operator from its field and its block Jacobian (rows are points). The
     per-point Jacobian is the kernel's one-row case; the block field defaults to
-    fn, which must work elementwise, on the transposed block, copied back to rows
-    (a norm along strided rows can sum in another order)."""
+    fn, which must work elementwise, on the transposed block."""
     return OperatorInstance(fn=fn, jacobian=lambda x: jac_batch(x[None])[0],
-                            fn_batch=fn_batch or (lambda X: np.ascontiguousarray(fn(X.T).T)),
+                            fn_batch=fn_batch or (lambda X: fn(X.T).T),
                             jacobian_batch=jac_batch, **declared)
 
 

@@ -289,6 +289,25 @@ class TestZooBlockKernels:
         assert seg.n_violations == seg_ref.n_violations
         assert same(seg.min_slack, seg_ref.min_slack)
 
+    def test_transposed_user_block_equals_the_row_loop(self):
+        # a user fn_batch whose block comes back transposed (strided rows):
+        # its norms must sum in the row loop's order, bit for bit
+        fn = build("nplayer", n=3).fn
+        op = dataclasses.replace(build("nplayer", n=3), fn_batch=lambda X: fn(X.T).T)
+        ref = dataclasses.replace(op, fn_batch=None, jacobian_batch=None)
+        s = op.smoothness
+        hexes = lambda *vals: [v.hex() for v in vals]
+        for got, want in zip(grid_samples(op, 50.0, 40), grid_samples(ref, 50.0, 40)):
+            assert hexes(got.norm_F, got.norm_J) == hexes(want.norm_F, want.norm_J)
+        fit, fit_ref = verify_condition(op, s, 50.0, 40), verify_condition(ref, s, 50.0, 40)
+        (got,), (want,) = fit.samples, fit_ref.samples
+        assert (hexes(fit.max_violation, got.norm_F, got.norm_J)
+                == hexes(fit_ref.max_violation, want.norm_F, want.norm_J))
+        seg = verify_segment_condition(op, s, pairs=500, box=50.0, seed=1)
+        seg_ref = verify_segment_condition(ref, s, pairs=500, box=50.0, seed=1)
+        assert seg.n_violations == seg_ref.n_violations
+        assert hexes(seg.min_slack) == hexes(seg_ref.min_slack)
+
 
 def all_svd_fit(F, s, box, n):
     """(max_violation, worst norm_F, worst norm_J) of the grid route with an
@@ -520,6 +539,48 @@ class TestPairChecks:
         rep = verify_proposition1(op, s, pairs=3000, box=2.0, seed=3)
         assert rep.min_slack == pytest.approx(min(prop), rel=1e-12)
         assert rep.n_violations == sum(v < 0 for v in prop)
+
+    @pytest.mark.parametrize("scale", [1.0, 0.1], ids=["declared", "tenth"])
+    @pytest.mark.parametrize("key", ["square", "logistic", "forsaken"])
+    def test_proposition1_matches_a_scalar_loop(self, key, scale):
+        # Proposition 1 written out per pair with math.exp and scalar K
+        # constants, over three blocks of pairs; a tenth of the declared
+        # constants makes violations to count
+        op = build(key)
+        s = dataclasses.replace(op.smoothness, L0=scale * op.smoothness.L0,
+                                L1=scale * op.smoothness.L1)
+        a = s.alpha
+        rng, slacks = np.random.default_rng(5), []
+        for _ in range(3000):
+            x, y = rng.uniform(-3.0, 3.0, 2), rng.uniform(-3.0, 3.0, 2)
+            nfx, dist = norm(op(x)), norm(x - y)
+            if a == 1.0:
+                rhs = (s.L0 + s.L1 * nfx) * math.exp(s.L1 * dist) * dist
+            else:
+                kc = k_constants(s)
+                rhs = (kc.K0 + kc.K1 * nfx ** a + kc.K2 * dist ** (a / (1.0 - a))) * dist
+            slacks.append(rhs + 1e-9 - norm(op(x) - op(y)))
+        rep = verify_proposition1(op, s, pairs=3000, seed=5)
+        assert rep.route == ("exp-bound" if a == 1.0 else "k-constants")
+        assert rep.n_violations == sum(v < 0 for v in slacks)
+        assert rep.min_slack == pytest.approx(min(slacks), rel=1e-12)
+
+    def test_proposition1_rhs_takes_arrays_and_zero(self):
+        s = SmoothnessParams(0.5, 1.0, 2.0)
+        kc = k_constants(s)
+        nf, dist = np.array([0.0, 1.5, 4.0]), np.array([0.5, 0.0, 2.0])
+        want = [(kc.K0 + kc.K1 * f ** 0.5 + kc.K2 * d) * d for f, d in zip(nf, dist)]
+        assert prop1_rhs(s, nf, dist) == pytest.approx(want, rel=1e-12)
+        assert prop1_rhs(s, 0.0, 0.5) == pytest.approx((kc.K0 + kc.K2 * 0.5) * 0.5, rel=1e-12)
+        assert prop1_rhs(SmoothnessParams(1.0, 1.0, 1e3), 1.0, 1.0) == math.inf   # no warning
+
+    def test_proposition1_pair_limit(self):
+        def evaluate(*a, **kw):
+            raise AssertionError("an operator was evaluated before the size check")
+        op = OperatorInstance(dim=2, fn=evaluate, fn_batch=evaluate)
+        with pytest.raises(ValueError, match="pairs must lie in"):
+            verify_proposition1(op, SmoothnessParams(1.0, 1.0, 1.0),
+                                pairs=MAX_GRID_POINTS // 2 + 1)
 
     @pytest.mark.parametrize("batched", [False, True])
     def test_one_evaluation_per_point(self, batched):

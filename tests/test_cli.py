@@ -1,8 +1,10 @@
 import csv
 import hashlib
+import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import threading
@@ -155,6 +157,27 @@ class TestX0AndConfig:
         assert code == 0
         assert "iters=3" in out
 
+    def test_config_with_equals_sign(self, tmp_path, capsys):
+        # --config=FILE used to pass through unexpanded: 1000 iterations, exit 0
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[solve]\niters = 3\n")
+        code, out, _ = run(capsys, f"--config={cfg}", "solve", "--op", "quadratic",
+                           "--x0", "1,1", "--policy", "thm3", "--tol", "0",
+                           "--out", str(tmp_path / "o"))
+        assert code == 0
+        assert "iters=3" in out
+
+    def test_config_keys_match_flags_in_any_case(self, tmp_path, capsys):
+        # configparser lowercases keys; 'l0' must still give --L0, not --l0
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[verify]\nL0 = 10\nL1 = 10\n")
+        argv = ["verify", "--op", "quadratic", "--alpha", "1", "--grid", "5", "--pairs", "3",
+                "--out", str(tmp_path / "o")]
+        code, out, err = run(capsys, "--config", str(cfg), *argv)
+        assert code == 0 and err == ""
+        assert (code, out) == run(capsys, *argv, "--L0", "10", "--L1", "10")[:2]
+        assert out != run(capsys, *argv, "--L0", "1", "--L1", "1")[1]
+
 
 class TestSweep:
     def test_grid_csv_with_diverged_cell(self, tmp_path, capsys):
@@ -184,6 +207,13 @@ class TestSweep:
         ]
         assert (hashlib.sha256((tmp_path / "sweep.csv").read_bytes()).hexdigest()
                 == "97ee48c7cf4e916b5a9018fa6a3f1336bf9210b79d76a61d6574f0ee43ba8aa5")
+
+    def test_force_is_not_a_sweep_flag(self, tmp_path, capsys):
+        # adaptive cells have no class requirement for --force to lift
+        code, out, err = run(capsys, *SWEEP_2X2, "--force", "--out", str(tmp_path / "o"))
+        assert code == 1 and out == ""
+        assert "unrecognized arguments: --force" in err
+        assert not (tmp_path / "o").exists()
 
     def test_rejects_non_numeric_grid(self, tmp_path, capsys):
         code, _, err = run(capsys, "sweep", "--op", "cubic1d", "--x0", "1,1",
@@ -410,6 +440,13 @@ class TestRefusedPolicy:
         assert len(err.splitlines()) == 1 and match in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("command", [["solve", "--x0", "1,1"], ["estimate"]])
+    def test_refusal_names_the_cli_flag(self, command, tmp_path, capsys):
+        code, _, err = run(capsys, *command, "--op", "square", "--policy", "thm3",
+                           "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert "--force" in err and "force=True" not in err
+
 
 class TestWarnings:
     def test_forced_run_prints_one_line_per_warning(self, tmp_path):
@@ -430,6 +467,26 @@ class TestWarnings:
             code, _, err = run(capsys, "reproduce", "fig3", "--iters", "50",
                                "--out", str(tmp_path))
         assert code == 3 and err == ""
+
+
+class TestBenchmarkTrace:
+    def test_traced_verify_grid_run_passes(self, tmp_path):
+        # perfbench/layers.py wraps egsolve names that src/ itself may not use
+        # (cli.spectral_norm, solver.gamma, each module's norm, ...): deleting
+        # one breaks every --trace 1 run. The run works on a copy of the
+        # checkout, so nothing is written into it.
+        root = os.path.dirname(os.path.dirname(os.path.dirname(egsolve.__file__)))
+        for name in ("src", "perfbench"):
+            shutil.copytree(os.path.join(root, name), tmp_path / name,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy(os.path.join(root, "BENCHMARK.json"), tmp_path)
+        proc = subprocess.run(
+            [sys.executable, "perfbench/run.py", "--workload", "verify-grid", "--seed", "42",
+             "--seconds", "0", "--trace", "1"],
+            capture_output=True, text=True, timeout=300, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert result["correct"] is True and result["failed"] == 0
 
 
 class TestVerify:
