@@ -27,6 +27,7 @@ from .core import (
     SmoothnessParams,
     SolveConfig,
     norm,
+    overflow_as_data,
     spectral_norm,  # unused here; perfbench/layers.py still wraps cli.spectral_norm by name
     write_csv,
 )
@@ -178,9 +179,9 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _sweep_cell(op, policy, cfg, d20: float, rel_tol: float) -> Tuple[int, float]:
-    """(iters_to_tol, final_relerr) of one cell, (-1, inf) if it diverged or
-    ended above 10x its starting error. No trace outlives this frame."""
+def _sweep_cell(op, policy, cfg, d20: float) -> Tuple[int, float]:
+    """(iters_to_tol, final_relerr) of one summary-only cell, (-1, inf) if it
+    diverged or ended above 10x its starting error."""
     try:
         tr = solver.solve(op, policy, cfg)
     except NonFiniteIterate:
@@ -188,23 +189,32 @@ def _sweep_cell(op, policy, cfg, d20: float, rel_tol: float) -> Tuple[int, float
     relerr = tr.final_dist_sq / d20
     if not math.isfinite(relerr) or relerr > 10.0:
         return -1, math.inf
-    return _first_hit(tr.rows, lambda r: r.dist_sq / d20, rel_tol), relerr
+    return tr.first_rel_hit, relerr
 
 
 def _sweep(op, cells, x0, iters: int, rel_tol: float, out: str) -> List[tuple]:
     """Run adaptive cells 1/(c0 + c1*||F||) in order (c1 = 0: step 1/c0) from x0,
-    relative to ||x0 - x*||^2 of op's root; rel_tol, x0 and all cells are checked before
-    the first runs. Write sweep.csv, return (c0, c1, iters_to_tol, final_relerr)."""
+    relative to ||x0 - x*||^2 of op's root; iters, rel_tol, x0 and all cells are
+    checked before the first runs. Cells keep no trace rows: `solve` records each
+    one's first relative hit. Write sweep.csv, return (c0, c1, iters_to_tol,
+    final_relerr)."""
+    if not 1 <= iters <= MAX_TRACE_ROWS:
+        raise _UsageError(f"--iters {iters}: a sweep cell takes 1..{MAX_TRACE_ROWS} "
+                          f"(MAX_TRACE_ROWS) iterations")
     if not 0.0 <= rel_tol < math.inf:
         raise _UsageError(f"--tol {rel_tol}: the relative tolerance must be finite and >= 0")
-    cfg = SolveConfig(max_iters=iters, x0=x0, stop_tol=0.0)
-    d20 = float((cfg.x0 - op.solution) @ (cfg.x0 - op.solution))
-    if d20 == 0.0:
-        raise _UsageError(f"sweep: x0 is the root of '{op.label}'; the relative error "
+    cfg = SolveConfig(max_iters=iters, x0=x0, stop_tol=0.0, record_trace=False,
+                      rel_tol=rel_tol)
+    with overflow_as_data():   # solve's row-0 dist_sq, bit for bit
+        e = cfg.x0 - op.solution
+        d20 = float(e.dot(e))
+    if not 0.0 < d20 < math.inf:
+        why = "x0 is the root of" if d20 == 0.0 else "||x0 - x*||^2 overflows on"
+        raise _UsageError(f"sweep: {why} '{op.label}'; the relative error "
                           f"||x_k - x*||^2 / ||x0 - x*||^2 is undefined")
     policies = [StepSizePolicy(kind=PolicyKind.ADAPTIVE, c0=c0, c1=c1) for c0, c1 in cells]
     csv_path = os.path.join(_ensure_out(out), "sweep.csv")
-    rows = [(*cell, *_sweep_cell(op, p, cfg, d20, rel_tol)) for cell, p in zip(cells, policies)]
+    rows = [(*cell, *_sweep_cell(op, p, cfg, d20)) for cell, p in zip(cells, policies)]
     write_csv(csv_path, ["c0", "c1", "iters_to_tol", "final_relerr"], rows)
     return rows
 
@@ -452,7 +462,7 @@ def cmd_reproduce(args) -> int:
 # parser wiring
 # ---------------------------------------------------------------------------
 
-_ITERS_HELP = f"iteration budget (at most {MAX_TRACE_ROWS}: every iteration is traced)"
+_ITERS_HELP = f"iteration budget (at most {MAX_TRACE_ROWS})"
 
 
 def _add_common(p, iters_default=None, tol_default=None):

@@ -109,6 +109,9 @@ def norm(x) -> float:
     return math.sqrt(float(a.dot(a)))
 
 
+_F64 = np.dtype(np.float64)
+
+
 # ---------------------------------------------------------------------------
 # parameter records
 # ---------------------------------------------------------------------------
@@ -240,8 +243,15 @@ class OperatorInstance:
 
     def __call__(self, x) -> np.ndarray:
         # plain numpy evaluation: overflow warns here unless the caller holds
-        # overflow_as_data(), as every library loop does
-        out = np.asarray(self.fn(np.asarray(x, dtype=np.float64)), dtype=np.float64).reshape(-1)
+        # overflow_as_data(), as every library loop does. A float64 ndarray goes
+        # to fn as it is, and fn's float64 vector of length dim comes back as it
+        # is (possibly strided); anything else is converted and reshaped.
+        if type(x) is not np.ndarray or x.dtype is not _F64:
+            x = np.asarray(x, dtype=np.float64)
+        out = self.fn(x)
+        if type(out) is np.ndarray and out.dtype is _F64 and out.shape == (self.dim,):
+            return out
+        out = np.asarray(out, dtype=np.float64).reshape(-1)
         if out.shape[0] != self.dim:
             raise DimensionMismatch(
                 f"{self.label or 'operator'} returned dimension {out.shape[0]}, expected {self.dim}")
@@ -299,11 +309,14 @@ MAX_TRACE_ROWS = 10 ** 6
 @dataclass(frozen=True)
 class SolveConfig:
     """Iteration budget, start and stopping tolerance; a recorded trace takes
-    at most MAX_TRACE_ROWS iterations, a summary-only run any number."""
+    at most MAX_TRACE_ROWS iterations, a summary-only run any number. With
+    `rel_tol` (finite, >= 0) and a declared root, `solve` records the trace's
+    `first_rel_hit`."""
     max_iters: int
     x0: np.ndarray
     stop_tol: float = 1e-14
     record_trace: bool = True
+    rel_tol: Optional[float] = None
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -313,10 +326,12 @@ class SolveConfig:
                              f"{MAX_TRACE_ROWS}, the most iterations a recorded trace keeps")
         if not (self.stop_tol >= 0):
             raise ValueError(f"stop_tol must be nonnegative, got {self.stop_tol}")
+        if self.rel_tol is not None and not (0.0 <= self.rel_tol < math.inf):
+            raise ValueError(f"rel_tol must be finite and nonnegative, got {self.rel_tol}")
         object.__setattr__(self, "x0", vec(self.x0, what="x0"))
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceRow:
     k: int
     x_k: Optional[np.ndarray]
@@ -336,6 +351,9 @@ class SolveTrace:
     min_norm_F_xhat), first index wins ties. `final_x` is the iterate after the
     last update; rows may be empty when the run was summary-only. `kind` is the
     PolicyKind that produced the trace (None for a trace read back from CSV).
+    `first_rel_hit` is the first k whose row (recorded or not) has
+    dist_sq_k / dist_sq_0 <= `SolveConfig.rel_tol`, -1 if none; None when the
+    run had no rel_tol or no root.
     """
     rows: list = field(default_factory=list)
     iterations_run: int = 0
@@ -347,6 +365,7 @@ class SolveTrace:
     final_x: Optional[np.ndarray] = None
     reason: str = ""
     kind: Optional[enum.Enum] = None
+    first_rel_hit: Optional[int] = None
 
     def recomputed_minima(self):
         """Recompute (min ||F(x_k)||, min ||F(xhat_k)||) from rows."""

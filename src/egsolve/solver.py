@@ -52,23 +52,24 @@ def resolve_policy(F: OperatorInstance, policy: StepSizePolicy) -> tuple:
     return policy.rule(F.smoothness, m), rho
 
 
-def _one_step(F: OperatorInstance, x: np.ndarray, policy: StepSizePolicy, rule, rho,
-              F_x: np.ndarray, norm_F_x: float) -> tuple:
-    """(gamma_k, xhat, F(xhat), omega_k, next_x) of one step from x.
+def _one_step(F: OperatorInstance, x: np.ndarray, policy: StepSizePolicy, g: float, rho,
+              F_x: np.ndarray) -> tuple:
+    """(xhat, F(xhat), omega_k) of one step from x with extrapolation step g > 0.
 
-    F(x) and its norm come from the caller, so a step evaluates F only at xhat.
+    F(x) comes from the caller, so a step evaluates F only at xhat. The equal
+    and half update rules need no call to `omega`; the caller has checked g.
     """
-    g = rule(norm_F_x)
     xhat = x - g * F_x
     F_xhat = F(xhat)
-    if policy.omega_rule is not OmegaRule.PETHICK:
-        w = omega(policy, g)
-    elif float(F_xhat @ F_xhat) == 0.0:
+    omega_rule = policy.omega_rule
+    if omega_rule is OmegaRule.EQUAL:
+        return xhat, F_xhat, g
+    if omega_rule is OmegaRule.HALF:
+        return xhat, F_xhat, 0.5 * g
+    if float(F_xhat @ F_xhat) == 0.0:
         # update term is zero either way; keep the row well-defined
-        w = g
-    else:
-        w = omega(policy, g, F_xhat=F_xhat, x_minus_xhat=x - xhat, rho=rho)
-    return g, xhat, F_xhat, w, x - w * F_xhat
+        return xhat, F_xhat, g
+    return xhat, F_xhat, omega(policy, g, F_xhat=F_xhat, x_minus_xhat=x - xhat, rho=rho)
 
 
 def eg_step(F: OperatorInstance, x_k, policy: StepSizePolicy, k: int = 0) -> IterationState:
@@ -77,9 +78,12 @@ def eg_step(F: OperatorInstance, x_k, policy: StepSizePolicy, k: int = 0) -> Ite
     rule, rho = resolve_policy(F, policy)
     with overflow_as_data():
         F_x = F(x)
-        g, xhat, F_xhat, w, next_x = _one_step(F, x, policy, rule, rho, F_x, norm(F_x))
+        g = rule(norm(F_x))
+        if not g > 0:
+            raise ValueError(f"gamma_k must be positive, got {g}")
+        xhat, F_xhat, w = _one_step(F, x, policy, g, rho, F_x)
     return IterationState(k=k, x=x, F_x=F_x, gamma_k=g, xhat=xhat,
-                          F_xhat=F_xhat, omega_k=w, next_x=next_x)
+                          F_xhat=F_xhat, omega_k=w, next_x=x - w * F_xhat)
 
 
 def _dist_sq(x: np.ndarray, xstar: Optional[np.ndarray]) -> Optional[float]:
@@ -121,8 +125,13 @@ def solve(F: OperatorInstance, policy: StepSizePolicy, cfg: SolveConfig,
     Each iteration evaluates F twice, at x_k and at xhat_k. The stopping
     iterate still gets a trace row (so minima and plots include it) but is
     not updated; `final_x` is then that iterate. A non-finite iterate or
-    evaluation raises NonFiniteIterate carrying the partial trace on its
+    evaluation, or a step gamma_k that underflows to 0 (its denominator
+    overflowed), raises NonFiniteIterate carrying the partial trace on its
     `trace` attribute and the offending index on `k`.
+
+    With `cfg.rel_tol` and a declared root, `first_rel_hit` is the first k
+    whose row has dist_sq / dist_sq_0 <= rel_tol, also when no rows are kept;
+    ValueError before any evaluation when ||x0 - x*||^2 is 0 or overflows.
     """
     check_policy_compat(F, policy, force=force)
     rule, rho = resolve_policy(F, policy)
@@ -130,16 +139,19 @@ def solve(F: OperatorInstance, policy: StepSizePolicy, cfg: SolveConfig,
     if x.shape[0] != F.dim:
         x = vec(x, F.dim, what="x0")
     xstar = F.solution
+    rel_tol = cfg.rel_tol if xstar is not None else None
     stop_tol = cfg.stop_tol
     tr = SolveTrace(kind=policy.kind)
     append = tr.rows.append if cfg.record_trace else None
-    # running minima over the recorded rows, first index wins ties; they are
-    # written to the trace on return and with every NonFiniteIterate
-    min_f, arg_f, min_h, arg_h = math.inf, -1, math.inf, -1
+    # running minima over the recorded rows, first index wins ties, and the
+    # first relative hit; they are written to the trace on return and with
+    # every NonFiniteIterate
+    min_f, arg_f, min_h, arg_h, hit = math.inf, -1, math.inf, -1, -1
 
     def _finish(k: int, reason: str, d2: Optional[float]) -> SolveTrace:
         tr.min_norm_F_x, tr.argmin_norm_F_x = min_f, arg_f
         tr.min_norm_F_xhat, tr.argmin_norm_F_xhat = min_h, arg_h
+        tr.first_rel_hit = None if rel_tol is None else hit
         tr.iterations_run = k
         tr.reason = reason
         tr.final_x = x
@@ -152,31 +164,41 @@ def solve(F: OperatorInstance, policy: StepSizePolicy, cfg: SolveConfig,
         return err
 
     with overflow_as_data():
+        d2 = d20 = _dist_sq(x, xstar)
+        if rel_tol is not None and not 0.0 < d20 < math.inf:
+            raise ValueError(f"rel_tol: ||x0 - x*||^2 = {d20}, so the relative error "
+                             f"||x_k - x*||^2 / ||x0 - x*||^2 is undefined")
         for k in range(cfg.max_iters):
             F_x = F(x)
-            nfx = norm(F_x)
+            # core.norm's bits: its one dot, or its contiguous copy of a strided vector
+            nfx = math.sqrt(F_x.dot(F_x)) if F_x.flags.c_contiguous else norm(F_x)
             if not math.isfinite(nfx):
                 raise _fail(k, "non-finite operator value")
-            d2 = _dist_sq(x, xstar)
-            g, xhat, F_xhat, w, next_x = _one_step(F, x, policy, rule, rho, F_x, nfx)
-            nfxh = norm(F_xhat)
+            g = rule(nfx)
+            if not g > 0:
+                raise _fail(k, f"step gamma_k underflowed to {g}")
+            xhat, F_xhat, w = _one_step(F, x, policy, g, rho, F_x)
+            nfxh = math.sqrt(F_xhat.dot(F_xhat)) if F_xhat.flags.c_contiguous else norm(F_xhat)
             stop = nfx <= stop_tol
             if not stop and not math.isfinite(nfxh):
                 raise _fail(k, "non-finite operator value at extrapolation point")
             if append is not None:
                 append(TraceRow(k, x.copy(), xhat, g, w, nfx, nfxh, d2))
+            if rel_tol is not None and hit < 0 and d2 / d20 <= rel_tol:
+                hit = k
             if nfx < min_f:
                 min_f, arg_f = nfx, k
             if nfxh < min_h:    # a non-finite nfxh (terminal row only) never wins
                 min_h, arg_h = nfxh, k
             if stop:
                 return _finish(k, "stop_tol", d2)
-            x = next_x
-            # a finite sum of squares proves every entry finite; only one that
-            # overflows needs the entrywise check
-            if not math.isfinite(x.dot(x)) and not np.isfinite(x).all():
+            x = x - w * F_xhat
+            # a finite sum of squares, ||x - x*||^2 when the root is known, proves
+            # every entry finite; only one that overflows needs the entrywise check
+            d2 = _dist_sq(x, xstar)
+            if not math.isfinite(x.dot(x) if d2 is None else d2) and not np.isfinite(x).all():
                 raise _fail(k + 1, "non-finite iterate")
-        return _finish(cfg.max_iters, "max_iters", _dist_sq(x, xstar))
+        return _finish(cfg.max_iters, "max_iters", d2)
 
 
 # ---------------------------------------------------------------------------

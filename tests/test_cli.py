@@ -49,6 +49,15 @@ class TestExitCodes:
         assert tr.reason == "nonfinite"
         assert len(tr.rows) >= 1
 
+    def test_underflowed_step_exits_2_with_partial_trace(self, tmp_path, capsys):
+        code, out, err = run(capsys, "solve", "--op", "quadratic", "--x0", "1e150,1e150",
+                             "--policy", "adaptive:1:1e200", "--iters", "5",
+                             "--out", str(tmp_path))
+        assert code == 2 and err == ""
+        assert out.startswith("diverged: step gamma_k underflowed to 0.0 at iteration 0")
+        tr = read_trace_csv(str(tmp_path / "trace.csv"))
+        assert (tr.rows, tr.iterations_run, tr.reason) == ([], 0, "nonfinite")
+
     def test_bad_policy_exits_1(self, tmp_path, capsys):
         for policy in ("bogus", "const:inf", "vankov:nan"):
             code, out, err = run(capsys, "solve", "--op", "quadratic", "--x0", "1,1",
@@ -220,6 +229,40 @@ class TestSweep:
                            "--c0", "10,abc", "--c1", "0", "--iters", "10",
                            "--out", str(tmp_path))
         assert code == 1 and err
+
+    def test_underflowed_step_is_a_diverged_cell(self, tmp_path, capsys):
+        # 1/(c0 + 1e200 ||F||) rounds to 0.0 from x0 = (1e150, 1e150); the
+        # c1 = 0 cells still run and the grid is written
+        code, out, err = run(capsys, "sweep", "--op", "quadratic", "--x0", "1e150,1e150",
+                             "--iters", "5", "--c0", "1,10", "--c1", "1e200,0",
+                             "--out", str(tmp_path))
+        assert code == 0 and err == ""
+        with open(tmp_path / "sweep.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [r[:2] for r in rows] == [["1.0", "1e+200"], ["1.0", "0.0"],
+                                         ["10.0", "1e+200"], ["10.0", "0.0"]]
+        assert rows[0][2:] == rows[2][2:] == ["-1", "inf"]
+        assert math.isfinite(float(rows[1][3])) and math.isfinite(float(rows[3][3]))
+
+    def test_rejects_overflowing_start_distance_before_creating_out(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, "sweep", "--op", "quadratic", "--x0", "1e160,1e160",
+                             "--c0", "10", "--c1", "0", "--iters", "5", "--out", str(out_dir))
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and "overflows" in err and "relative error" in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("iters", ["2000000", "0"])
+    def test_iters_bounded_before_creating_out(self, iters, tmp_path, capsys, monkeypatch):
+        def no_solve(*a, **kw):
+            raise AssertionError("a cell ran before the --iters check")
+        monkeypatch.setattr(solver, "solve", no_solve)
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, *SWEEP_2X2[:-2], "--iters", iters, "--out", str(out_dir))
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith(f"--iters {iters}:")
+        assert "MAX_TRACE_ROWS" in err
+        assert not out_dir.exists()
 
     def test_rejects_x0_at_root(self, tmp_path, capsys):
         code, out, err = run(capsys, "sweep", "--op", "quadratic", "--x0", "0,0",

@@ -27,7 +27,8 @@ from egsolve.core import (
     write_csv,
 )
 from egsolve.analysis import read_fit_csv, read_scatter_csv
-from egsolve.solver import read_trace_csv
+from egsolve.solver import read_trace_csv, solve
+from egsolve.stepsize import parse_policy
 
 
 class TestVec:
@@ -227,6 +228,56 @@ class TestOperatorInstance:
         with pytest.raises(DimensionMismatch):
             op(np.zeros(2))
 
+    def test_call_passes_float64_vectors_through(self):
+        seen = []
+        out = np.array([1.0, 2.0])
+        op = OperatorInstance(dim=2, fn=lambda x: seen.append(x) or out)
+        x = np.array([0.5, -0.5])
+        assert op(x) is out and seen[0] is x
+        op([1, 2])                                    # a list or an int array is converted
+        assert seen[1].dtype == np.float64 and np.array_equal(seen[1], [1.0, 2.0])
+
+    @pytest.mark.parametrize("make", [
+        lambda v: [float(a) for a in v],              # a list
+        lambda v: v.reshape(-1, 1),                   # a (dim, 1) column
+        lambda v: v.astype(np.float32),               # float32
+    ], ids=["list", "column", "float32"])
+    def test_call_converts_other_outputs(self, make):
+        v = np.array([0.25, -1.5, 3.0])
+        got = OperatorInstance(dim=3, fn=lambda x: make(v))(np.zeros(3))
+        assert type(got) is np.ndarray and got.dtype == np.float64 and got.shape == (3,)
+        assert np.array_equal(got, np.asarray(make(v), dtype=np.float64).reshape(-1))
+
+    def test_call_returns_a_strided_output_whose_solve_norms_equal_norm(self):
+        # F(x) = M x written to every other entry of a buffer: a strided view,
+        # whose dot sums in another order than the contiguous copy norm() takes
+        rng = np.random.default_rng(3)
+        n = 20
+        K = rng.standard_normal((n, n))
+        M = 3.0 * np.eye(n) + K - K.T
+
+        def fn(x):
+            buf = np.zeros(2 * n)
+            buf[::2] = M @ x
+            return buf[::2]
+        op = OperatorInstance(dim=n, fn=fn, solution=np.zeros(n), label="strided")
+        x = rng.standard_normal(n)
+        assert op(x).strides == (16,) and np.array_equal(op(x), M @ x)
+        tr = solve(op, parse_policy("const:0.01"),
+                   SolveConfig(max_iters=200, x0=rng.standard_normal(n) * 100.0, stop_tol=0.0))
+        h = float.hex
+        assert [(h(r.norm_F_x), h(r.norm_F_xhat)) for r in tr.rows] == [
+            (h(norm(op(r.x_k))), h(norm(op(r.xhat_k)))) for r in tr.rows]
+
+    @pytest.mark.parametrize("out", [np.zeros(3), [0.0], np.zeros((2, 2))],
+                             ids=["long-vector", "short-list", "square"])
+    def test_call_wrong_length_raises_one_message(self, out):
+        op = OperatorInstance(dim=2, fn=lambda x: out, label="bad")
+        n = np.asarray(out).size
+        with pytest.raises(DimensionMismatch,
+                           match=rf"^bad returned dimension {n}, expected 2$"):
+            op(np.zeros(2))
+
     def test_jacobian_fallback_is_finite_difference(self):
         op = self._op()
         J = op.jacobian_at(np.array([0.3, -0.7]))
@@ -254,6 +305,11 @@ class TestOperatorInstance:
 
 
 class TestSolveStructures:
+    def test_trace_rows_have_slots(self):
+        row = TraceRow(k=0, x_k=None, xhat_k=None, gamma_k=0.1, omega_k=0.1,
+                       norm_F_x=1.0, norm_F_xhat=1.0)
+        assert not hasattr(row, "__dict__")
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SolveConfig(max_iters=0, x0=[1.0])

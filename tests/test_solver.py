@@ -21,6 +21,7 @@ from egsolve.core import (
     norm,
 )
 from egsolve.analysis import theoretical_bounds
+from egsolve.cli import _first_hit
 from egsolve.operators import build
 from egsolve.solver import (
     check_descent_invariants,
@@ -573,3 +574,100 @@ class TestTraceCsv:
         p.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValueError):
             read_trace_csv(str(p))
+
+
+@st.composite
+def _summary_runs(draw):
+    """A seeded F(x) = M x on R^2..R^5 (monotone or not) or a seeded cubicRd, a start, an
+    adaptive or constant policy, a budget, a stopping and a relative
+    tolerance. Large steps and starts make some runs diverge."""
+    seed = draw(st.integers(0, 10 ** 6))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 5))
+        K, R = rng.standard_normal((2, n, n))
+        op = _affine(draw(st.floats(0.0, 3.0)) * np.eye(n) + K - K.T + 0.5 * R)
+    else:
+        n = 2 * draw(st.integers(1, 4))
+        op = build("cubicRd", d=n // 2, seed=seed % 100, scale=draw(st.sampled_from((1.0, 5.0))))
+    x0 = rng.standard_normal(n) * 10.0 ** draw(st.floats(-2.0, 3.0))
+    if draw(st.booleans()):
+        policy = StepSizePolicy(kind=PolicyKind.ADAPTIVE, c0=draw(st.floats(1.0, 100.0)),
+                                c1=draw(st.floats(0.0, 10.0)))
+    else:
+        policy = StepSizePolicy(kind=PolicyKind.CONSTANT, step=10.0 ** draw(st.floats(-3.0, 0.0)))
+    iters = draw(st.integers(1, 300))
+    stop_tol = draw(st.sampled_from((0.0, 1e-6, 1e-2)))
+    tol = draw(st.one_of(st.sampled_from((0.0, 1.0)),
+                         st.floats(-3.0, -0.001).map(lambda e: 10.0 ** e)))
+    return op, x0, policy, iters, stop_tol, tol
+
+
+def _solve_or_partial(op, policy, cfg):
+    try:
+        return solve(op, policy, cfg), None
+    except NonFiniteIterate as e:
+        return e.trace, e.k
+
+
+class TestSummaryOnlyRuns:
+    @settings(max_examples=150, deadline=None)
+    @given(_summary_runs())
+    def test_summary_only_run_equals_recorded_run(self, run):
+        op, x0, policy, iters, stop_tol, tol = run
+        cfg = lambda record: SolveConfig(max_iters=iters, x0=x0, stop_tol=stop_tol,
+                                         record_trace=record, rel_tol=tol)
+        full, k_full = _solve_or_partial(op, policy, cfg(True))
+        lean, k_lean = _solve_or_partial(op, policy, cfg(False))
+        assert lean.rows == [] and k_lean == k_full
+        d20 = full.rows[0].dist_sq if full.rows else None
+        if d20 is not None:
+            e = x0 - op.solution
+            assert d20 == float(e.dot(e))
+            assert full.first_rel_hit == _first_hit(full.rows, lambda r: r.dist_sq / d20, tol)
+        assert lean.first_rel_hit == full.first_rel_hit
+        h = lambda v: None if v is None else float.hex(float(v))
+        summary = lambda t: (t.iterations_run, t.reason, h(t.min_norm_F_x), t.argmin_norm_F_x,
+                             h(t.min_norm_F_xhat), t.argmin_norm_F_xhat, h(t.final_dist_sq),
+                             t.final_x.tobytes())
+        assert summary(lean) == summary(full)
+
+    def test_first_rel_hit_only_with_rel_tol_and_a_root(self):
+        policy = parse_policy("const:0.1")
+        cfg = SolveConfig(max_iters=50, x0=[1.0, 1.0], stop_tol=0.0, rel_tol=1e-2)
+        assert solve(build("quadratic"), policy, cfg).first_rel_hit > 0
+        assert solve(build("logistic"), policy, cfg).first_rel_hit is None   # no root
+        plain = SolveConfig(max_iters=50, x0=[1.0, 1.0], stop_tol=0.0)
+        assert solve(build("quadratic"), policy, plain).first_rel_hit is None
+        never = SolveConfig(max_iters=5, x0=[1.0, 1.0], stop_tol=0.0, rel_tol=0.0)
+        assert solve(build("quadratic"), policy, never).first_rel_hit == -1
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf, -math.inf])
+    def test_rel_tol_must_be_finite_and_nonnegative(self, tol):
+        with pytest.raises(ValueError, match="rel_tol must be finite and nonnegative"):
+            SolveConfig(max_iters=5, x0=[1.0, 1.0], rel_tol=tol)
+        SolveConfig(max_iters=5, x0=[1.0, 1.0], rel_tol=0.0)
+
+    @pytest.mark.parametrize("x0", [[0.0, 0.0], [1e160, 1e160]], ids=["root", "overflow"])
+    def test_undefined_relative_error_raises_before_any_evaluation(self, x0):
+        op = build("quadratic")
+        calls = _counting(op)
+        cfg = SolveConfig(max_iters=5, x0=x0, stop_tol=0.0, rel_tol=1e-8)
+        with pytest.raises(ValueError, match="relative error"):
+            solve(op, parse_policy("const:0.1"), cfg)
+        assert calls == [0]
+
+    def test_underflowed_step_raises_nonfinite_with_partial_trace(self):
+        # 1/(1 + 1e200 ||F||) rounds to 0.0 once 1e200 ||F|| overflows
+        op = build("quadratic")
+        policy = parse_policy("adaptive:1:1e200")
+        cfg = SolveConfig(max_iters=5, x0=[1e150, 1e150], stop_tol=0.0)
+        with pytest.raises(NonFiniteIterate, match="gamma_k underflowed to 0.0 at iteration 0") as ei:
+            solve(op, policy, cfg)
+        assert ei.value.k == 0
+        tr = ei.value.trace
+        assert (tr.rows, tr.iterations_run, tr.reason) == ([], 0, "nonfinite")
+        assert np.array_equal(tr.final_x, [1e150, 1e150])
+        # a single step keeps its ValueError
+        with pytest.raises(ValueError, match="gamma_k must be positive, got 0.0"):
+            eg_step(op, [1e150, 1e150], policy)
