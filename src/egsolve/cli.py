@@ -201,13 +201,13 @@ def _sweep(op, cells, x0, iters: int, rel_tol: float, out: str) -> List[tuple]:
     if not 1 <= iters <= MAX_TRACE_ROWS:
         raise _UsageError(f"--iters {iters}: a sweep cell takes 1..{MAX_TRACE_ROWS} "
                           f"(MAX_TRACE_ROWS) iterations")
-    if not 0.0 <= rel_tol < math.inf:
-        raise _UsageError(f"--tol {rel_tol}: the relative tolerance must be finite and >= 0")
-    cfg = SolveConfig(max_iters=iters, x0=x0, stop_tol=0.0, record_trace=False,
-                      rel_tol=rel_tol)
-    with overflow_as_data():   # solve's row-0 dist_sq, bit for bit
-        e = cfg.x0 - op.solution
-        d20 = float(e.dot(e))
+    try:    # with iters in range, only rel_tol can fail here
+        cfg = SolveConfig(max_iters=iters, x0=x0, stop_tol=0.0, record_trace=False,
+                          rel_tol=rel_tol)
+    except ValueError as e:
+        raise _UsageError(f"--tol {rel_tol}: {e}") from None
+    with overflow_as_data():
+        d20 = solver._dist_sq(cfg.x0, op.solution)
     if not 0.0 < d20 < math.inf:
         why = "x0 is the root of" if d20 == 0.0 else "||x0 - x*||^2 overflows on"
         raise _UsageError(f"sweep: {why} '{op.label}'; the relative error "

@@ -180,13 +180,13 @@ def cubicRd(d: int = 2, seed: int = 0, scale: float = 1.0) -> OperatorInstance:
     M = np.block([[A, Z], [Z, C], [Z, B], [-B.T, Z]])
 
     def fn(x):
-        y = M.dot(x)
-        s = math.sqrt(x[:d].dot(y[:d]))
-        t = math.sqrt(x[d:].dot(y[d:2 * d]))
-        out = y[:2 * d]            # (s A w1, t C w2) + (B w2, -B^T w1), in place
-        out *= np.array([s] * d + [t] * d)
-        out += y[2 * d:]
-        return out
+        y = M.dot(x)   # ndarray.dot: the same products as @, with less dispatch
+        Aw1, Cw2 = y[:d], y[d:2 * d]
+        s = math.sqrt(x[:d].dot(Aw1))
+        t = math.sqrt(x[d:].dot(Cw2))
+        Aw1 *= s
+        Cw2 *= t
+        return y[:2 * d] + y[2 * d:]
 
     # the block kernels: rows are points, so X @ M.T stacks the four mat-vecs
     def _scaled(X):

@@ -54,22 +54,20 @@ def resolve_policy(F: OperatorInstance, policy: StepSizePolicy) -> tuple:
 
 def _one_step(F: OperatorInstance, x: np.ndarray, policy: StepSizePolicy, g: float, rho,
               F_x: np.ndarray) -> tuple:
-    """(xhat, F(xhat), omega_k) of one step from x with extrapolation step g > 0.
+    """(xhat, F(xhat), omega_k, next_x) of one step from x with extrapolation step g.
 
-    F(x) comes from the caller, so a step evaluates F only at xhat. The equal
-    and half update rules need no call to `omega`; the caller has checked g.
+    F(x) and g come from the caller, so a step evaluates F only at xhat.
     """
     xhat = x - g * F_x
     F_xhat = F(xhat)
-    omega_rule = policy.omega_rule
-    if omega_rule is OmegaRule.EQUAL:
-        return xhat, F_xhat, g
-    if omega_rule is OmegaRule.HALF:
-        return xhat, F_xhat, 0.5 * g
-    if float(F_xhat @ F_xhat) == 0.0:
+    if policy.omega_rule is not OmegaRule.PETHICK:
+        w = omega(policy, g)
+    elif float(F_xhat @ F_xhat) == 0.0:
         # update term is zero either way; keep the row well-defined
-        return xhat, F_xhat, g
-    return xhat, F_xhat, omega(policy, g, F_xhat=F_xhat, x_minus_xhat=x - xhat, rho=rho)
+        w = g
+    else:
+        w = omega(policy, g, F_xhat=F_xhat, x_minus_xhat=x - xhat, rho=rho)
+    return xhat, F_xhat, w, x - w * F_xhat
 
 
 def eg_step(F: OperatorInstance, x_k, policy: StepSizePolicy, k: int = 0) -> IterationState:
@@ -79,11 +77,9 @@ def eg_step(F: OperatorInstance, x_k, policy: StepSizePolicy, k: int = 0) -> Ite
     with overflow_as_data():
         F_x = F(x)
         g = rule(norm(F_x))
-        if not g > 0:
-            raise ValueError(f"gamma_k must be positive, got {g}")
-        xhat, F_xhat, w = _one_step(F, x, policy, g, rho, F_x)
+        xhat, F_xhat, w, next_x = _one_step(F, x, policy, g, rho, F_x)
     return IterationState(k=k, x=x, F_x=F_x, gamma_k=g, xhat=xhat,
-                          F_xhat=F_xhat, omega_k=w, next_x=x - w * F_xhat)
+                          F_xhat=F_xhat, omega_k=w, next_x=next_x)
 
 
 def _dist_sq(x: np.ndarray, xstar: Optional[np.ndarray]) -> Optional[float]:
@@ -170,15 +166,14 @@ def solve(F: OperatorInstance, policy: StepSizePolicy, cfg: SolveConfig,
                              f"||x_k - x*||^2 / ||x0 - x*||^2 is undefined")
         for k in range(cfg.max_iters):
             F_x = F(x)
-            # core.norm's bits: its one dot, or its contiguous copy of a strided vector
-            nfx = math.sqrt(F_x.dot(F_x)) if F_x.flags.c_contiguous else norm(F_x)
+            nfx = norm(F_x)
             if not math.isfinite(nfx):
                 raise _fail(k, "non-finite operator value")
             g = rule(nfx)
             if not g > 0:
                 raise _fail(k, f"step gamma_k underflowed to {g}")
-            xhat, F_xhat, w = _one_step(F, x, policy, g, rho, F_x)
-            nfxh = math.sqrt(F_xhat.dot(F_xhat)) if F_xhat.flags.c_contiguous else norm(F_xhat)
+            xhat, F_xhat, w, next_x = _one_step(F, x, policy, g, rho, F_x)
+            nfxh = norm(F_xhat)
             stop = nfx <= stop_tol
             if not stop and not math.isfinite(nfxh):
                 raise _fail(k, "non-finite operator value at extrapolation point")
@@ -192,7 +187,7 @@ def solve(F: OperatorInstance, policy: StepSizePolicy, cfg: SolveConfig,
                 min_h, arg_h = nfxh, k
             if stop:
                 return _finish(k, "stop_tol", d2)
-            x = x - w * F_xhat
+            x = next_x
             # a finite sum of squares, ||x - x*||^2 when the root is known, proves
             # every entry finite; only one that overflows needs the entrywise check
             d2 = _dist_sq(x, xstar)

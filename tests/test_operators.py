@@ -189,33 +189,28 @@ def test_cubicRd_fn_matches_definition(d, seed, scale):
         assert norm(op(x) - want) <= 1e-12 * norm(want)
 
 
-def _cubicRd_fused_reference(op, x):
-    """The point field as first fused into one mat-vec: y = M x for the stacked
-    M = [[A, 0], [0, C], [0, B], [-B^T, 0]], each half scaled by its norm, then
-    the coupling half added. Its bits are the ones fig4's outputs were made with."""
+def _cubicRd_matmul_reference(op, x):
+    """The point field with @ for every product, as fig4's outputs were made."""
     A, B, C = op.matrices
     d = A.shape[0]
     Z = np.zeros((d, d))
     y = np.block([[A, Z], [Z, C], [Z, B], [-B.T, Z]]) @ x
-    Aw1, Cw2 = y[:d], y[d:2 * d]
-    s = math.sqrt(float(x[:d] @ Aw1))
-    t = math.sqrt(float(x[d:] @ Cw2))
-    Aw1 *= s
-    Cw2 *= t
-    return y[:2 * d] + y[2 * d:]
+    s = math.sqrt(float(x[:d] @ y[:d]))
+    t = math.sqrt(float(x[d:] @ y[d:2 * d]))
+    return np.concatenate([s * y[:d], t * y[d:2 * d]]) + y[2 * d:]
 
 
 @pytest.mark.parametrize("d", [1, 2, 10])
 @pytest.mark.parametrize("seed,scale", [(0, 1.0), (42, 5.0)])
 def test_cubicRd_fn_bits_are_pinned(d, seed, scale):
+    # seeded points over many scales, zero halves (s = 0, t = 0) and overflowing
+    # points, where both forms give the same bits or the same ValueError
     op = build("cubicRd", d=d, seed=seed, scale=scale)
     rng = np.random.default_rng(2000 + seed)
-    points = [rng.standard_normal(2 * d) * 10.0 ** rng.uniform(-3, 3) for _ in range(50)]
     w, z = rng.standard_normal(d), np.zeros(d)
-    points += [np.concatenate([z, w]), np.concatenate([w, z]), np.zeros(2 * d)]  # s = 0, t = 0
-    # overflow: inf and nan entries, or a dot that sums to -inf, where both
-    # forms raise math.sqrt's ValueError
-    points += [rng.standard_normal(2 * d) * 10.0 ** e for e in (110, 155, 160, 200, 300)]
+    points = [rng.standard_normal(2 * d) * 10.0 ** e
+              for e in list(rng.uniform(-3, 3, 50)) + [110, 155, 160, 200, 300]]
+    points += [np.concatenate([z, w]), np.concatenate([w, z]), np.zeros(2 * d)]
 
     def outcome(f, x):
         try:
@@ -224,7 +219,7 @@ def test_cubicRd_fn_bits_are_pinned(d, seed, scale):
         except ValueError as e:
             return str(e)
     for x in points:
-        assert outcome(op, x) == outcome(lambda x: _cubicRd_fused_reference(op, x), x)
+        assert outcome(op, x) == outcome(lambda x: _cubicRd_matmul_reference(op, x), x)
 
 
 def _batch_points(dim, seed):

@@ -176,6 +176,13 @@ class TestSolve:
         assert np.isfinite(st.F_x).all()
         assert not np.isfinite(st.F_xhat).all()
         assert not np.isfinite(st.next_x).all()
+        # F(xhat) = -9e307 is finite; the update 1e307 - 10 * F(xhat) overflows
+        op = OperatorInstance(dim=1, fn=lambda x: x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            st = eg_step(op, [1e307], parse_policy("const:10"))
+        assert np.isfinite(st.F_xhat).all()
+        assert not np.isfinite(st.next_x).all()
 
 
 def _counting(op):
