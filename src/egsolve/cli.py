@@ -11,6 +11,7 @@ import argparse
 import configparser
 import math
 import os
+import re
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor  # unused; perfbench/layers.py subclasses it
@@ -23,12 +24,14 @@ from .core import (
     MAX_TRACE_ROWS,
     EgsolveError,
     IncompatiblePolicy,
+    InvalidAlpha,
     NonFiniteIterate,
     SmoothnessParams,
     SolveConfig,
+    check_iters,
     norm,
-    overflow_as_data,
     spectral_norm,  # unused here; perfbench/layers.py still wraps cli.spectral_norm by name
+    vec,
     write_csv,
 )
 from .stepsize import (
@@ -51,6 +54,11 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # read '-1,1' (an --x0) as a value: no egsolve flag starts with a digit
+        self._negative_number_matcher = re.compile(r"-[\d.]")
+
     def error(self, message):  # argparse defaults to exit code 2; usage is 1 here
         raise _UsageError(f"{self.prog}: error: {message}")
 
@@ -93,10 +101,7 @@ def parse_x0(text: str, dim: int, seed: int) -> np.ndarray:
         rng = np.random.default_rng(seed)
         u = rng.standard_normal(dim)
         return radius * u / norm(u)
-    vals = [float(v) for v in text.split(",") if v.strip() != ""]
-    if len(vals) != dim:
-        raise _UsageError(f"x0 has {len(vals)} components, operator needs {dim}")
-    return np.array(vals)
+    return vec([float(v) for v in text.split(",") if v.strip() != ""], dim, what="x0")
 
 
 def _ensure_out(path: str) -> str:
@@ -104,24 +109,26 @@ def _ensure_out(path: str) -> str:
     return path
 
 
+def _flag(flag: str, value, check, *args, **kwargs):
+    """Run the library check of a flag's value; its error becomes '--flag value: reason'."""
+    try:
+        return check(*args, **kwargs)
+    except (ValueError, InvalidAlpha) as e:
+        raise _UsageError(f"{flag} {value}: {e}") from None
+
+
 def _grid_n(args, dim: int, default: int) -> int:
     """Points per axis from --grid (or the default), checked against the grid
     limits before any evaluation."""
     n = args.grid if args.grid is not None else default
-    try:
-        analysis.check_grid(dim, n)
-    except ValueError as e:
-        raise _UsageError(f"--grid {n}: {e}") from None
+    _flag("--grid", n, analysis.check_grid, dim, n)
     return n
 
 
 def _box(args, op):
     """--box (or the registry's default box), checked before --out is created."""
     box = args.box if args.box is not None else operators.default_box(op.label, op.dim)
-    try:
-        analysis.box_bounds(box, op.dim)
-    except ValueError as e:
-        raise _UsageError(f"--box {args.box}: {e}") from None
+    _flag("--box", args.box, analysis.box_bounds, box, op.dim)
     return box
 
 
@@ -147,12 +154,7 @@ def _first_hit(rows, metric, tol: float) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_nu(args) -> int:
-    try:
-        kind = NuKind(args.kind)
-    except ValueError:
-        raise _UsageError(f"unknown kind '{args.kind}'; one of "
-                          f"{', '.join(k.value for k in NuKind)}") from None
-    print(solve_nu(kind))
+    print(solve_nu(NuKind(args.kind)))
     return EXIT_OK
 
 
@@ -198,20 +200,11 @@ def _sweep(op, cells, x0, iters: int, rel_tol: float, out: str) -> List[tuple]:
     checked before the first runs. Cells keep no trace rows: `solve` records each
     one's first relative hit. Write sweep.csv, return (c0, c1, iters_to_tol,
     final_relerr)."""
-    if not 1 <= iters <= MAX_TRACE_ROWS:
-        raise _UsageError(f"--iters {iters}: a sweep cell takes 1..{MAX_TRACE_ROWS} "
-                          f"(MAX_TRACE_ROWS) iterations")
-    try:    # with iters in range, only rel_tol can fail here
-        cfg = SolveConfig(max_iters=iters, x0=x0, stop_tol=0.0, record_trace=False,
-                          rel_tol=rel_tol)
-    except ValueError as e:
-        raise _UsageError(f"--tol {rel_tol}: {e}") from None
-    with overflow_as_data():
-        d20 = solver._dist_sq(cfg.x0, op.solution)
-    if not 0.0 < d20 < math.inf:
-        why = "x0 is the root of" if d20 == 0.0 else "||x0 - x*||^2 overflows on"
-        raise _UsageError(f"sweep: {why} '{op.label}'; the relative error "
-                          f"||x_k - x*||^2 / ||x0 - x*||^2 is undefined")
+    _flag("--iters", iters, check_iters, iters)
+    # with iters in range, only rel_tol can fail here with a ValueError
+    cfg = _flag("--tol", rel_tol, SolveConfig, max_iters=iters, x0=x0, stop_tol=0.0,
+                record_trace=False, rel_tol=rel_tol)
+    d20 = _flag("--x0", ",".join(map(str, cfg.x0)), solver.rel_err_base, cfg.x0, op.solution)
     policies = [StepSizePolicy(kind=PolicyKind.ADAPTIVE, c0=c0, c1=c1) for c0, c1 in cells]
     csv_path = os.path.join(_ensure_out(out), "sweep.csv")
     rows = [(*cell, *_sweep_cell(op, p, cfg, d20)) for cell, p in zip(cells, policies)]
@@ -253,10 +246,7 @@ def cmd_verify(args) -> int:
         raise _UsageError(f"'{op.label}' declares no constants; pass --alpha/--L0/--L1")
     box = _box(args, op)
     grid_n = _grid_n(args, op.dim, 201 if op.dim <= 2 else 7)
-    try:
-        analysis.check_pairs(args.pairs)
-    except ValueError as e:
-        raise _UsageError(f"--pairs {args.pairs}: {e}") from None
+    _flag("--pairs", args.pairs, analysis.check_pairs, args.pairs)
     out = _ensure_out(args.out)
     fit = analysis.verify_condition(op, s, box, grid_n)
     seg = analysis.verify_segment_condition(op, s, pairs=args.pairs, box=box,
@@ -272,7 +262,7 @@ def cmd_verify(args) -> int:
 def cmd_estimate(args) -> int:
     op = parse_op_key(args.op)
     alphas = [float(v) for v in args.alphas.split(",") if v.strip()]
-    analysis.check_alpha_grid(alphas)
+    _flag("--alphas", args.alphas, analysis.check_alpha_grid, alphas)
     if args.from_grid:
         box = _box(args, op)
         grid_n = _grid_n(args, op.dim, 21)
@@ -321,7 +311,7 @@ def _compare(out: str, op, x0, iters: int, runs, col: str, metric, force: bool) 
 def _reproduce_fig3(out: str, iters: int, seed: int) -> tuple:
     op = operators.build("signpower")
     x0 = np.array([5.0, 5.0])
-    d20 = float(x0 @ x0)
+    d20 = solver.rel_err_base(x0, op.solution)
     # mu below is a local curvature estimate near x0, not a global modulus,
     # hence force=True for both runs on this merely-monotone operator
     mu_local = 12.5
@@ -439,9 +429,7 @@ def cmd_reproduce(args) -> int:
     fig = args.figure
     run, default_iters, size = _FIGS[fig]
     iters = args.iters if args.iters is not None else default_iters
-    if not 1 <= iters <= MAX_TRACE_ROWS:
-        raise _UsageError(f"--iters {iters}: a traced run takes 1..{MAX_TRACE_ROWS} "
-                          f"(MAX_TRACE_ROWS) iterations")
+    _flag("--iters", iters, check_iters, iters)
     out = _ensure_out(args.out)
     meta, plot, checks = run(out, iters, args.seed)
     with open(os.path.join(out, "meta.txt"), "w") as fh:
@@ -465,13 +453,10 @@ def cmd_reproduce(args) -> int:
 _ITERS_HELP = f"iteration budget (at most {MAX_TRACE_ROWS})"
 
 
-def _add_common(p, iters_default=None, tol_default=None):
-    p.add_argument("--op", required=True, help="operator key, e.g. quadratic or cubicRd:d=10,seed=42")
+def _add_common(p, iters_default, tol_default):
     p.add_argument("--x0", required=True, help="'v1,v2,...' or 'rand:RADIUS' (seeded)")
     p.add_argument("--iters", type=int, default=iters_default, help=_ITERS_HELP)
     p.add_argument("--tol", type=float, default=tol_default)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default="egsolve-out")
 
 
 def _build_parser() -> _Parser:
@@ -479,15 +464,22 @@ def _build_parser() -> _Parser:
                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--config", help="INI file; section [SUBCOMMAND] supplies flag defaults")
     sub = ap.commands = ap.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    # one parent's actions serve every subcommand that lists it: set no default on them
+    base = _Parser(add_help=False)
+    base.add_argument("--op", required=True,
+                      help="operator key, e.g. quadratic or cubicRd:d=10,seed=42")
+    base.add_argument("--seed", type=int, default=0)
+    base.add_argument("--out", default="egsolve-out")
 
-    p = sub.add_parser("solve", help="run one policy on one operator")
+    p = sub.add_parser("solve", parents=[base], help="run one policy on one operator")
     _add_common(p, iters_default=1000, tol_default=1e-14)
     p.add_argument("--policy", required=True, help=POLICY_KEY_HELP)
     p.add_argument("--force", action="store_true",
                    help="run despite a policy/class mismatch (downgrades to a warning)")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("sweep", help="grid of adaptive denominators 1/(c0 + c1*||F||)")
+    p = sub.add_parser("sweep", parents=[base],
+                       help="grid of adaptive denominators 1/(c0 + c1*||F||)")
     _add_common(p, iters_default=20000, tol_default=1e-8)
     p.add_argument("--c0", required=True, help="comma list, e.g. 10,100,1000")
     p.add_argument("--c1", required=True, help="comma list; 0 entries give constant steps")
@@ -500,8 +492,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", default="egsolve-out")
     p.set_defaults(func=cmd_reproduce)
 
-    p = sub.add_parser("verify", help="check declared or given constants on a box")
-    p.add_argument("--op", required=True)
+    p = sub.add_parser("verify", parents=[base], help="check declared or given constants on a box")
     p.add_argument("--alpha", type=float)
     p.add_argument("--L0", type=float)
     p.add_argument("--L1", type=float)
@@ -510,12 +501,9 @@ def _build_parser() -> _Parser:
                    help="points per axis (default 201, 7 if dim > 2; at most 10**6 points)")
     p.add_argument("--pairs", type=int, default=200,
                    help="segment-route pairs, 101 points each (at most 9900, i.e. 10**6 points)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default="egsolve-out")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("estimate", help="fit constants from a grid or a solve trace")
-    p.add_argument("--op", required=True)
+    p = sub.add_parser("estimate", parents=[base], help="fit constants from a grid or solve trace")
     p.add_argument("--from-grid", action="store_true", dest="from_grid")
     p.add_argument("--policy", help="trace source policy (when not --from-grid)")
     p.add_argument("--x0", default="1,1")
@@ -524,13 +512,11 @@ def _build_parser() -> _Parser:
                    help="points per axis with --from-grid (default 21; at most 10**6 points)")
     p.add_argument("--box", type=float)
     p.add_argument("--alphas", default="0.25,0.5,0.75,1.0")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default="egsolve-out")
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("nu", help="print a step-coefficient root")
-    p.add_argument("kind", help="|".join(k.value for k in NuKind))
+    p.add_argument("kind", choices=[k.value for k in NuKind])
     p.set_defaults(func=cmd_nu)
 
     return ap

@@ -257,11 +257,11 @@ class OperatorInstance:
                 f"{self.label or 'operator'} returned dimension {out.shape[0]}, expected {self.dim}")
         return out
 
-    def jacobian_at(self, x, h: float = 1e-5) -> np.ndarray:
+    def jacobian_at(self, x) -> np.ndarray:
         """Analytic Jacobian when declared, else central finite differences."""
         if self.jacobian is not None:
             return np.asarray(self.jacobian(np.asarray(x, dtype=np.float64)), dtype=np.float64)
-        return finite_diff_jacobian(self.fn, x, h=h)
+        return finite_diff_jacobian(self.fn, x)
 
     def call_batch(self, X) -> np.ndarray:
         """F at each row of the (N, dim) block X, as an (N, dim) block:
@@ -306,6 +306,13 @@ class OperatorInstance:
 MAX_TRACE_ROWS = 10 ** 6
 
 
+def check_iters(n: int) -> None:
+    """Raise ValueError unless 1 <= n <= MAX_TRACE_ROWS, the most rows a recorded trace keeps."""
+    if not 1 <= n <= MAX_TRACE_ROWS:
+        raise ValueError(f"an iteration budget must lie in 1..{MAX_TRACE_ROWS} "
+                         f"(MAX_TRACE_ROWS), got {n}")
+
+
 @dataclass(frozen=True)
 class SolveConfig:
     """Iteration budget, start and stopping tolerance; a recorded trace takes
@@ -319,11 +326,10 @@ class SolveConfig:
     rel_tol: Optional[float] = None
 
     def __post_init__(self):
-        if self.max_iters < 1:
+        if self.record_trace:
+            check_iters(self.max_iters)
+        elif self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.record_trace and self.max_iters > MAX_TRACE_ROWS:
-            raise ValueError(f"max_iters {self.max_iters} exceeds MAX_TRACE_ROWS = "
-                             f"{MAX_TRACE_ROWS}, the most iterations a recorded trace keeps")
         if not (self.stop_tol >= 0):
             raise ValueError(f"stop_tol must be nonnegative, got {self.stop_tol}")
         if self.rel_tol is not None and not (0.0 <= self.rel_tol < math.inf):

@@ -182,10 +182,10 @@ def cubicRd(d: int = 2, seed: int = 0, scale: float = 1.0) -> OperatorInstance:
     def fn(x):
         y = M.dot(x)   # ndarray.dot: the same products as @, with less dispatch
         Aw1, Cw2 = y[:d], y[d:2 * d]
-        s = math.sqrt(x[:d].dot(Aw1))
-        t = math.sqrt(x[d:].dot(Cw2))
-        Aw1 *= s
-        Cw2 *= t
+        # a form that overflowed to -inf or NaN gives a NaN field, not a math domain error
+        s, t = x[:d].dot(Aw1), x[d:].dot(Cw2)
+        Aw1 *= math.sqrt(s) if s >= 0.0 else math.nan
+        Cw2 *= math.sqrt(t) if t >= 0.0 else math.nan
         return y[:2 * d] + y[2 * d:]
 
     # the block kernels: rows are points, so X @ M.T stacks the four mat-vecs

@@ -89,6 +89,17 @@ def _dist_sq(x: np.ndarray, xstar: Optional[np.ndarray]) -> Optional[float]:
     return float(e.dot(e))
 
 
+def rel_err_base(x0: np.ndarray, xstar: np.ndarray) -> float:
+    """||x0 - x*||^2, the base of the relative error ||x_k - x*||^2 / ||x0 - x*||^2;
+    ValueError where that error is undefined: the base is 0 or overflows."""
+    with overflow_as_data():
+        d20 = _dist_sq(x0, xstar)
+    if not 0.0 < d20 < math.inf:
+        why = "x0 is the root" if d20 == 0.0 else "||x0 - x*||^2 overflows"
+        raise ValueError(f"{why}: the relative error ||x_k - x*||^2 / ||x0 - x*||^2 is undefined")
+    return d20
+
+
 def check_policy_compat(F: OperatorInstance, policy: StepSizePolicy,
                         force: bool = False) -> None:
     """Reject policies whose guarantee does not cover the operator's class.
@@ -160,10 +171,7 @@ def solve(F: OperatorInstance, policy: StepSizePolicy, cfg: SolveConfig,
         return err
 
     with overflow_as_data():
-        d2 = d20 = _dist_sq(x, xstar)
-        if rel_tol is not None and not 0.0 < d20 < math.inf:
-            raise ValueError(f"rel_tol: ||x0 - x*||^2 = {d20}, so the relative error "
-                             f"||x_k - x*||^2 / ||x0 - x*||^2 is undefined")
+        d2 = d20 = _dist_sq(x, xstar) if rel_tol is None else rel_err_base(x, xstar)
         for k in range(cfg.max_iters):
             F_x = F(x)
             nfx = norm(F_x)

@@ -75,11 +75,9 @@ def bisect(fn: Callable[[float], float], lo: float, hi: float, tol: float = 1e-1
 
 
 @functools.lru_cache(maxsize=None)
-def solve_nu(kind: NuKind, tol: float = 1e-15) -> float:
+def solve_nu(kind: NuKind) -> float:
     """Root of the kind's equation in (0, 1), by bisection on [1e-9, 1]."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    return bisect(_RESIDUALS[kind], 1e-9, 1.0, tol=tol)
+    return bisect(_RESIDUALS[kind], 1e-9, 1.0)
 
 
 # ---------------------------------------------------------------------------

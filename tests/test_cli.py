@@ -14,7 +14,7 @@ import pytest
 
 import egsolve
 from egsolve import analysis, solver
-from egsolve.cli import main
+from egsolve.cli import _build_parser, main
 from egsolve.core import OperatorInstance
 from egsolve.solver import read_trace_csv
 
@@ -57,6 +57,15 @@ class TestExitCodes:
         assert out.startswith("diverged: step gamma_k underflowed to 0.0 at iteration 0")
         tr = read_trace_csv(str(tmp_path / "trace.csv"))
         assert (tr.rows, tr.iterations_run, tr.reason) == ([], 0, "nonfinite")
+
+    def test_overflowing_cubic_form_exits_2(self, tmp_path, capsys):
+        # x[:d] . (A x[:d]) overflows to -inf here; the field is NaN, not a math error
+        code, out, err = run(capsys, "solve", "--op", "cubicRd:d=2",
+                             "--x0=1.65944774e+203,-3.05311685e+203,-6.05243581e+202,"
+                             "3.66085039e+203", "--policy", "thm5", "--iters", "5",
+                             "--out", str(tmp_path))
+        assert code == 2 and err == ""
+        assert out.startswith("diverged: non-finite operator value at iteration 0")
 
     def test_bad_policy_exits_1(self, tmp_path, capsys):
         for policy in ("bogus", "const:inf", "vankov:nan"):
@@ -135,6 +144,25 @@ class TestX0AndConfig:
             outs.append((d / "trace.csv").read_bytes())
         assert outs[0] != outs[1]
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--op", "quadratic", "--policy", "thm3"],
+        ["estimate", "--op", "quadratic", "--policy", "thm3"],
+        ["sweep", "--op", "quadratic", "--c0", "10", "--c1", "0", "--iters", "50"],
+    ], ids=["solve", "estimate", "sweep"])
+    def test_negative_first_x0_entry(self, argv, tmp_path, capsys):
+        code, out, err = run(capsys, *argv, "--x0", "-1,1", "--out", str(tmp_path / "a"))
+        assert code == 0 and err == ""
+        assert (code, out.replace("/a/", "/b/")) == run(
+            capsys, *argv, "--x0=-1,1", "--out", str(tmp_path / "b"))[:2]
+
+    def test_negative_first_x0_entry_from_config(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[solve]\nx0 = -1,1\n")
+        argv = ["solve", "--op", "quadratic", "--policy", "thm3", "--out", str(tmp_path / "o")]
+        code, out, err = run(capsys, "--config", str(cfg), *argv)
+        assert code == 0 and err == ""
+        assert (code, out) == run(capsys, *argv, "--x0=-1,1")[:2]
+
     def test_config_supplies_defaults(self, tmp_path, capsys):
         cfg = tmp_path / "run.ini"
         cfg.write_text("[solve]\nop = quadratic\nx0 = 1,1\npolicy = thm3\n"
@@ -186,6 +214,29 @@ class TestX0AndConfig:
         assert code == 0 and err == ""
         assert (code, out) == run(capsys, *argv, "--L0", "10", "--L1", "10")[:2]
         assert out != run(capsys, *argv, "--L0", "1", "--L1", "1")[1]
+
+
+class TestParserWiring:
+    # solve, sweep, verify and estimate share one parent parser's --op, --seed
+    # and --out actions; a default set on one subcommand would reach them all
+    @pytest.mark.parametrize("argv, seed", [
+        (["solve", "--op", "quadratic", "--x0", "1,1", "--policy", "thm3"], 0),
+        (["sweep", "--op", "quadratic", "--x0", "1,1", "--c0", "1", "--c1", "0"], 0),
+        (["verify", "--op", "quadratic"], 0),
+        (["estimate", "--op", "quadratic"], 0),
+        (["reproduce", "fig3"], 42),
+    ], ids=lambda v: v[0] if isinstance(v, list) else str(v))
+    def test_default_seed_and_out(self, argv, seed):
+        args = _build_parser().parse_args(argv)
+        assert (args.seed, args.out) == (seed, "egsolve-out")
+
+    @pytest.mark.parametrize("command", ["solve", "sweep", "reproduce", "verify", "estimate",
+                                         "nu"])
+    def test_help_exits_0(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: egsolve {command}")
 
 
 class TestSweep:
@@ -332,6 +383,13 @@ class TestGridLimits:
         code, out, err = run(capsys, *argv, "--out", str(tmp_path))
         assert code == 1 and out == ""
         assert len(err.splitlines()) == 1 and flag in err
+
+    def test_bad_alpha_grid_names_its_flag(self, tmp_path, capsys):
+        code, out, err = run(capsys, "estimate", "--op", "quadratic", "--from-grid",
+                             "--alphas", "0", "--out", str(tmp_path / "o"))
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("--alphas 0: ")
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("argv", [
         ["verify", "--op", "quadratic", "--box", "inf", "--grid", "3", "--pairs", "2"],

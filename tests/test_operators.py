@@ -195,8 +195,9 @@ def _cubicRd_matmul_reference(op, x):
     d = A.shape[0]
     Z = np.zeros((d, d))
     y = np.block([[A, Z], [Z, C], [Z, B], [-B.T, Z]]) @ x
-    s = math.sqrt(float(x[:d] @ y[:d]))
-    t = math.sqrt(float(x[d:] @ y[d:2 * d]))
+    q, r = float(x[:d] @ y[:d]), float(x[d:] @ y[d:2 * d])
+    s = math.sqrt(q) if q >= 0.0 else math.nan    # an overflowed form gives NaN
+    t = math.sqrt(r) if r >= 0.0 else math.nan
     return np.concatenate([s * y[:d], t * y[d:2 * d]]) + y[2 * d:]
 
 
@@ -204,7 +205,7 @@ def _cubicRd_matmul_reference(op, x):
 @pytest.mark.parametrize("seed,scale", [(0, 1.0), (42, 5.0)])
 def test_cubicRd_fn_bits_are_pinned(d, seed, scale):
     # seeded points over many scales, zero halves (s = 0, t = 0) and overflowing
-    # points, where both forms give the same bits or the same ValueError
+    # points, where both forms give the same bits (NaN where a form overflows)
     op = build("cubicRd", d=d, seed=seed, scale=scale)
     rng = np.random.default_rng(2000 + seed)
     w, z = rng.standard_normal(d), np.zeros(d)
