@@ -24,7 +24,6 @@ from .core import (
     MAX_TRACE_ROWS,
     EgsolveError,
     IncompatiblePolicy,
-    InvalidAlpha,
     NonFiniteIterate,
     SmoothnessParams,
     SolveConfig,
@@ -67,13 +66,12 @@ class _Parser(argparse.ArgumentParser):
 # argument helpers
 # ---------------------------------------------------------------------------
 
-def _coerce(text: str):
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            continue
-    return text
+def _number(text: str):
+    """int if the text reads as one, else float; ValueError if neither."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
 
 
 def parse_op_key(text: str):
@@ -85,7 +83,7 @@ def parse_op_key(text: str):
             k, sep, v = item.partition("=")
             if not sep or not k:
                 raise _UsageError(f"bad operator parameter '{item}' (expected name=value)")
-            params[k.strip()] = _coerce(v.strip())
+            params[k.strip()] = _flag("--op", text, _number, v.strip())
     try:
         return operators.build(head.strip(), **params)
     except KeyError as e:
@@ -95,13 +93,13 @@ def parse_op_key(text: str):
 
 
 def parse_x0(text: str, dim: int, seed: int) -> np.ndarray:
-    """'v1,v2,...' literal or 'rand:RADIUS' for a seeded direction of that norm."""
+    """'v1,v2,...' or 'rand:RADIUS' (a seeded direction of that norm), checked under --x0."""
     if text.startswith("rand:"):
-        radius = float(text[5:])
-        rng = np.random.default_rng(seed)
-        u = rng.standard_normal(dim)
-        return radius * u / norm(u)
-    return vec([float(v) for v in text.split(",") if v.strip() != ""], dim, what="x0")
+        u = np.random.default_rng(seed).standard_normal(dim)
+        x0 = _flag("--x0", text, float, text[5:]) * u / norm(u)
+    else:
+        x0 = _numbers("--x0", text)
+    return _flag("--x0", text, vec, x0, dim, what="x0")
 
 
 def _ensure_out(path: str) -> str:
@@ -113,8 +111,13 @@ def _flag(flag: str, value, check, *args, **kwargs):
     """Run the library check of a flag's value; its error becomes '--flag value: reason'."""
     try:
         return check(*args, **kwargs)
-    except (ValueError, InvalidAlpha) as e:
+    except (ValueError, EgsolveError) as e:
         raise _UsageError(f"{flag} {value}: {e}") from None
+
+
+def _numbers(flag: str, text: str) -> List[float]:
+    """The numbers of a flag's comma list (blank entries skipped), checked by `_flag`."""
+    return _flag(flag, text, lambda: [float(v) for v in text.split(",") if v.strip()])
 
 
 def _grid_n(args, dim: int, default: int) -> int:
@@ -162,7 +165,8 @@ def cmd_solve(args) -> int:
     op = parse_op_key(args.op)
     policy = _policy(args, op)
     x0 = parse_x0(args.x0, op.dim, args.seed)
-    cfg = SolveConfig(max_iters=args.iters, x0=x0, stop_tol=args.tol)
+    _flag("--iters", args.iters, check_iters, args.iters)
+    cfg = _flag("--tol", args.tol, SolveConfig, max_iters=args.iters, x0=x0, stop_tol=args.tol)
     out = _ensure_out(args.out)
     trace_path = os.path.join(out, "trace.csv")
     try:
@@ -217,11 +221,7 @@ def cmd_sweep(args) -> int:
     if op.solution is None:
         raise _UsageError(f"sweep needs an operator with a known root; "
                           f"'{op.label}' declares none")
-    try:
-        c0s = [float(v) for v in args.c0.split(",") if v.strip()]
-        c1s = [float(v) for v in args.c1.split(",") if v.strip()]
-    except ValueError:
-        raise _UsageError("--c0/--c1 must be comma-separated numbers") from None
+    c0s, c1s = _numbers("--c0", args.c0), _numbers("--c1", args.c1)
     if not c0s or not c1s:
         raise _UsageError("--c0 and --c1 grids must be non-empty")
     x0 = parse_x0(args.x0, op.dim, args.seed)
@@ -261,7 +261,7 @@ def cmd_verify(args) -> int:
 
 def cmd_estimate(args) -> int:
     op = parse_op_key(args.op)
-    alphas = [float(v) for v in args.alphas.split(",") if v.strip()]
+    alphas = _numbers("--alphas", args.alphas)
     _flag("--alphas", args.alphas, analysis.check_alpha_grid, alphas)
     if args.from_grid:
         box = _box(args, op)
@@ -271,6 +271,7 @@ def cmd_estimate(args) -> int:
         if args.policy is None:
             raise _UsageError("estimate needs --from-grid or --policy (trace source)")
         policy = _policy(args, op)
+        _flag("--iters", args.iters, check_iters, args.iters)
         cfg = SolveConfig(max_iters=args.iters, x0=parse_x0(args.x0, op.dim, args.seed),
                           stop_tol=0.0)
         sample = lambda: analysis.scatter_from_trace(
@@ -312,8 +313,8 @@ def _reproduce_fig3(out: str, iters: int, seed: int) -> tuple:
     op = operators.build("signpower")
     x0 = np.array([5.0, 5.0])
     d20 = solver.rel_err_base(x0, op.solution)
-    # mu below is a local curvature estimate near x0, not a global modulus,
-    # hence force=True for both runs on this merely-monotone operator
+    # mu is a strong-monotonicity modulus at no iterate of either run (the least eigenvalue
+    # of the symmetric Jacobian stays <= 10); force=True: signpower is merely monotone
     mu_local = 12.5
     runs = {
         "ours": parse_policy("cor1"),
@@ -387,8 +388,8 @@ def _reproduce_fig4(out: str, iters: int, seed: int) -> tuple:
 def _reproduce_fig5(out: str, iters: int, seed: int) -> tuple:
     op = operators.build("forsaken")
     x0 = np.array([1.0, 1.0])
-    # ours runs with locally valid constants (1,1) over the visited region;
-    # the globally declared pair is far more conservative
+    # ours runs with (alpha, L0, L1) = (1, 1, 1), smaller than the declared (1, 2.5, 5);
+    # ||J|| <= 1 + ||F|| fails at 1,155 of its 1,184 iterates (||J(0)|| = 1.20)
     runs = {
         "ours": StepSizePolicy(kind=PolicyKind.WEAK_MINTY,
                                smoothness=SmoothnessParams(alpha=1.0, L0=1.0, L1=1.0)),

@@ -160,6 +160,8 @@ def cubicRd(d: int = 2, seed: int = 0, scale: float = 1.0) -> OperatorInstance:
     """
     if not 1 <= d <= MAX_DIM // 2:
         raise ValueError(f"cubicRd: d must lie in 1..{MAX_DIM // 2} (dim 2d <= MAX_DIM), got {d}")
+    if not (math.isfinite(scale) and scale > 0):
+        raise ValueError(f"cubicRd: scale must be finite and > 0, got {scale}")
     rng = np.random.default_rng(seed)
     GA = rng.standard_normal((d, d))
     A = scale * (GA.T @ GA / d + 0.1 * np.eye(d))

@@ -26,7 +26,7 @@ from .core import (
     vec,
     write_csv,
 )
-from .stepsize import OmegaRule, StepSizePolicy, gamma, omega  # gamma unused; perfbench wraps it
+from .stepsize import StepSizePolicy, gamma, omega  # gamma, omega unused; perfbench wraps them
 
 
 @dataclass(frozen=True)
@@ -43,41 +43,25 @@ class IterationState:
 
 
 def resolve_policy(F: OperatorInstance, policy: StepSizePolicy) -> tuple:
-    """(rule, rho) of the policy on F, checked before any evaluation: `policy.rule`'s
-    ||F(x_k)|| -> gamma_k, and rho, the policy's or else the declared one."""
+    """(rule, update) of the policy on F, built before any evaluation: `policy.rule`
+    and `policy.update` on F's declared constants."""
     m = F.monotonicity
-    rho = policy.rho if policy.rho is not None else (m.rho if m is not None else None)
-    if rho is None and policy.omega_rule is OmegaRule.PETHICK:
-        raise MissingConstant("Pethick rule needs rho (policy override or declared)")
-    return policy.rule(F.smoothness, m), rho
-
-
-def _one_step(F: OperatorInstance, x: np.ndarray, policy: StepSizePolicy, g: float, rho,
-              F_x: np.ndarray) -> tuple:
-    """(xhat, F(xhat), omega_k, next_x) of one step from x with extrapolation step g.
-
-    F(x) and g come from the caller, so a step evaluates F only at xhat.
-    """
-    xhat = x - g * F_x
-    F_xhat = F(xhat)
-    if policy.omega_rule is not OmegaRule.PETHICK:
-        w = omega(policy, g)
-    elif float(F_xhat @ F_xhat) == 0.0:
-        # update term is zero either way; keep the row well-defined
-        w = g
-    else:
-        w = omega(policy, g, F_xhat=F_xhat, x_minus_xhat=x - xhat, rho=rho)
-    return xhat, F_xhat, w, x - w * F_xhat
+    return policy.rule(F.smoothness, m), policy.update(m.rho if m is not None else None)
 
 
 def eg_step(F: OperatorInstance, x_k, policy: StepSizePolicy, k: int = 0) -> IterationState:
     """Run one extragradient step from x_k under the given policy."""
     x = vec(x_k, F.dim, what="x_k")
-    rule, rho = resolve_policy(F, policy)
+    rule, update = resolve_policy(F, policy)
     with overflow_as_data():
         F_x = F(x)
         g = rule(norm(F_x))
-        xhat, F_xhat, w, next_x = _one_step(F, x, policy, g, rho, F_x)
+        if not g > 0:
+            raise ValueError(f"gamma_k must be positive, got {g}")
+        xhat = x - g * F_x
+        F_xhat = F(xhat)
+        w = update(g, F_xhat, x, xhat)
+        next_x = x - w * F_xhat
     return IterationState(k=k, x=x, F_x=F_x, gamma_k=g, xhat=xhat,
                           F_xhat=F_xhat, omega_k=w, next_x=next_x)
 
@@ -141,7 +125,7 @@ def solve(F: OperatorInstance, policy: StepSizePolicy, cfg: SolveConfig,
     ValueError before any evaluation when ||x0 - x*||^2 is 0 or overflows.
     """
     check_policy_compat(F, policy, force=force)
-    rule, rho = resolve_policy(F, policy)
+    rule, update = resolve_policy(F, policy)
     x = np.array(cfg.x0, dtype=np.float64)
     if x.shape[0] != F.dim:
         x = vec(x, F.dim, what="x0")
@@ -180,7 +164,9 @@ def solve(F: OperatorInstance, policy: StepSizePolicy, cfg: SolveConfig,
             g = rule(nfx)
             if not g > 0:
                 raise _fail(k, f"step gamma_k underflowed to {g}")
-            xhat, F_xhat, w, next_x = _one_step(F, x, policy, g, rho, F_x)
+            xhat = x - g * F_x
+            F_xhat = F(xhat)
+            w = update(g, F_xhat, x, xhat)
             nfxh = norm(F_xhat)
             stop = nfx <= stop_tol
             if not stop and not math.isfinite(nfxh):
@@ -195,7 +181,7 @@ def solve(F: OperatorInstance, policy: StepSizePolicy, cfg: SolveConfig,
                 min_h, arg_h = nfxh, k
             if stop:
                 return _finish(k, "stop_tol", d2)
-            x = next_x
+            x = x - w * F_xhat
             # a finite sum of squares, ||x - x*||^2 when the root is known, proves
             # every entry finite; only one that overflows needs the entrywise check
             d2 = _dist_sq(x, xstar)

@@ -45,14 +45,15 @@ _RESIDUALS: dict = {
     NuKind.MONO: lambda v: v * math.exp(v) - 1.0 / math.sqrt(2.0),
     NuKind.WEAK_MINTY: lambda v: v * math.exp(v) - 1.0,
 }
+BISECT_TOL = 1e-15   # bracket width at which `bisect` stops
 
 
 def nu_residual(kind: NuKind, v: float) -> float:
     return _RESIDUALS[kind](v)
 
 
-def bisect(fn: Callable[[float], float], lo: float, hi: float, tol: float = 1e-15) -> float:
-    """Plain bisection; the bracket must straddle a sign change."""
+def bisect(fn: Callable[[float], float], lo: float, hi: float) -> float:
+    """Plain bisection down to BISECT_TOL; the bracket must straddle a sign change."""
     flo, fhi = fn(lo), fn(hi)
     if flo == 0.0:
         return lo
@@ -60,7 +61,7 @@ def bisect(fn: Callable[[float], float], lo: float, hi: float, tol: float = 1e-1
         return hi
     if flo * fhi > 0:
         raise BracketFailure(f"no sign change on [{lo}, {hi}]: f(lo)={flo:g}, f(hi)={fhi:g}")
-    while hi - lo > tol:
+    while hi - lo > BISECT_TOL:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
@@ -178,7 +179,7 @@ class StepSizePolicy:
 
     `smoothness`, `mu` and `rho` override the operator's declared values when
     set; that is how experiment configs run a rule with constants that differ
-    from the declared ones (for example locally valid constants). `rule` resolves them.
+    from the declared ones. `rule` and `update` resolve them.
     """
     kind: PolicyKind
     step: Optional[float] = None          # Constant / EG+ / Pethick extrapolation step
@@ -255,6 +256,31 @@ class StepSizePolicy:
             return nu / den
         return ratio
 
+    def update(self, rho: Optional[float] = None, strict: bool = False) -> Callable:
+        """The map (gamma_k, F(xhat_k), x_k, xhat_k) -> omega_k, resolved here, once.
+
+        Pethick: omega = gamma_k (rho + <F(xhat), x - xhat> / ||F(xhat)||^2), rho the
+        policy's else the given (declared) one; relative to gamma_k, as an absolute step
+        is nonconvergent on weak-Minty problems whenever gamma < rho. At F(xhat) = 0 the
+        update term is 0 either way: gamma_k (strict: ZeroOperatorAtExtrapolation)."""
+        rule = self.kind.omega_rule
+        if rule is OmegaRule.EQUAL:
+            return lambda g, F_xhat, x, xhat: g
+        if rule is OmegaRule.HALF:
+            return lambda g, F_xhat, x, xhat: 0.5 * g
+        r = self.rho if self.rho is not None else rho
+        if r is None:
+            raise MissingConstant("Pethick rule needs rho (policy override or declared)")
+
+        def pethick(g: float, F_xhat, x, xhat) -> float:
+            n2 = float(F_xhat @ F_xhat)
+            if n2 == 0.0:
+                if strict:
+                    raise ZeroOperatorAtExtrapolation("||F(xhat)|| = 0 in the adaptive update rule")
+                return g
+            return g * (r + float(F_xhat @ (x - xhat)) / n2)
+        return pethick
+
 
 def gamma(policy: StepSizePolicy, normF: float,
           s: Optional[SmoothnessParams] = None,
@@ -267,30 +293,13 @@ def gamma(policy: StepSizePolicy, normF: float,
 
 def omega(policy: StepSizePolicy, gamma_k: float,
           F_xhat=None, x_minus_xhat=None, rho: Optional[float] = None) -> float:
-    """Update step omega_k from the policy's rule.
-
-    The residual-adaptive rule scales with gamma_k:
-    omega = gamma_k * (rho + <F(xhat), x - xhat>/||F(xhat)||^2). Taken as an
-    absolute step that expression is nonconvergent on weak-Minty problems
-    whenever gamma < rho, so the relative form is used throughout.
-    """
+    """Update step omega_k from the policy's `update`; the Pethick rule needs
+    F(xhat) and x - xhat, and raises ZeroOperatorAtExtrapolation at F(xhat) = 0."""
     if not (gamma_k > 0):
         raise ValueError(f"gamma_k must be positive, got {gamma_k}")
-    rule = policy.omega_rule
-    if rule is OmegaRule.EQUAL:
-        return gamma_k
-    if rule is OmegaRule.HALF:
-        return 0.5 * gamma_k
-    # Pethick rule
-    if F_xhat is None or x_minus_xhat is None:
+    if policy.omega_rule is OmegaRule.PETHICK and (F_xhat is None or x_minus_xhat is None):
         raise ValueError("Pethick rule needs F(xhat) and x - xhat")
-    r = policy.rho if policy.rho is not None else rho
-    if r is None:
-        raise MissingConstant("Pethick rule needs rho (policy override or declared)")
-    n2 = float(F_xhat @ F_xhat)
-    if n2 == 0.0:
-        raise ZeroOperatorAtExtrapolation("||F(xhat)|| = 0 in the adaptive update rule")
-    return gamma_k * (r + float(F_xhat @ x_minus_xhat) / n2)
+    return policy.update(rho, strict=True)(gamma_k, F_xhat, x_minus_xhat, 0.0)  # x - 0.0 = x - xhat
 
 
 # ---------------------------------------------------------------------------

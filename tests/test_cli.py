@@ -11,11 +11,13 @@ import threading
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import egsolve
 from egsolve import analysis, solver
 from egsolve.cli import _build_parser, main
-from egsolve.core import OperatorInstance
+from egsolve.core import MAX_TRACE_ROWS, OperatorInstance
 from egsolve.solver import read_trace_csv
 
 
@@ -214,6 +216,68 @@ class TestX0AndConfig:
         assert code == 0 and err == ""
         assert (code, out) == run(capsys, *argv, "--L0", "10", "--L1", "10")[:2]
         assert out != run(capsys, *argv, "--L0", "1", "--L1", "1")[1]
+
+
+def _is_number(text):
+    try:
+        float(text)
+        return True
+    except ValueError:
+        return False
+
+
+# an entry float() refuses: no comma, not blank, not 'nan'/'inf'/'1e5'/'1_0'
+_NON_NUMBER = st.text(alphabet="abnfxz_+-.e# ", min_size=1, max_size=6).filter(
+    lambda t: t.strip() and not _is_number(t))
+_NUMBER = st.floats(-1e3, 1e3).map(repr)
+
+
+@st.composite
+def _list_with_non_number(draw):
+    entries = draw(st.lists(_NUMBER, max_size=3))
+    entries.insert(draw(st.integers(0, len(entries))), draw(_NON_NUMBER))
+    return ",".join(entries)
+
+
+_BAD_ITERS = st.one_of(st.integers(max_value=0),
+                       st.integers(min_value=MAX_TRACE_ROWS + 1, max_value=10 ** 30)).map(str)
+_BAD_TOL = st.one_of(st.floats(max_value=-1e-300), st.just(math.nan)).map(repr)
+
+# (base argv, flag, strategy for a value that flag must refuse)
+_BAD_NUMBER_FLAGS = [
+    (["solve", "--op", "quadratic", "--x0", "1,1", "--policy", "thm3"], "--x0",
+     st.one_of(_list_with_non_number(), _NON_NUMBER.map("rand:{}".format),
+               st.lists(_NUMBER, max_size=5).filter(lambda v: len(v) != 2).map(",".join))),
+    (["solve", "--op", "quadratic", "--x0", "1,1", "--policy", "thm3"], "--iters", _BAD_ITERS),
+    (["solve", "--op", "quadratic", "--x0", "1,1", "--policy", "thm3"], "--tol", _BAD_TOL),
+    (["solve", "--op", "cubicRd", "--x0", "1,1", "--policy", "thm3"], "--op",
+     _NON_NUMBER.map("cubicRd:d={}".format)),
+    (["estimate", "--op", "quadratic", "--policy", "thm3"], "--iters", _BAD_ITERS),
+    (["estimate", "--op", "quadratic", "--policy", "thm3"], "--x0", _list_with_non_number()),
+    (["estimate", "--op", "quadratic", "--from-grid", "--grid", "3"], "--alphas",
+     _list_with_non_number()),
+    (["sweep", "--op", "quadratic", "--x0", "1,1", "--c0", "10", "--c1", "0"], "--c0",
+     _list_with_non_number()),
+    (["sweep", "--op", "quadratic", "--x0", "1,1", "--c0", "10", "--c1", "0"], "--c1",
+     _list_with_non_number()),
+    (["sweep", "--op", "quadratic", "--x0", "1,1", "--c0", "10", "--c1", "0"], "--x0",
+     _NON_NUMBER.map("rand:{}".format)),
+]
+
+
+class TestNumberFlags:
+    @given(data=st.data(), case=st.sampled_from(_BAD_NUMBER_FLAGS))
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_bad_number_names_its_flag(self, data, case, tmp_path, capsys):
+        argv, flag, values = case
+        value = data.draw(values)
+        out_dir = tmp_path / "out"
+        # the later occurrence of a flag wins; '=' keeps a leading '-' a value
+        code, out, err = run(capsys, *argv, f"{flag}={value}", "--out", str(out_dir))
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith(f"{flag} ")
+        assert not out_dir.exists()
 
 
 class TestParserWiring:

@@ -131,6 +131,11 @@ class TestHandValues:
         A2, B2, C2 = build("cubicRd", d=3, seed=9).matrices
         assert np.array_equal(A1, A2) and np.array_equal(B1, B2) and np.array_equal(C1, C2)
 
+    @pytest.mark.parametrize("scale", [-1.0, 0.0, math.nan, math.inf, -math.inf])
+    def test_cubicRd_refuses_a_scale_not_finite_and_positive(self, scale):
+        with pytest.raises(ValueError, match="scale must be finite and > 0"):
+            build("cubicRd", d=2, scale=scale)
+
     def test_matrices_is_a_declared_field(self):
         assert "matrices" in {f.name for f in dataclasses.fields(OperatorInstance)}
         assert build("quadratic").matrices is None

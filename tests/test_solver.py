@@ -20,6 +20,7 @@ from egsolve.core import (
     SolveConfig,
     norm,
 )
+from egsolve import solver as solver_module, stepsize
 from egsolve.analysis import theoretical_bounds
 from egsolve.cli import _first_hit
 from egsolve.operators import build
@@ -183,6 +184,20 @@ class TestSolve:
             st = eg_step(op, [1e307], parse_policy("const:10"))
         assert np.isfinite(st.F_xhat).all()
         assert not np.isfinite(st.next_x).all()
+
+
+    @pytest.mark.parametrize("key", ["thm8", "egplus:0.1", "pethick:0.1"])
+    def test_solve_calls_no_omega(self, key, monkeypatch):
+        # the update step comes from the map resolve_policy built once per solve
+        def no_omega(*a, **kw):
+            raise AssertionError("omega() called inside solve")
+        monkeypatch.setattr(solver_module, "omega", no_omega)
+        monkeypatch.setattr(stepsize, "omega", no_omega)
+        tr = solve(build("forsaken"), parse_policy(key),
+                   SolveConfig(max_iters=50, x0=[1.0, 1.0], stop_tol=0.0))
+        assert tr.iterations_run == 50
+        halved = all(r.omega_k == 0.5 * r.gamma_k for r in tr.rows)
+        assert halved is (key != "pethick:0.1")
 
 
 def _counting(op):

@@ -12,9 +12,11 @@ from egsolve.core import (
     MissingConstant,
     MonotoneClass,
     MonotonicityParams,
+    OperatorInstance,
     SmoothnessParams,
     ZeroOperatorAtExtrapolation,
 )
+from egsolve.solver import resolve_policy
 from egsolve.stepsize import (
     NuKind,
     OmegaRule,
@@ -325,6 +327,63 @@ class TestOmega:
     def test_bad_gamma_rejected(self):
         with pytest.raises(ValueError):
             omega(parse_policy("thm3"), 0.0)
+
+
+def _reference_omega(policy, gamma_k, F_xhat, x_minus_xhat, rho):
+    """Reference update step: the rules written out in one function, no closure."""
+    rule = policy.omega_rule
+    if rule is OmegaRule.EQUAL:
+        return gamma_k
+    if rule is OmegaRule.HALF:
+        return 0.5 * gamma_k
+    r = policy.rho if policy.rho is not None else rho
+    n2 = float(F_xhat @ F_xhat)
+    return gamma_k * (r + float(F_xhat @ x_minus_xhat) / n2)
+
+
+_VECTORS = st.integers(1, 6).flatmap(lambda n: st.tuples(*[
+    st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n).map(np.array) for _ in range(3)]))
+
+
+class TestUpdate:
+    # one kind per update rule, Pethick with and without its own rho
+    POLICIES = ["thm3", "const:0.5", "thm8", "egplus:0.1", "pethick:0.1", "pethick:0.1:0.3"]
+
+    @given(key=st.sampled_from(POLICIES), g=st.floats(1e-12, 1e3), vecs=_VECTORS,
+           declared=st.floats(0.0, 10.0))
+    @settings(max_examples=300, deadline=None)
+    def test_resolved_update_matches_reference_bits(self, key, g, vecs, declared):
+        policy = parse_policy(key)
+        F_xhat, x, xhat = vecs
+        # the update `solve` runs: rho from the policy, else the operator's weak-Minty rho
+        op = OperatorInstance(dim=len(x), fn=lambda v: v,
+                              smoothness=SmoothnessParams(1.0, 1.0, 1.0),
+                              monotonicity=MonotonicityParams(MonotoneClass.WEAK_MINTY,
+                                                              rho=declared))
+        got = resolve_policy(op, policy)[1](g, F_xhat, x, xhat)
+        if policy.omega_rule is OmegaRule.PETHICK and float(F_xhat @ F_xhat) == 0.0:
+            want = g    # the update term is zero: the step keeps gamma_k
+            with pytest.raises(ZeroOperatorAtExtrapolation):
+                omega(policy, g, F_xhat=F_xhat, x_minus_xhat=x - xhat, rho=declared)
+        else:
+            want = _reference_omega(policy, g, F_xhat, x - xhat, declared)
+            assert omega(policy, g, F_xhat=F_xhat, x_minus_xhat=x - xhat,
+                         rho=declared).hex() == want.hex()
+        assert float(got).hex() == float(want).hex()
+
+    def test_rho_comes_from_the_policy_else_the_declared_class(self):
+        F_xhat, x, xhat = np.array([1.0, 0.0]), np.array([1.0, 1.0]), np.array([0.5, 1.0])
+        assert parse_policy("pethick:1:0.3").update(0.25)(2.0, F_xhat, x, xhat) == 2.0 * 0.8
+        assert parse_policy("pethick:1").update(0.25)(2.0, F_xhat, x, xhat) == 2.0 * 0.75
+        with pytest.raises(MissingConstant, match="needs rho"):
+            parse_policy("pethick:1").update()
+
+    def test_zero_extrapolation_value_returns_gamma(self):
+        update = parse_policy("pethick:1:0.1").update()
+        assert update(0.7, np.zeros(2), np.ones(2), np.zeros(2)) == 0.7
+        with pytest.raises(ZeroOperatorAtExtrapolation):
+            parse_policy("pethick:1:0.1").update(strict=True)(0.7, np.zeros(2), np.ones(2),
+                                                              np.zeros(2))
 
 
 class TestParsePolicy:
