@@ -29,7 +29,7 @@ from .core import (
     vec,
     write_csv,
 )
-from .stepsize import PolicyKind, k_constants, pow_alpha, solve_nu
+from .stepsize import PolicyKind, StepSizePolicy, k_constants, pow_alpha
 
 BoxLike = Union[float, Tuple[float, float], Sequence[Tuple[float, float]]]
 
@@ -426,7 +426,9 @@ def theoretical_bounds(F: OperatorInstance, kind: PolicyKind, x0,
     """Evaluate the closed-form guarantee constants for a policy kind at x0.
 
     s and m override the operator's declared constants (for bounds under
-    locally valid constants, mirroring the policy-level overrides).
+    locally valid constants, mirroring the policy-level overrides). An alpha = 1
+    kind's zeta is its rule's step at F_max = prop1_rhs(s, 0, D), Proposition 1's
+    bound on ||F|| over the ball of radius D = ||x0 - x*||; 0.0 where F_max overflows.
     """
     if F.solution is None:
         raise MissingSolution(f"{F.label or 'operator'} has no known root; distances undefined")
@@ -436,8 +438,7 @@ def theoretical_bounds(F: OperatorInstance, kind: PolicyKind, x0,
     m = m if m is not None else F.monotonicity
     x0 = vec(x0, F.dim, what="x0")
     D = norm(x0 - F.solution)
-    L0, L1 = s.L0, s.L1
-    amp = 1.0 + L1 * math.exp(L1 * D) * D   # growth factor over the radius-D ball
+    F_max = prop1_rhs(s, 0.0, D)   # Proposition 1 at y = x*: the largest ||F|| on the ball
     rep = BoundReport(kind=kind, D=D)
 
     def _mu() -> float:
@@ -451,43 +452,39 @@ def theoretical_bounds(F: OperatorInstance, kind: PolicyKind, x0,
         return m.rho
 
     if kind.nu is not None:   # the alpha = 1 rules nu / (L0 + L1 ||F||)
-        if s.alpha != 1.0:
-            raise InvalidAlpha(f"{kind.value} bound applies at alpha = 1, constants declare {s.alpha}")
-        if L0 <= 0.0:
-            raise MissingConstant(f"{kind.value} bound needs L0 > 0, constants declare {L0}")
-        nu = solve_nu(kind.nu)
-        rep.zeta = nu / (L0 * amp)
+        rule = StepSizePolicy(kind=kind).rule(s)   # raises InvalidAlpha unless alpha = 1
+        step0 = rule(0.0)                          # nu / L0; raises MissingConstant at L0 = 0
+        zeta = rep.zeta = float(rule(F_max)) if math.isfinite(F_max) else 0.0
         if kind is PolicyKind.STRONG_MONO:
-            rep.rate = 1.0 - rep.zeta * _mu()
+            rep.rate = 1.0 - zeta * _mu()
         elif kind is PolicyKind.STRONG_MONO_DESCENT:
             if epsilon is None or not (epsilon > 0):
                 raise ValueError("iteration-count bound needs epsilon > 0")
             mu = _mu()
-            rep.term1 = (2.0 * L0 / (nu * mu)) * math.log(D * D / epsilon)
-            if L1 == 0.0:
+            rep.term1 = 2.0 * math.log(D * D / epsilon) / (step0 * mu)
+            if s.L1 == 0.0:
                 rep.term2 = 0.0   # no step-growth phase without the norm term
+            elif zeta == 0.0:
+                rep.term2 = math.inf
             else:
-                arg = 2.0 * L1 * D * D / (rep.zeta ** 2 * L0)
-                rep.term2 = max(math.log(arg) / (rep.zeta * mu), 0.0) if arg > 0 else 0.0
+                arg = 2.0 * s.L1 * D * D / s.L0 / zeta / zeta
+                rep.term2 = max(math.log(arg) / (zeta * mu), 0.0) if arg > 0 else 0.0
             rep.iters_to_eps = rep.term1 + rep.term2
         elif kind is PolicyKind.MONO:
-            rep.sublinear_const = 2.0 * L0 * L0 * amp * amp * D * D / (nu * nu)
+            rep.sublinear_const = 2.0 * (D / zeta) * (D / zeta) if zeta > 0 else math.inf
         else:   # WEAK_MINTY
-            rep.delta = rep.zeta - 4.0 * _rho()
+            rep.delta = zeta - 4.0 * _rho()
             if rep.delta <= 0:
                 rep.guarantee_void = True
             else:
-                rep.sublinear_const = 4.0 * L0 * amp * D * D / (nu * rep.delta)
+                rep.sublinear_const = 4.0 * D * (D / zeta) / rep.delta
         return rep
 
     if kind is PolicyKind.WEAK_MINTY_FRAC:
         rho = _rho()
         kc = k_constants(s)   # raises InvalidAlpha at alpha = 1
         a = s.alpha
-        M = ((kc.K1 + 2.0 ** -1.5 * kc.K2 ** (1.0 - a))
-             * pow_alpha(kc.K0 + kc.K2 * pow_alpha(D, a / (1.0 - a)), a)
-             * pow_alpha(D, a))
-        denom = kc.K0 + M
+        denom = kc.K0 + (kc.K1 + 2.0 ** -1.5 * kc.K2 ** (1.0 - a)) * pow_alpha(F_max, a)
         rep.zeta = 1.0 / (2.0 * math.sqrt(2.0) * denom)
         rep.delta = rep.zeta - 4.0 * rho
         if rep.delta <= 0:

@@ -316,6 +316,7 @@ def _reproduce_fig3(out: str, iters: int, seed: int) -> tuple:
     # mu is a strong-monotonicity modulus at no iterate of either run (the least eigenvalue
     # of the symmetric Jacobian stays <= 10); force=True: signpower is merely monotone
     mu_local = 12.5
+    cap = 1.0 / (4.0 * mu_local)   # the baseline's step cap
     runs = {
         "ours": parse_policy("cor1"),
         "vankov": parse_policy(f"vankov:{mu_local}"),
@@ -339,29 +340,30 @@ def _reproduce_fig3(out: str, iters: int, seed: int) -> tuple:
     g_v = [r.gamma_k for r in rows_v]
     g_o_max = max(r.gamma_k for r in rows_o)
     # the baseline step is norm-limited during the initial transient, then the
-    # 1/(4 mu) cap binds; "stays near 0.02" means entered-and-held
-    enter = next((i for i, v in enumerate(g_v) if abs(v - 0.02) <= 0.005), -1)
+    # 1/(4 mu) cap binds; "stays near the cap" means entered-and-held
+    enter = next((i for i, v in enumerate(g_v) if abs(v - cap) <= 0.005), -1)
     checks = [
         ("fig3-iterations", hit_o != -1 and hit_v != -1 and hit_o < hit_v,
          f"ours@{hit_o} vs baseline@{hit_v} to relerr 1e-8"),
         ("fig3-baseline-step",
-         enter != -1 and all(abs(v - 0.02) <= 0.005 for v in g_v[enter:]),
-         f"baseline step reaches 0.02 +/- 0.005 at k={enter} and holds it"),
+         enter != -1 and all(abs(v - cap) <= 0.005 for v in g_v[enter:]),
+         f"baseline step reaches {cap:g} +/- 0.005 at k={enter} and holds it"),
         ("fig3-our-step-grows", g_o_max > 0.032, f"our max step {g_o_max} > 0.032"),
     ]
     return meta, plot, checks
 
 
+_FIG4_OP, _FIG4_X0 = "cubicRd:d=10,seed=42,scale=5", "rand:1000"
 _FIG4_CONSTS = [1e2, 1e3, 1e4, 1e5, 1e6, 1e7]
 _FIG4_GRID = [(c0, c1) for c0 in (10.0, 100.0, 1000.0) for c1 in (0.1, 1.0, 10.0)]
 
 
 def _reproduce_fig4(out: str, iters: int, seed: int) -> tuple:
-    op = operators.build("cubicRd", d=10, seed=42, scale=5.0)
-    x0 = parse_x0("rand:1000", op.dim, seed)
+    op = parse_op_key(_FIG4_OP)
+    x0 = parse_x0(_FIG4_X0, op.dim, seed)
     results = _sweep(op, [(c, 0.0) for c in _FIG4_CONSTS] + _FIG4_GRID, x0, iters, 1e-8, out)
-    meta = [("operator", "cubicRd:d=10,seed=42,scale=5"), ("x0", ",".join(map(str, x0))),
-            ("x0_rule", f"rand:1000 with seed {seed}"), ("iters", iters), ("rel_tol", "1e-8")]
+    meta = [("operator", _FIG4_OP), ("x0", ",".join(map(str, x0))),
+            ("x0_rule", f"{_FIG4_X0} with seed {seed}"), ("iters", iters), ("rel_tol", "1e-8")]
     plot = (
         "set logscale y\nset xlabel 'grid cell'\nset ylabel 'final relative squared error'\n"
         "set xtics rotate by -45\n"
@@ -390,11 +392,11 @@ def _reproduce_fig5(out: str, iters: int, seed: int) -> tuple:
     x0 = np.array([1.0, 1.0])
     # ours runs with (alpha, L0, L1) = (1, 1, 1), smaller than the declared (1, 2.5, 5);
     # ||J|| <= 1 + ||F|| fails at 1,155 of its 1,184 iterates (||J(0)|| = 1.20)
+    ours, step = SmoothnessParams(alpha=1.0, L0=1.0, L1=1.0), 0.1   # step: EG+'s and Pethick's
     runs = {
-        "ours": StepSizePolicy(kind=PolicyKind.WEAK_MINTY,
-                               smoothness=SmoothnessParams(alpha=1.0, L0=1.0, L1=1.0)),
-        "egplus": parse_policy("egplus:0.1"),
-        "pethick": parse_policy("pethick:0.1"),
+        "ours": StepSizePolicy(kind=PolicyKind.WEAK_MINTY, smoothness=ours),
+        "egplus": StepSizePolicy(kind=PolicyKind.EGPLUS, step=step),
+        "pethick": StepSizePolicy(kind=PolicyKind.PETHICK, step=step),
     }
     norm_x = lambda r: math.sqrt(r.dist_sq)
     traces = _compare(out, op, x0, iters, runs, "norm_x", norm_x, force=False)
@@ -402,13 +404,14 @@ def _reproduce_fig5(out: str, iters: int, seed: int) -> tuple:
     hits = {n: _first_hit(traces[n].rows, norm_x, 1e-3) for n in names}
     finals = {n: math.sqrt(traces[n].final_dist_sq) for n in names}
     meta = [("operator", "forsaken"), ("x0", "1,1"), ("iters", iters),
-            ("ours_constants", "alpha=1,L0=1,L1=1"), ("baseline_step", 0.1),
+            ("ours_constants", f"alpha={ours.alpha:g},L0={ours.L0:g},L1={ours.L1:g}"),
+            ("baseline_step", step),
             ("hit_metric", "||x|| <= 1e-3")]
     plot = (
         "set logscale y\nset xlabel 'iteration'\nset ylabel 'distance to origin'\n"
         "plot 'comparison.csv' using 1:2 every ::1 with lines title 'norm-adaptive (ours)', \\\n"
-        "     'comparison.csv' using 1:4 every ::1 with lines title 'EG+ 0.1', \\\n"
-        "     'comparison.csv' using 1:6 every ::1 with lines title 'residual-adaptive 0.1'\n")
+        f"     'comparison.csv' using 1:4 every ::1 with lines title 'EG+ {step:g}', \\\n"
+        f"     'comparison.csv' using 1:6 every ::1 with lines title 'residual-adaptive {step:g}'\n")
     checks = [
         ("fig5-all-converge", all(finals[n] <= 1e-3 for n in names),
          "final distances " + ", ".join(f"{n}={finals[n]}" for n in names)),

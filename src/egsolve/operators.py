@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 from numpy import linalg as la
@@ -22,6 +22,7 @@ from .core import (
     MonotonicityParams,
     OperatorInstance,
     SmoothnessParams,
+    overflow_as_data,
 )
 
 SQ2 = math.sqrt(2.0)
@@ -164,16 +165,23 @@ def cubicRd(d: int = 2, seed: int = 0, scale: float = 1.0) -> OperatorInstance:
         raise ValueError(f"cubicRd: scale must be finite and > 0, got {scale}")
     rng = np.random.default_rng(seed)
     GA = rng.standard_normal((d, d))
-    A = scale * (GA.T @ GA / d + 0.1 * np.eye(d))
     GC = rng.standard_normal((d, d))
-    C = scale * (GC.T @ GC / d + 0.1 * np.eye(d))
     GB = rng.standard_normal((d, d))
-    B = scale * (GB.T @ GB / d)
-
-    lmin = float(min(la.eigvalsh(A).min(), la.eigvalsh(C).min()))
-    chat = 2.0 ** 1.25 * max(la.norm(A, 2), la.norm(C, 2)) / lmin ** 0.25
-    L1 = chat / 2.0
-    L0 = float(la.norm(B, 2)) + chat / 2.0
+    try:   # near the float limits the matrices overflow or underflow, and so do the constants
+        with overflow_as_data():
+            A = scale * (GA.T @ GA / d + 0.1 * np.eye(d))
+            C = scale * (GC.T @ GC / d + 0.1 * np.eye(d))
+            B = scale * (GB.T @ GB / d)
+            lmin = float(min(la.eigvalsh(A).min(), la.eigvalsh(C).min()))
+            chat = (2.0 ** 1.25 * max(la.norm(A, 2), la.norm(C, 2)) / lmin ** 0.25
+                    if lmin > 0 else math.nan)
+            L1 = chat / 2.0
+            L0 = float(la.norm(B, 2)) + chat / 2.0   # >= L1
+    except la.LinAlgError:
+        L0 = math.nan
+    if not math.isfinite(L0):
+        raise ValueError(f"cubicRd: scale {scale:g} leaves no finite constants L0, L1 "
+                         "(its matrices overflow or underflow)")
 
     # one mat-vec gives (A w1, C w2, B w2, -B^T w1). The EG loop calls this point
     # form, where gemv and dot beat a one-row gemm and einsum; the block form

@@ -764,6 +764,154 @@ class TestTheoreticalBounds:
         with pytest.raises(MissingConstant):
             theoretical_bounds(quad, PolicyKind.CONSTANT, [1.0, 1.0])
 
+    def test_iteration_count_step_growth_term(self):
+        # L1 > 0: cor1 adds log(2 L1 D^2 / (zeta^2 L0)) / (zeta mu) to the count
+        s = SmoothnessParams(1.0, 2.0, 0.5)
+        m = MonotonicityParams(MonotoneClass.STRONGLY_MONOTONE, mu=0.5)
+        rep = theoretical_bounds(build("quadratic"), PolicyKind.STRONG_MONO_DESCENT, [1.0, 1.0],
+                                 epsilon=1e-8, s=s, m=m)
+        D, zeta = rep.D, rep.zeta
+        assert zeta == pytest.approx(parse_policy("cor1").rule(s)(2.0 * math.exp(0.5 * D) * D),
+                                     rel=1e-15)
+        term2 = math.log(2.0 * 0.5 * D * D / (zeta ** 2 * 2.0)) / (zeta * 0.5)
+        assert rep.term2 == pytest.approx(term2, rel=1e-12) and rep.term2 > 0
+        assert rep.iters_to_eps == rep.term1 + rep.term2
+
+    def test_weak_minty_fractional_margin_can_be_void(self):
+        op = build("square")
+        m = MonotonicityParams(MonotoneClass.WEAK_MINTY, rho=0.01)   # 4 rho > zeta = 0.0313
+        rep = theoretical_bounds(op, PolicyKind.WEAK_MINTY_FRAC, [1.0, 1.0], m=m)
+        assert rep.delta == pytest.approx(rep.zeta - 0.04, rel=1e-12) and rep.delta < 0
+        assert rep.guarantee_void
+        assert rep.sublinear_const is None
+
+    def test_bounds_are_defined_where_the_ball_bound_overflows(self):
+        # fig4's operator and start: L1 D = 21,377 overflows exp(L1 D)
+        from egsolve.cli import parse_x0
+        op = build("cubicRd", d=10, seed=42, scale=5)
+        x0 = parse_x0("rand:1000", op.dim, 42)
+        strong = MonotonicityParams(MonotoneClass.STRONGLY_MONOTONE, mu=1.0)
+        minty = MonotonicityParams(MonotoneClass.WEAK_MINTY, rho=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mono = theoretical_bounds(op, PolicyKind.MONO, x0)
+            rate = theoretical_bounds(op, PolicyKind.STRONG_MONO, x0, m=strong)
+            count = theoretical_bounds(op, PolicyKind.STRONG_MONO_DESCENT, x0, epsilon=1e-8,
+                                       m=strong)
+            void = theoretical_bounds(op, PolicyKind.WEAK_MINTY, x0, m=minty)
+            frac = theoretical_bounds(op, PolicyKind.WEAK_MINTY_FRAC, x0, m=minty,
+                                      s=SmoothnessParams(0.5, op.smoothness.L0, op.smoothness.L1))
+        assert mono.zeta == 0.0 and mono.sublinear_const == math.inf
+        assert rate.zeta == 0.0 and rate.rate == 1.0
+        assert count.zeta == 0.0 and count.iters_to_eps == math.inf
+        assert void.zeta == 0.0 and void.guarantee_void and void.sublinear_const is None
+        assert 0.0 < frac.zeta < math.inf and math.isfinite(frac.sublinear_const)
+
+    def test_matches_closed_forms_over_random_constants(self):
+        # every field within 1e-12 of the formulas written out from the constants,
+        # the same exception type where they raise, and Python floats throughout
+        rng = np.random.default_rng(17)
+        op = OperatorInstance(dim=2, fn=lambda x: x, solution=np.zeros(2), label="identity")
+        kinds = [PolicyKind.STRONG_MONO, PolicyKind.STRONG_MONO_DESCENT, PolicyKind.MONO,
+                 PolicyKind.WEAK_MINTY, PolicyKind.WEAK_MINTY_FRAC, PolicyKind.CONSTANT]
+        compared = raised = 0
+        for _ in range(400):
+            kind = kinds[rng.integers(len(kinds))]
+            # mostly the exponent and the class that the kind's bound reads
+            fits = rng.random() < 0.85
+            alpha = 1.0 if fits == (kind.nu is not None) else float(rng.uniform(0.05, 0.95))
+            L0 = 0.0 if rng.random() < 0.15 else float(10.0 ** rng.uniform(-2, 2))
+            L1 = 0.0 if rng.random() < 0.2 and L0 > 0 else float(10.0 ** rng.uniform(-2, 1))
+            s = SmoothnessParams(alpha, L0, L1)
+            m = [None, MonotonicityParams(MonotoneClass.MONOTONE),
+                 MonotonicityParams(MonotoneClass.STRONGLY_MONOTONE, mu=float(10.0 ** rng.uniform(-2, 1))),
+                 MonotonicityParams(MonotoneClass.WEAK_MINTY, rho=float(10.0 ** rng.uniform(-5, -1)))]
+            m = m[2 if "strong" in kind.value else 3] if fits else m[rng.integers(4)]
+            x0 = (10.0 ** rng.uniform(-2, 1)) * rng.standard_normal(2)
+            epsilon = None if rng.random() < 0.1 else float(10.0 ** rng.uniform(-10, -1))
+            try:
+                want = _closed_forms(kind, s, m, norm(x0), epsilon)
+            except Exception as e:
+                with pytest.raises(type(e)):
+                    theoretical_bounds(op, kind, x0, epsilon=epsilon, s=s, m=m)
+                raised += 1
+                continue
+            got = theoretical_bounds(op, kind, x0, epsilon=epsilon, s=s, m=m)
+            assert got.guarantee_void == want.guarantee_void
+            for f in dataclasses.fields(BoundReport):
+                a, b = getattr(got, f.name), getattr(want, f.name)
+                if f.name in ("kind", "guarantee_void"):
+                    continue
+                assert (a is None) == (b is None), f.name
+                if a is not None:
+                    assert type(a) is float, f.name
+                    assert a == pytest.approx(b, rel=1e-12, abs=1e-300), (f.name, kind, s, m)
+            compared += 1
+        assert compared > 200 and raised > 50
+
+
+def _closed_forms(kind, s, m, D, epsilon):
+    """The guarantee constants written out from (alpha, L0, L1), mu, rho and D:
+    zeta = nu / (L0 (1 + L1 e^{L1 D} D)) at alpha = 1, and thm9's M from the
+    K constants and D."""
+    from egsolve.core import InvalidAlpha
+    from egsolve.stepsize import solve_nu
+    rep = BoundReport(kind=kind, D=D)
+    mu = m.mu if m is not None and m.kind is MonotoneClass.STRONGLY_MONOTONE else None
+    rho = m.rho if m is not None and m.kind is MonotoneClass.WEAK_MINTY else None
+    L0, L1 = s.L0, s.L1
+    if kind.nu is not None:
+        if s.alpha != 1.0:
+            raise InvalidAlpha("alpha = 1 bound")
+        if L0 <= 0.0:
+            raise MissingConstant("needs L0 > 0")
+        nu = solve_nu(kind.nu)
+        amp = 1.0 + L1 * math.exp(L1 * D) * D
+        rep.zeta = nu / (L0 * amp)
+        if kind is PolicyKind.STRONG_MONO:
+            if mu is None:
+                raise MissingConstant("needs mu")
+            rep.rate = 1.0 - rep.zeta * mu
+        elif kind is PolicyKind.STRONG_MONO_DESCENT:
+            if epsilon is None:
+                raise ValueError("needs epsilon")
+            if mu is None:
+                raise MissingConstant("needs mu")
+            rep.term1 = (2.0 * L0 / (nu * mu)) * math.log(D * D / epsilon)
+            if L1 == 0.0:
+                rep.term2 = 0.0
+            else:
+                arg = 2.0 * L1 * D * D / (rep.zeta ** 2 * L0)
+                rep.term2 = max(math.log(arg) / (rep.zeta * mu), 0.0) if arg > 0 else 0.0
+            rep.iters_to_eps = rep.term1 + rep.term2
+        elif kind is PolicyKind.MONO:
+            rep.sublinear_const = 2.0 * L0 * L0 * amp * amp * D * D / (nu * nu)
+        else:
+            if rho is None:
+                raise MissingConstant("needs rho")
+            rep.delta = rep.zeta - 4.0 * rho
+            if rep.delta <= 0:
+                rep.guarantee_void = True
+            else:
+                rep.sublinear_const = 4.0 * L0 * amp * D * D / (nu * rep.delta)
+        return rep
+    if kind is PolicyKind.WEAK_MINTY_FRAC:
+        if rho is None:
+            raise MissingConstant("needs rho")
+        kc = k_constants(s)
+        a = s.alpha
+        M = ((kc.K1 + 2.0 ** -1.5 * kc.K2 ** (1.0 - a))
+             * pow_alpha(kc.K0 + kc.K2 * pow_alpha(D, a / (1.0 - a)), a) * pow_alpha(D, a))
+        denom = kc.K0 + M
+        rep.zeta = 1.0 / (2.0 * math.sqrt(2.0) * denom)
+        rep.delta = rep.zeta - 4.0 * rho
+        if rep.delta <= 0:
+            rep.guarantee_void = True
+        else:
+            rep.sublinear_const = 4.0 * denom * D * D / rep.delta
+        return rep
+    raise MissingConstant("no closed form")
+
 
 class TestCsvRoundTrip:
     def test_scatter(self, tmp_path):

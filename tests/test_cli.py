@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import time
+from contextlib import nullcontext
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -41,6 +42,21 @@ class TestExitCodes:
         tr = read_trace_csv(str(tmp_path / "trace.csv"))
         assert tr.iterations_run == 117
         assert tr.min_norm_F_x == pytest.approx(8.255489269774815e-15, rel=1e-12)
+
+    @pytest.mark.parametrize("argv", [
+        ["--op", "logistic", "--x0", "400,400", "--policy", "thm5"],
+        ["--op", "square", "--x0", "0,1e-200", "--policy", "thm7", "--force"],
+        ["--op", "square", "--x0", "0,0", "--policy", "vankov:1e-310", "--force"],
+    ])
+    def test_root_where_the_rule_has_no_step_exits_0(self, argv, tmp_path, capsys):
+        forced = "--force" in argv   # square declares no class
+        with pytest.warns(UserWarning, match="assumes one of") if forced else nullcontext():
+            code, out, _ = run(capsys, "solve", *argv, "--out", str(tmp_path))
+        assert code == 0
+        assert out.startswith("reason=stop_tol iters=0 min_normF=0.0@0")
+        tr = read_trace_csv(str(tmp_path / "trace.csv"))
+        assert (tr.reason, tr.iterations_run, len(tr.rows)) == ("stop_tol", 0, 1)
+        assert (tr.rows[0].gamma_k, tr.rows[0].omega_k) == (0.0, 0.0)
 
     def test_divergence_exits_2_with_partial_trace(self, tmp_path, capsys):
         code, out, _ = run(capsys, "solve", "--op", "cubic1d", "--x0", "2,2",

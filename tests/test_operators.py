@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -135,6 +136,12 @@ class TestHandValues:
     def test_cubicRd_refuses_a_scale_not_finite_and_positive(self, scale):
         with pytest.raises(ValueError, match="scale must be finite and > 0"):
             build("cubicRd", d=2, scale=scale)
+
+    @pytest.mark.parametrize("d,scale", [(2, 1e308), (10, 5e307), (2, 5e-324)])
+    def test_cubicRd_refuses_a_scale_whose_constants_overflow(self, d, scale):
+        # one ValueError naming the scale, no RuntimeWarning before it
+        with pytest.raises(ValueError, match=re.escape(f"cubicRd: scale {scale:g} leaves no finite")):
+            build("cubicRd", d=d, scale=scale)
 
     def test_matrices_is_a_declared_field(self):
         assert "matrices" in {f.name for f in dataclasses.fields(OperatorInstance)}

@@ -154,6 +154,46 @@ class TestSolve:
         assert len(err.trace.rows) >= 1
         assert all(math.isfinite(r.norm_F_x) for r in err.trace.rows)
 
+    def test_nonfinite_iterate_raises_with_partial_trace(self):
+        # F = -1 everywhere: x_1 = 1e308 is finite, x_2 = 2e308 overflows
+        op = OperatorInstance(dim=1, fn=lambda x: -np.ones(1))
+        cfg = SolveConfig(max_iters=10, x0=[0.0], stop_tol=0.0)
+        with pytest.raises(NonFiniteIterate, match="non-finite iterate at iteration 2") as ei:
+            solve(op, parse_policy("const:1e308"), cfg)
+        tr = ei.value.trace
+        assert ei.value.k == 2 and tr.reason == "nonfinite" and len(tr.rows) == 2
+        assert [r.norm_F_x for r in tr.rows] == [1.0, 1.0]
+
+    @pytest.mark.parametrize("op_key,x0,key", [
+        ("logistic", [400.0, 400.0], "thm5"),      # F underflows to 0 at a declared class
+        ("square", [0.0, 1e-200], "thm7"),
+        ("square", [0.0, 0.0], "vankov:1e-310"),   # the 1/(4 mu) cap overflows
+    ])
+    def test_root_where_the_rule_has_no_step_stops(self, op_key, x0, key):
+        op, policy = build(op_key), parse_policy(key)
+        with pytest.raises(MissingConstant):   # the rule itself has no step at ||F|| = 0
+            policy.rule(op.smoothness)(0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)   # force=True outside square's class
+            full, lean = (solve(op, policy, SolveConfig(max_iters=10, x0=x0, record_trace=rec),
+                                force=True) for rec in (True, False))
+        for tr in (full, lean):
+            assert (tr.reason, tr.iterations_run) == ("stop_tol", 0)
+            assert (tr.min_norm_F_x, tr.argmin_norm_F_x) == (0.0, 0)
+            assert (tr.min_norm_F_xhat, tr.argmin_norm_F_xhat) == (0.0, 0)
+            assert np.array_equal(tr.final_x, x0)
+        # its one row takes no step: gamma = omega = 0 and xhat = x
+        (row,) = full.rows
+        assert (row.k, row.gamma_k, row.omega_k, row.norm_F_x, row.norm_F_xhat) == (0, 0.0, 0.0, 0.0, 0.0)
+        assert np.array_equal(row.xhat_k, row.x_k)
+
+    def test_no_step_away_from_a_stop_still_raises(self):
+        # L1 ||F|| = 2.8e-320 > 0, but the cap 1 / (2 sqrt(2) e L1 ||F||) overflows
+        policy = StepSizePolicy(kind=PolicyKind.VANKOV, mu=1e-310,
+                                smoothness=SmoothnessParams(1.0, 0.0, 1e-320))
+        with pytest.raises(MissingConstant, match="Vankov baseline needs"):
+            solve(build("quadratic"), policy, SolveConfig(max_iters=10, x0=[1.0, 1.0]))
+
     @pytest.mark.parametrize("start,k", [(1e5, 2), (1e10, 1)])
     def test_overflow_raises_without_runtime_warning(self, start, k):
         # from 1e5, F(x_2) overflows; from 1e10, F(xhat_1) does
