@@ -428,7 +428,8 @@ def theoretical_bounds(F: OperatorInstance, kind: PolicyKind, x0,
     s and m override the operator's declared constants (for bounds under
     locally valid constants, mirroring the policy-level overrides). An alpha = 1
     kind's zeta is its rule's step at F_max = prop1_rhs(s, 0, D), Proposition 1's
-    bound on ||F|| over the ball of radius D = ||x0 - x*||; 0.0 where F_max overflows.
+    bound on ||F|| over the ball of radius D = ||x0 - x*||; 0.0 where F_max overflows
+    (an L1 = 0 step does not read ||F||, so there F_max is taken as 0).
     """
     if F.solution is None:
         raise MissingSolution(f"{F.label or 'operator'} has no known root; distances undefined")
@@ -438,7 +439,8 @@ def theoretical_bounds(F: OperatorInstance, kind: PolicyKind, x0,
     m = m if m is not None else F.monotonicity
     x0 = vec(x0, F.dim, what="x0")
     D = norm(x0 - F.solution)
-    F_max = prop1_rhs(s, 0.0, D)   # Proposition 1 at y = x*: the largest ||F|| on the ball
+    # Proposition 1 at y = x*: the largest ||F|| on the ball; with L1 = 0 no step reads it
+    F_max = prop1_rhs(s, 0.0, D) if s.L1 > 0 else 0.0
     rep = BoundReport(kind=kind, D=D)
 
     def _mu() -> float:
@@ -454,7 +456,7 @@ def theoretical_bounds(F: OperatorInstance, kind: PolicyKind, x0,
     if kind.nu is not None:   # the alpha = 1 rules nu / (L0 + L1 ||F||)
         rule = StepSizePolicy(kind=kind).rule(s)   # raises InvalidAlpha unless alpha = 1
         step0 = rule(0.0)                          # nu / L0; raises MissingConstant at L0 = 0
-        zeta = rep.zeta = float(rule(F_max)) if math.isfinite(F_max) else 0.0
+        zeta = rep.zeta = float(rule(F_max))       # nu / inf = 0.0 where F_max overflows
         if kind is PolicyKind.STRONG_MONO:
             rep.rate = 1.0 - zeta * _mu()
         elif kind is PolicyKind.STRONG_MONO_DESCENT:

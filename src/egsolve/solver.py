@@ -122,7 +122,8 @@ def solve(F: OperatorInstance, policy: StepSizePolicy, cfg: SolveConfig,
 
     A stopping iterate where the rule has no step (MissingConstant: a root
     where its denominator is 0, or a Vankov cap that overflows) still stops;
-    its row takes no step. Elsewhere that MissingConstant propagates.
+    its row takes no step: gamma = omega = 0 and xhat = x. Elsewhere that
+    MissingConstant propagates.
 
     With `cfg.rel_tol` and a declared root, `first_rel_hit` is the first k
     whose row has dist_sq / dist_sq_0 <= rel_tol, also when no rows are kept;
@@ -160,51 +161,46 @@ def solve(F: OperatorInstance, policy: StepSizePolicy, cfg: SolveConfig,
 
     with overflow_as_data():
         d2 = d20 = _dist_sq(x, xstar) if rel_tol is None else rel_err_base(x, xstar)
-        try:
-            for k in range(cfg.max_iters):
-                F_x = F(x)
-                nfx = norm(F_x)
-                if not math.isfinite(nfx):
-                    raise _fail(k, "non-finite operator value")
+        for k in range(cfg.max_iters):
+            F_x = F(x)
+            nfx = norm(F_x)
+            if not math.isfinite(nfx):
+                raise _fail(k, "non-finite operator value")
+            try:   # costs nothing until the rule raises
                 g = rule(nfx)
+            except MissingConstant:
+                if not nfx <= stop_tol:
+                    raise
+                # x_k stops where the rule has no step: its row takes none
+                g = w = 0.0
+                xhat, nfxh = x, nfx
+            else:
                 if not g > 0:
                     raise _fail(k, f"step gamma_k underflowed to {g}")
                 xhat = x - g * F_x
                 F_xhat = F(xhat)
                 w = update(g, F_xhat, x, xhat)
                 nfxh = norm(F_xhat)
-                stop = nfx <= stop_tol
-                if not stop and not math.isfinite(nfxh):
-                    raise _fail(k, "non-finite operator value at extrapolation point")
-                if append is not None:
-                    append(TraceRow(k, x.copy(), xhat, g, w, nfx, nfxh, d2))
-                if rel_tol is not None and hit < 0 and d2 / d20 <= rel_tol:
-                    hit = k
-                if nfx < min_f:
-                    min_f, arg_f = nfx, k
-                if nfxh < min_h:    # a non-finite nfxh (terminal row only) never wins
-                    min_h, arg_h = nfxh, k
-                if stop:
-                    return _finish(k, "stop_tol", d2)
-                x = x - w * F_xhat
-                # a finite sum of squares, ||x - x*||^2 when the root is known, proves
-                # every entry finite; only one that overflows needs the entrywise check
-                d2 = _dist_sq(x, xstar)
-                if not math.isfinite(x.dot(x) if d2 is None else d2) and not np.isfinite(x).all():
-                    raise _fail(k + 1, "non-finite iterate")
-            return _finish(cfg.max_iters, "max_iters", d2)
-        except MissingConstant:   # from rule(nfx) only; caught out here, the loop pays nothing
-            if not nfx <= stop_tol:
-                raise
-        # x_k stops where the rule has no step: its row takes none, gamma = omega = 0, xhat = x
-        if append is not None:
-            append(TraceRow(k, x.copy(), x, 0.0, 0.0, nfx, nfx, d2))
-        if rel_tol is not None and hit < 0 and d2 / d20 <= rel_tol:
-            hit = k
-        min_f, arg_f = nfx, k   # every earlier row has ||F(x)|| > stop_tol >= nfx
-        if nfx < min_h:
-            min_h, arg_h = nfx, k
-        return _finish(k, "stop_tol", d2)
+            stop = nfx <= stop_tol
+            if not stop and not math.isfinite(nfxh):
+                raise _fail(k, "non-finite operator value at extrapolation point")
+            if append is not None:
+                append(TraceRow(k, x.copy(), xhat, g, w, nfx, nfxh, d2))
+            if rel_tol is not None and hit < 0 and d2 / d20 <= rel_tol:
+                hit = k
+            if nfx < min_f:
+                min_f, arg_f = nfx, k
+            if nfxh < min_h:    # a non-finite nfxh (terminal row only) never wins
+                min_h, arg_h = nfxh, k
+            if stop:
+                return _finish(k, "stop_tol", d2)
+            x = x - w * F_xhat
+            # a finite sum of squares, ||x - x*||^2 when the root is known, proves
+            # every entry finite; only one that overflows needs the entrywise check
+            d2 = _dist_sq(x, xstar)
+            if not math.isfinite(x.dot(x) if d2 is None else d2) and not np.isfinite(x).all():
+                raise _fail(k + 1, "non-finite iterate")
+        return _finish(cfg.max_iters, "max_iters", d2)
 
 
 # ---------------------------------------------------------------------------

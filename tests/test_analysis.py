@@ -807,6 +807,28 @@ class TestTheoreticalBounds:
         assert void.zeta == 0.0 and void.guarantee_void and void.sublinear_const is None
         assert 0.0 < frac.zeta < math.inf and math.isfinite(frac.sublinear_const)
 
+    def test_bounds_with_no_norm_term_where_the_ball_bound_overflows(self):
+        # L1 = 0: the step does not read ||F||, so L0 D = 1e310 overflowing leaves it nu / L0
+        op = OperatorInstance(dim=2, fn=lambda x: x, solution=np.zeros(2), label="identity")
+        x0 = [1e150, 0.0]
+        strong = MonotonicityParams(MonotoneClass.STRONGLY_MONOTONE, mu=1e159)
+        minty = MonotonicityParams(MonotoneClass.WEAK_MINTY, rho=1e-163)
+        cases = [(PolicyKind.STRONG_MONO, 1.0, strong), (PolicyKind.STRONG_MONO_DESCENT, 1.0, strong),
+                 (PolicyKind.MONO, 1.0, None), (PolicyKind.WEAK_MINTY, 1.0, minty),
+                 (PolicyKind.WEAK_MINTY_FRAC, 0.5, minty)]
+        for kind, alpha, m in cases:
+            s = SmoothnessParams(alpha, 1e160, 0.0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = theoretical_bounds(op, kind, x0, epsilon=1e-8, s=s, m=m)
+            want = _closed_forms(kind, s, m, 1e150, 1e-8)
+            assert got.zeta > 0.0 and got.guarantee_void == want.guarantee_void, kind
+            for f in ("zeta", "rate", "delta", "term1", "term2", "iters_to_eps", "sublinear_const"):
+                a, b = getattr(got, f), getattr(want, f)
+                assert (a is None) == (b is None), (kind, f)
+                if a is not None:
+                    assert type(a) is float and a == pytest.approx(b, rel=1e-12), (kind, f)
+
     def test_matches_closed_forms_over_random_constants(self):
         # every field within 1e-12 of the formulas written out from the constants,
         # the same exception type where they raise, and Python floats throughout
