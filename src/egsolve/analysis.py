@@ -26,6 +26,7 @@ from .core import (
     overflow_as_data,
     read_csv,
     spectral_norm,
+    trace_columns,
     vec,
     write_csv,
 )
@@ -213,14 +214,15 @@ def grid_samples(F: OperatorInstance, box: BoxLike, n: int) -> List[ScatterSampl
 
 def scatter_from_trace(F: OperatorInstance, trace: SolveTrace) -> List[ScatterSample]:
     """One (||F(x_k)||, ||J(x_k)||) sample per recorded iterate."""
-    rows = [r for r in trace.rows if r.x_k is not None]
-    if not rows:
+    cols = trace_columns(trace.rows)
+    if cols.x_k is None or not len(cols):
         raise EmptyTrace("trace has no recorded iterate vectors")
     out = []
     with overflow_as_data():
-        for r in rows:
-            nj = spectral_norm(F.jacobian_at(r.x_k))
-            out.append(ScatterSample(norm_F=r.norm_F_x, norm_J=nj, iterate_index=r.k))
+        for c in cols.chunks():
+            out += [ScatterSample(norm_F=nf, norm_J=spectral_norm(F.jacobian_at(x)),
+                                  iterate_index=k)
+                    for k, x, nf in zip(c.k, c.x_k, c.norm_F_x.tolist())]
     return out
 
 

@@ -29,7 +29,9 @@ from .core import (
     SolveConfig,
     check_iters,
     norm,
+    overflow_as_data,
     spectral_norm,  # unused here; perfbench/layers.py still wraps cli.spectral_norm by name
+    trace_columns,
     vec,
     write_csv,
 )
@@ -148,8 +150,14 @@ def _policy(args, op) -> StepSizePolicy:
 
 
 def _first_hit(rows, metric, tol: float) -> int:
-    """First iterate index k with metric(row) <= tol, else -1."""
-    return next((r.k for r in rows if metric(r) <= tol), -1)
+    """First iterate index k with metric(row) <= tol, else -1. metric maps a
+    chunk of the trace's columns (`TraceColumns.chunks`) to one value per row."""
+    with overflow_as_data():    # inf/nan rows compare as the scalar forms did
+        for c in trace_columns(rows).chunks():
+            hits = np.flatnonzero(metric(c) <= tol)
+            if hits.size:
+                return c.k[hits[0]]
+    return -1
 
 
 # ---------------------------------------------------------------------------
@@ -293,15 +301,21 @@ def cmd_estimate(args) -> int:
 
 def _compare(out: str, op, x0, iters: int, runs, col: str, metric, force: bool) -> dict:
     """Solve the named runs from x0; write each trace_<name>.csv and comparison.csv
-    (k, then <col>_<name>, gamma_<name> per run, up to the shortest trace)."""
+    (k, then <col>_<name>, gamma_<name> per run, up to the shortest trace); metric
+    maps a chunk of a trace's columns to its <col> values."""
     cfg = SolveConfig(max_iters=iters, x0=x0, stop_tol=0.0)
     traces = {name: solver.solve(op, pol, cfg, force=force) for name, pol in runs.items()}
     for name, tr in traces.items():
         solver.write_trace_csv(tr, os.path.join(out, f"trace_{name}.csv"))
+    n = min(len(tr.rows) for tr in traces.values())
+
+    def cells():
+        with overflow_as_data():
+            for chunks in zip(*(tr.rows.chunks(stop=n) for tr in traces.values())):
+                cols = [v.tolist() for c in chunks for v in (metric(c), c.gamma_k)]
+                yield from zip(chunks[0].k, *cols)
     write_csv(os.path.join(out, "comparison.csv"),
-              ["k"] + [f"{c}_{name}" for name in traces for c in (col, "gamma")],
-              ([rows[0].k] + [v for r in rows for v in (metric(r), r.gamma_k)]
-               for rows in zip(*(tr.rows for tr in traces.values()))))
+              ["k"] + [f"{c}_{name}" for name in traces for c in (col, "gamma")], cells())
     return traces
 
 
@@ -337,16 +351,16 @@ def _reproduce_fig3(out: str, iters: int, seed: int) -> tuple:
         "unset multiplot\n")
     hit_o = _first_hit(rows_o, relerr, 1e-8)
     hit_v = _first_hit(rows_v, relerr, 1e-8)
-    g_v = [r.gamma_k for r in rows_v]
-    g_o_max = max(r.gamma_k for r in rows_o)
+    g_o_max = max(c.gamma_k.max() for c in rows_o.chunks())
     # the baseline step is norm-limited during the initial transient, then the
     # 1/(4 mu) cap binds; "stays near the cap" means entered-and-held
-    enter = next((i for i, v in enumerate(g_v) if abs(v - cap) <= 0.005), -1)
+    off_cap = lambda r: abs(r.gamma_k - cap)
+    enter = _first_hit(rows_v, off_cap, 0.005)
     checks = [
         ("fig3-iterations", hit_o != -1 and hit_v != -1 and hit_o < hit_v,
          f"ours@{hit_o} vs baseline@{hit_v} to relerr 1e-8"),
         ("fig3-baseline-step",
-         enter != -1 and all(abs(v - cap) <= 0.005 for v in g_v[enter:]),
+         enter != -1 and all((off_cap(c) <= 0.005).all() for c in rows_v.chunks(enter)),
          f"baseline step reaches {cap:g} +/- 0.005 at k={enter} and holds it"),
         ("fig3-our-step-grows", g_o_max > 0.032, f"our max step {g_o_max} > 0.032"),
     ]
@@ -398,7 +412,7 @@ def _reproduce_fig5(out: str, iters: int, seed: int) -> tuple:
         "egplus": StepSizePolicy(kind=PolicyKind.EGPLUS, step=step),
         "pethick": StepSizePolicy(kind=PolicyKind.PETHICK, step=step),
     }
-    norm_x = lambda r: math.sqrt(r.dist_sq)
+    norm_x = lambda r: np.sqrt(r.dist_sq)
     traces = _compare(out, op, x0, iters, runs, "norm_x", norm_x, force=False)
     names = list(runs)
     hits = {n: _first_hit(traces[n].rows, norm_x, 1e-3) for n in names}

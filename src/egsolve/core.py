@@ -12,9 +12,12 @@ from __future__ import annotations
 import csv
 import enum
 import math
+import operator
+import struct
+from array import array
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Optional, Sequence, TextIO, Tuple, Union
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple, Union
 
 import numpy as np
 from numpy import linalg as la
@@ -301,8 +304,9 @@ class OperatorInstance:
 # solver configuration and traces
 # ---------------------------------------------------------------------------
 
-# a recorded TraceRow holds two iterate vectors: about 0.5 KB at dim 2, 0.8 KB
-# at dim 20, so a full trace of this many rows stays under about 1 GB
+# a recorded row (TraceColumns) holds 5 + 2 dim float64 values: about 75 bytes
+# at dim 2 and 380 at dim 20, measured with tracemalloc, so a full trace of
+# this many rows takes about 75 MB at dim 2 and 380 MB at dim 20
 MAX_TRACE_ROWS = 10 ** 6
 
 
@@ -349,6 +353,105 @@ class TraceRow:
     dist_sq: Optional[float] = None
 
 
+TRACE_CHUNK = 4096   # rows per chunk of TraceColumns.chunks
+_SCALARS = struct.Struct("5d")   # gamma, omega, norm_F_x, norm_F_xhat, dist_sq
+
+
+class TraceColumns(Sequence):
+    """A recorded trace's rows as columns: float64 `gamma`, `omega`,
+    `norm_F_x`, `norm_F_xhat` and `dist_sq` (None without a root), and
+    (n, dim) blocks `x_k`, `xhat_k` (None for a trace read from CSV, dim 0);
+    `k` is the row index.
+
+    Each append packs one row into a single float64 buffer that grows by
+    amortized `array.array` appends, so a budget reserves nothing up front;
+    a column is a strided view of it. The store is filled first and read
+    after: every view is read-only, and while one lives the buffer cannot
+    grow (BufferError).
+
+    As a Sequence it is a read-only list of TraceRows built on access: scalars
+    as np.float64, vectors as read-only views. `chunks` reads it a bounded
+    number of rows at a time.
+    """
+    __slots__ = ("dim", "dist", "_buf")
+
+    def __init__(self, dim: int = 0, dist: bool = True):
+        self.dim, self.dist = dim, dist
+        self._buf = array("d")
+
+    def append(self, x, xhat, g, w, nfx, nfxh, d2) -> None:
+        """Add row len(self). x and xhat (float64, length dim) are copied in
+        where the store keeps iterates, d2 where it keeps distances; otherwise
+        they are ignored."""
+        row = _SCALARS.pack(g, w, nfx, nfxh, math.nan if d2 is None else d2)
+        self._buf.frombytes(row + x.tobytes() + xhat.tobytes() if self.dim else row)
+
+    def _table(self) -> np.ndarray:
+        # over a read-only memoryview, so no view's flag can be switched back on
+        return np.frombuffer(memoryview(self._buf).toreadonly(),
+                             dtype=np.float64).reshape(-1, 5 + 2 * self.dim)
+
+    def __len__(self) -> int:
+        return len(self._buf) // (5 + 2 * self.dim)
+
+    gamma = property(lambda self: self._table()[:, 0])
+    omega = property(lambda self: self._table()[:, 1])
+    norm_F_x = property(lambda self: self._table()[:, 2])
+    norm_F_xhat = property(lambda self: self._table()[:, 3])
+    dist_sq = property(lambda self: self._table()[:, 4] if self.dist else None)
+    x_k = property(lambda self: self._table()[:, 5:5 + self.dim] if self.dim else None)
+    xhat_k = property(lambda self: self._table()[:, 5 + self.dim:] if self.dim else None)
+
+    def chunks(self, start: int = 0, stop: Optional[int] = None) -> Iterator[TraceRow]:
+        """Rows start..stop-1 (stop defaults to len) in runs of at most
+        TRACE_CHUNK rows, each as one TraceRow whose k is a range and whose
+        other fields are the column slices over it (None where absent)."""
+        stop = len(self) if stop is None else stop
+        cols = (self.x_k, self.xhat_k, self.gamma, self.omega, self.norm_F_x,
+                self.norm_F_xhat, self.dist_sq)
+        for a in range(start, stop, TRACE_CHUNK):
+            b = min(a + TRACE_CHUNK, stop)
+            yield TraceRow(range(a, b), *(None if c is None else c[a:b] for c in cols))
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        n = len(self)
+        i = operator.index(i)
+        if not -n <= i < n:
+            raise IndexError("trace row index out of range")
+        i %= n
+        r, d = self._table()[i], self.dim
+        g, w, nfx, nfxh, d2 = r[:5]
+        x, xhat = (r[5:5 + d], r[5 + d:]) if d else (None, None)
+        return TraceRow(i, x, xhat, g, w, nfx, nfxh, d2 if self.dist else None)
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None
+
+
+def trace_columns(rows: Sequence[TraceRow]) -> TraceColumns:
+    """`rows` as a TraceColumns: a TraceColumns as it is, anything else (a
+    list of TraceRows assigned to `SolveTrace.rows`) packed once. The packed
+    store keeps iterates only if every row has both, distances only if every
+    row has one; each row's k becomes its index."""
+    if isinstance(rows, TraceColumns):
+        return rows
+    rows = list(rows)
+    has_x = bool(rows) and all(r.x_k is not None and r.xhat_k is not None for r in rows)
+    flat = lambda v: np.asarray(v, dtype=np.float64)
+    cols = TraceColumns(flat(rows[0].x_k).size if has_x else 0,
+                        dist=all(r.dist_sq is not None for r in rows))
+    for r in rows:
+        cols.append(flat(r.x_k) if has_x else None, flat(r.xhat_k) if has_x else None,
+                    r.gamma_k, r.omega_k, r.norm_F_x, r.norm_F_xhat, r.dist_sq)
+    return cols
+
+
 @dataclass
 class SolveTrace:
     """Recorded run: per-iterate rows plus summary fields.
@@ -359,9 +462,10 @@ class SolveTrace:
     PolicyKind that produced the trace (None for a trace read back from CSV).
     `first_rel_hit` is the first k whose row (recorded or not) has
     dist_sq_k / dist_sq_0 <= `SolveConfig.rel_tol`, -1 if none; None when the
-    run had no rel_tol or no root.
+    run had no rel_tol or no root. `solve` and `read_trace_csv` fill `rows`
+    as a TraceColumns; a caller may assign a list of TraceRows instead.
     """
-    rows: list = field(default_factory=list)
+    rows: Sequence[TraceRow] = field(default_factory=list)
     iterations_run: int = 0
     min_norm_F_x: float = math.inf
     argmin_norm_F_x: int = -1
@@ -374,12 +478,13 @@ class SolveTrace:
     first_rel_hit: Optional[int] = None
 
     def recomputed_minima(self):
-        """Recompute (min ||F(x_k)||, min ||F(xhat_k)||) from rows."""
+        """Recompute (min ||F(x_k)||, min ||F(xhat_k)||) from rows. As Python's
+        `min`: a NaN in the first row is the minimum, a later NaN never is."""
         if not self.rows:
             raise EmptyTrace("no rows recorded")
-        mf = min(r.norm_F_x for r in self.rows)
-        mh = min(r.norm_F_xhat for r in self.rows)
-        return mf, mh
+        cols = trace_columns(self.rows)
+        first_min = lambda c: c[0] if math.isnan(c[0]) else np.fmin.reduce(c)
+        return first_min(cols.norm_F_x), first_min(cols.norm_F_xhat)
 
 
 # ---------------------------------------------------------------------------

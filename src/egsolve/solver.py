@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional, TextIO, Union
 
 import numpy as np
@@ -19,10 +20,11 @@ from .core import (
     OperatorInstance,
     SolveConfig,
     SolveTrace,
-    TraceRow,
+    TraceColumns,
     norm,
     overflow_as_data,
     read_csv,
+    trace_columns,
     vec,
     write_csv,
 )
@@ -137,7 +139,8 @@ def solve(F: OperatorInstance, policy: StepSizePolicy, cfg: SolveConfig,
     xstar = F.solution
     rel_tol = cfg.rel_tol if xstar is not None else None
     stop_tol = cfg.stop_tol
-    tr = SolveTrace(kind=policy.kind)
+    tr = SolveTrace(kind=policy.kind,
+                    rows=TraceColumns(F.dim, dist=xstar is not None) if cfg.record_trace else [])
     append = tr.rows.append if cfg.record_trace else None
     # running minima over the recorded rows, first index wins ties, and the
     # first relative hit; they are written to the trace on return and with
@@ -185,7 +188,7 @@ def solve(F: OperatorInstance, policy: StepSizePolicy, cfg: SolveConfig,
             if not stop and not math.isfinite(nfxh):
                 raise _fail(k, "non-finite operator value at extrapolation point")
             if append is not None:
-                append(TraceRow(k, x.copy(), xhat, g, w, nfx, nfxh, d2))
+                append(x, xhat, g, w, nfx, nfxh, d2)
             if rel_tol is not None and hit < 0 and d2 / d20 <= rel_tol:
                 hit = k
             if nfx < min_f:
@@ -254,34 +257,39 @@ def check_descent_invariants(trace: SolveTrace, F: OperatorInstance,
     rows = trace.rows
     if not rows:
         return InvariantReport(cls, 0, 0, 0, -math.inf)
-
-    d2 = [r.dist_sq for r in rows]
-    if any(v is None for v in d2):
+    cols = trace_columns(rows)
+    d2 = cols.dist_sq
+    if d2 is None:
         raise MissingSolution("trace rows carry no distances (solved without a known root?)")
-    d2.append(trace.final_dist_sq)
-    n_trans = len(rows) - 1 if trace.reason == "stop_tol" else len(rows)
+    n = len(cols)
+    n_trans = n - 1 if trace.reason == "stop_tol" else n
     if trace.final_dist_sq is None:
-        n_trans = min(n_trans, len(rows) - 1)
+        n_trans = min(n_trans, n - 1)
 
+    # the former per-row loop's arithmetic, elementwise: float_power is C pow,
+    # as Python's ** on a float is (np.square rounds differently in ~0.1% of rows)
+    sq = lambda v: np.float_power(v, 2)
     checked = 0
     viol = 0
     worst = -math.inf
-    for i in range(n_trans):
-        r = rows[i]
-        lhs = d2[i + 1]
-        if cls is MonotoneClass.STRONGLY_MONOTONE:
-            rhs = (1.0 - r.gamma_k * m.mu) * d2[i]
-        elif cls is MonotoneClass.MONOTONE:
-            rhs = d2[i] - 0.5 * r.gamma_k ** 2 * r.norm_F_x ** 2
-        else:
-            if not (r.gamma_k > 4.0 * m.rho):
-                continue
-            rhs = d2[i] - (r.gamma_k / 4.0) * (r.gamma_k - 4.0 * m.rho) * r.norm_F_xhat ** 2
-        checked += 1
-        excess = lhs - rhs
-        worst = max(worst, excess)
-        if excess > tol:
-            viol += 1
+    with overflow_as_data():
+        for c in cols.chunks(stop=n_trans):
+            lhs = d2[c.k.start + 1:c.k.stop + 1]
+            if len(lhs) < len(c.k):    # the last transition lands on final_dist_sq
+                lhs = np.append(lhs, trace.final_dist_sq)
+            g = c.gamma_k
+            if cls is MonotoneClass.STRONGLY_MONOTONE:
+                rhs = (1.0 - g * m.mu) * c.dist_sq
+            elif cls is MonotoneClass.MONOTONE:
+                rhs = c.dist_sq - 0.5 * sq(g) * sq(c.norm_F_x)
+            else:
+                on = g > 4.0 * m.rho
+                g, lhs = g[on], lhs[on]
+                rhs = c.dist_sq[on] - (g / 4.0) * (g - 4.0 * m.rho) * sq(c.norm_F_xhat[on])
+            excess = lhs - rhs
+            checked += len(excess)
+            viol += int(np.count_nonzero(excess > tol))
+            worst = float(np.fmax.reduce(excess, initial=worst))   # a NaN excess never wins
     return InvariantReport(cls, n_trans, checked, viol, worst)
 
 
@@ -295,26 +303,34 @@ _TRACE_HEADER = ["k", "gamma", "omega", "norm_F_x", "norm_F_xhat", "dist_sq"]
 def write_trace_csv(trace: SolveTrace, out: Union[str, TextIO]) -> None:
     """Write the scalar trace columns plus a summary comment line (see
     `core.write_csv`: the round-trip is exact, reruns byte-identical)."""
-    write_csv(out, _TRACE_HEADER,
-              ([r.k, r.gamma_k, r.omega_k, r.norm_F_x, r.norm_F_xhat, r.dist_sq]
-               for r in trace.rows),
+    def cells():
+        for c in trace_columns(trace.rows).chunks():
+            d2 = repeat(None) if c.dist_sq is None else c.dist_sq.tolist()
+            yield from zip(c.k, c.gamma_k.tolist(), c.omega_k.tolist(), c.norm_F_x.tolist(),
+                           c.norm_F_xhat.tolist(), d2)
+    write_csv(out, _TRACE_HEADER, cells(),
               footer=f"# iters={trace.iterations_run},min_normF={trace.min_norm_F_x},"
                      f"reason={trace.reason}\n")
 
 
 def read_trace_csv(path: str) -> SolveTrace:
-    """Rebuild a trace from the CSV; iterate vectors are not stored there."""
+    """Rebuild a trace from the CSV; iterate vectors are not stored there, and
+    distances are kept only when every row has one. ValueError when the k
+    column does not count 0, 1, 2, ..."""
     tr = SolveTrace()
+    recs = []
     for rec in read_csv(path, _TRACE_HEADER, "trace"):
         if rec and rec[0].startswith("#"):
             fields = dict(p.split("=", 1) for p in [rec[0].lstrip("# ")] + rec[1:])
             tr.iterations_run = int(fields["iters"])
             tr.min_norm_F_x = float(fields["min_normF"])
             tr.reason = fields["reason"]
-            continue
-        k, g, w, nfx, nfxh, d2 = rec
-        tr.rows.append(TraceRow(k=int(k), x_k=None, xhat_k=None, gamma_k=float(g),
-                                omega_k=float(w), norm_F_x=float(nfx),
-                                norm_F_xhat=float(nfxh),
-                                dist_sq=None if d2 == "" else float(d2)))
+        else:
+            recs.append(rec)
+    tr.rows = TraceColumns(0, dist=all(rec[5] != "" for rec in recs))
+    for i, (k, g, w, nfx, nfxh, d2) in enumerate(recs):
+        if int(k) != i:
+            raise ValueError(f"{path}: row {i} has k={k}; a trace CSV counts k from 0")
+        tr.rows.append(None, None, float(g), float(w), float(nfx), float(nfxh),
+                       None if d2 == "" else float(d2))
     return tr

@@ -1,13 +1,18 @@
+import gc
 import io
 import math
+import os
+import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from egsolve.core import (
+    TRACE_CHUNK,
     EmptyTrace,
     IncompatiblePolicy,
     InvalidAlpha,
@@ -18,12 +23,15 @@ from egsolve.core import (
     OperatorInstance,
     SmoothnessParams,
     SolveConfig,
+    SolveTrace,
+    TraceRow,
     norm,
+    trace_columns,
 )
 from egsolve import solver as solver_module, stepsize
 from egsolve.analysis import theoretical_bounds
 from egsolve.cli import _first_hit
-from egsolve.operators import build
+from egsolve.operators import ZOO, build
 from egsolve.solver import (
     check_descent_invariants,
     check_policy_compat,
@@ -733,3 +741,228 @@ class TestSummaryOnlyRuns:
         # a single step keeps its ValueError
         with pytest.raises(ValueError, match="gamma_k must be positive, got 0.0"):
             eg_step(op, [1e150, 1e150], policy)
+
+
+_ROUND_TRIP_POLICIES = ("const:0.1", "const:3", "adaptive:10:1", "thm3", "cor1", "thm4", "thm5",
+                        "thm7", "thm8", "thm9", "vankov:1", "pethick:0.1", "egplus:0.1")
+
+
+@st.composite
+def _zoo_runs(draw):
+    """(operator key, policy key, x0, budget, stop_tol) over the zoo's default
+    operators and every policy kind the operator's constants can resolve."""
+    key = draw(st.sampled_from(sorted(ZOO)))
+    op = build(key)
+    runnable = []
+    for p in _ROUND_TRIP_POLICIES:
+        try:
+            solver_module.resolve_policy(op, parse_policy(p))
+            runnable.append(p)
+        except (MissingConstant, InvalidAlpha):
+            pass
+    policy = draw(st.sampled_from(runnable))
+    rng = np.random.default_rng(draw(st.integers(0, 10 ** 6)))
+    x0 = tuple(rng.standard_normal(op.dim) * 10.0 ** draw(st.floats(-3.0, 2.0)))
+    return key, policy, x0, draw(st.integers(1, 200)), draw(st.sampled_from((0.0, 1e-14, 1e-2)))
+
+
+class TestTraceRoundTrip:
+    @settings(max_examples=60, deadline=None)
+    @given(_zoo_runs())
+    @example(("logistic", "adaptive:10:1", (1.0, 1.0), 50, 0.0))            # no root
+    @example(("cubicRd", "thm5", (1.0, -0.5, 0.25, 2.0), 30, 0.0))          # numpy scalars
+    @example(("square", "thm7", (0.0, 1e-200), 10, 1e-14))                  # stepless root row
+    @example(("cubicRd", "const:10", (5.0, 5.0, 5.0, 5.0), 300, 0.0))       # diverges at k = 3
+    def test_write_read_write_is_exact(self, run):
+        key, policy, x0, iters, stop_tol = run
+        cfg = SolveConfig(max_iters=iters, x0=x0, stop_tol=stop_tol)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)   # force=True off the guaranteed class
+            try:
+                tr = solve(build(key), parse_policy(policy), cfg, force=True)
+            except NonFiniteIterate as e:
+                tr = e.trace
+        first = io.StringIO()
+        write_trace_csv(tr, first)
+        with tempfile.TemporaryDirectory() as d:
+            p = os.path.join(d, "trace.csv")
+            with open(p, "w", newline="") as fh:
+                fh.write(first.getvalue())
+            back = read_trace_csv(p)
+        again = io.StringIO()
+        write_trace_csv(back, again)
+        assert again.getvalue() == first.getvalue()
+        h = lambda v: None if v is None else float.hex(float(v))
+        cells = lambda t: [(r.k, h(r.gamma_k), h(r.omega_k), h(r.norm_F_x), h(r.norm_F_xhat),
+                            h(r.dist_sq)) for r in t.rows]
+        assert cells(back) == cells(tr)
+        assert (back.iterations_run, h(back.min_norm_F_x), back.reason) == (
+            tr.iterations_run, h(tr.min_norm_F_x), tr.reason)
+
+    def test_stepless_root_row_and_partial_trace_examples(self):
+        # the examples above reach the cases they are named for
+        with pytest.warns(UserWarning):   # square declares no class
+            tr = solve(build("square"), parse_policy("thm7"),
+                       SolveConfig(max_iters=10, x0=[0.0, 1e-200]), force=True)
+        assert (tr.reason, len(tr.rows), tr.rows[0].gamma_k, tr.rows[0].omega_k) == (
+            "stop_tol", 1, 0.0, 0.0)
+        cfg = SolveConfig(max_iters=300, x0=[5.0] * 4, stop_tol=0.0)
+        with pytest.raises(NonFiniteIterate) as ei:
+            solve(build("cubicRd"), parse_policy("const:10"), cfg)
+        assert ei.value.k == 3 and len(ei.value.trace.rows) == 3
+
+    def test_k_column_must_count_rows(self, tmp_path):
+        p = tmp_path / "trace.csv"
+        p.write_text("k,gamma,omega,norm_F_x,norm_F_xhat,dist_sq\n0,1,1,1,1,1\n2,1,1,1,1,1\n")
+        with pytest.raises(ValueError, match="row 1 has k=2"):
+            read_trace_csv(str(p))
+
+
+def _invariants_by_row(trace, m, cls, tol):
+    """The per-row loop check_descent_invariants ran before it read columns:
+    the reference its columns must match bit for bit."""
+    rows = trace.rows
+    d2 = [float(r.dist_sq) for r in rows] + [trace.final_dist_sq]
+    n_trans = len(rows) - 1 if trace.reason == "stop_tol" else len(rows)
+    if trace.final_dist_sq is None:
+        n_trans = min(n_trans, len(rows) - 1)
+    checked, viol, worst = 0, 0, -math.inf
+    for i in range(n_trans):
+        g, nfx, nfxh = float(rows[i].gamma_k), float(rows[i].norm_F_x), float(rows[i].norm_F_xhat)
+        lhs = d2[i + 1]
+        if cls is MonotoneClass.STRONGLY_MONOTONE:
+            rhs = (1.0 - g * m.mu) * d2[i]
+        elif cls is MonotoneClass.MONOTONE:
+            rhs = d2[i] - 0.5 * g ** 2 * nfx ** 2
+        else:
+            if not (g > 4.0 * m.rho):
+                continue
+            rhs = d2[i] - (g / 4.0) * (g - 4.0 * m.rho) * nfxh ** 2
+        checked += 1
+        excess = lhs - rhs
+        worst = max(worst, excess)
+        if excess > tol:
+            viol += 1
+    return n_trans, checked, viol, worst
+
+
+class TestTraceColumns:
+    def test_memory_per_recorded_row(self):
+        # about 470 bytes a row as one TraceRow object per row; 5 float64
+        # cells and two 2-vectors are 72 bytes
+        op, policy = build("quadratic"), parse_policy("const:0.001")
+        cfg = SolveConfig(max_iters=20_000, x0=[5.0, 5.0], stop_tol=0.0)
+        solve(op, policy, SolveConfig(max_iters=2, x0=[5.0, 5.0]))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            tr = solve(op, policy, cfg)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(tr.rows) == 20_000
+        assert held / len(tr.rows) <= 100
+
+    def test_rows_cannot_write_through_to_the_store(self):
+        tr = solve(build("quadratic"), parse_policy("thm3"),
+                   SolveConfig(max_iters=5, x0=[1.0, 1.0], stop_tol=0.0))
+        before = tr.rows[0].x_k.tobytes()
+        row = tr.rows[0]
+        with pytest.raises(ValueError):
+            row.x_k[0] = 7.0
+        with pytest.raises(ValueError):
+            row.xhat_k[:] = 0.0
+        with pytest.raises(ValueError):
+            row.x_k.flags.writeable = True
+        with pytest.raises(ValueError):
+            tr.rows.gamma[0] = 1.0
+        with pytest.raises(TypeError):
+            tr.rows[0] = row
+        assert tr.rows[0].x_k.tobytes() == before
+
+    def test_a_read_only_list_of_rows(self, tmp_path):
+        op = build("forsaken")
+        tr = solve(op, parse_policy("egplus:0.1"), SolveConfig(max_iters=9000, x0=[1.0, 1.0],
+                                                               stop_tol=0.0))
+        rows = tr.rows
+        assert len(rows) == 9000 > TRACE_CHUNK
+        as_list = list(rows)
+        assert [r.k for r in as_list] == list(range(9000))
+        assert rows[-1].k == 8999 and rows[-9000].k == 0
+        with pytest.raises(IndexError):
+            rows[9000]
+        assert [r.k for r in rows[4090:4100:3]] == [4090, 4093, 4096, 4099]
+        r = rows[5000]
+        assert isinstance(r.gamma_k, np.float64) and isinstance(r.dist_sq, np.float64)
+        assert (r.gamma_k, r.norm_F_x, r.dist_sq) == (
+            rows.gamma[5000], rows.norm_F_x[5000], rows.dist_sq[5000])
+        assert np.array_equal(r.x_k, rows.x_k[5000]) and rows.x_k.shape == (9000, 2)
+        # the stored iterates are the ones solve stepped through
+        x0 = np.array([1.0, 1.0])
+        assert np.array_equal(rows[0].x_k, x0)
+        assert np.array_equal(rows[0].xhat_k, x0 - rows[0].gamma_k * op(x0))
+        chunks = list(rows.chunks(100))
+        assert [c.k for c in chunks] == [range(100, 4196), range(4196, 8292), range(8292, 9000)]
+        assert np.array_equal(np.concatenate([c.norm_F_xhat for c in chunks]),
+                              rows.norm_F_xhat[100:])
+        # a list of the same rows is packed into the same columns
+        packed = trace_columns(as_list)
+        for name in ("gamma", "omega", "norm_F_x", "norm_F_xhat", "dist_sq", "x_k", "xhat_k"):
+            assert getattr(packed, name).tobytes() == getattr(rows, name).tobytes()
+        out1, out2 = io.StringIO(), io.StringIO()
+        write_trace_csv(tr, out1)
+        tr.rows = as_list
+        write_trace_csv(tr, out2)
+        assert out1.getvalue() == out2.getvalue()
+        # rows compare as a list does (rows without vectors: read back from CSV)
+        (tmp_path / "t.csv").write_text(out1.getvalue())
+        back = read_trace_csv(str(tmp_path / "t.csv")).rows
+        assert back == list(back) and back != list(back)[:-1] and back[:0] == []
+
+    def test_invariants_match_the_per_row_loop(self, tmp_path):
+        # more rows than one chunk, so transitions cross chunk boundaries
+        runs = [("quadratic", "const:0.001", [5.0, 5.0], 9000),
+                ("signpower", "const:0.001", [5.0, 5.0], 9000),
+                ("forsaken", "egplus:0.1", [1.0, 1.0], 20000),
+                ("quadratic", "thm8", [1.0, 1.0], 300)]
+        for key, policy, x0, iters in runs:
+            op = build(key)
+            tr = solve(op, parse_policy(policy), SolveConfig(max_iters=iters, x0=x0,
+                                                             stop_tol=0.0))
+            p = str(tmp_path / "trace.csv")
+            write_trace_csv(tr, p)
+            for t in (tr, read_trace_csv(p)):
+                t.final_dist_sq = tr.final_dist_sq
+                rep = check_descent_invariants(t, op)
+                ref = _invariants_by_row(t, op.monotonicity, rep.kind, 1e-10)
+                assert (rep.n_transitions, rep.n_checked, rep.n_violations) == ref[:3]
+                assert float.hex(rep.max_excess) == float.hex(ref[3])
+
+    def test_invariants_round_each_step_as_the_per_row_loop(self):
+        # one transition per trace, so max_excess is that step's own excess
+        rng = np.random.default_rng(0)
+        op = build("signpower")   # monotone, with a root
+        for g, nfx, d0, d1 in rng.uniform(0.1, 10.0, (3000, 4)):
+            t = SolveTrace(rows=[TraceRow(0, None, None, g, g, nfx, nfx, d0)],
+                           final_dist_sq=float(d1), reason="max_iters")
+            rep = check_descent_invariants(t, op)
+            ref = _invariants_by_row(t, op.monotonicity, rep.kind, 1e-10)
+            assert float.hex(rep.max_excess) == float.hex(ref[3])
+
+    def test_first_hit_matches_the_row_scan(self):
+        op = build("quadratic")
+        tr = solve(op, parse_policy("const:0.001"), SolveConfig(max_iters=9000, x0=[5.0, 5.0],
+                                                                stop_tol=0.0))
+        d20 = tr.rows[0].dist_sq
+        for tol in (1.0, 0.5, 1e-3, 1e-4, 1e-30):
+            ref = next((r.k for r in tr.rows if r.dist_sq / d20 <= tol), -1)
+            assert _first_hit(tr.rows, lambda r: r.dist_sq / d20, tol) == ref
+        assert _first_hit(tr.rows, lambda r: r.dist_sq / d20, 1e-4) > TRACE_CHUNK
+
+    def test_recomputed_minima_keep_python_min_on_nan(self):
+        row = lambda nfx, nfxh: TraceRow(0, None, None, 0.1, 0.1, nfx, nfxh)
+        tr = SolveTrace(rows=[row(2.0, 1.0), row(0.5, math.nan)])
+        assert tr.recomputed_minima() == (0.5, 1.0)
+        tr.rows = [row(math.nan, 1.0), row(0.5, 0.25)]
+        mf, mh = tr.recomputed_minima()
+        assert math.isnan(mf) and mh == 0.25
