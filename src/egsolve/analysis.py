@@ -26,7 +26,6 @@ from .core import (
     overflow_as_data,
     read_csv,
     spectral_norm,
-    trace_columns,
     vec,
     write_csv,
 )
@@ -214,7 +213,7 @@ def grid_samples(F: OperatorInstance, box: BoxLike, n: int) -> List[ScatterSampl
 
 def scatter_from_trace(F: OperatorInstance, trace: SolveTrace) -> List[ScatterSample]:
     """One (||F(x_k)||, ||J(x_k)||) sample per recorded iterate."""
-    cols = trace_columns(trace.rows)
+    cols = trace.rows
     if cols.x_k is None or not len(cols):
         raise EmptyTrace("trace has no recorded iterate vectors")
     out = []
@@ -450,8 +449,8 @@ def theoretical_bounds(F: OperatorInstance, kind: PolicyKind, x0,
             raise MissingConstant("this bound needs a declared strong monotonicity modulus")
         return m.mu
 
-    def _rho() -> float:
-        if m is None or m.kind is not MonotoneClass.WEAK_MINTY:
+    def _rho() -> float:   # 0 below weak Minty, as check_descent_invariants takes it
+        if m is None:
             raise MissingConstant("this bound needs a declared weak-Minty rho")
         return m.rho
 
@@ -523,7 +522,7 @@ def write_fit_csv(fit: SmoothnessFit, path: str) -> None:
 
 
 def read_fit_csv(path: str) -> SmoothnessFit:
-    rows = read_csv(path, _FIT_HEADER, "fit")
+    rows = list(read_csv(path, _FIT_HEADER, "fit"))
     if len(rows) != 1:
         raise ValueError(f"{path}: a fit CSV holds one row, found {len(rows)}")
     a, L0, L1, mv = map(float, rows[0])

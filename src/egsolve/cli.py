@@ -31,7 +31,6 @@ from .core import (
     norm,
     overflow_as_data,
     spectral_norm,  # unused here; perfbench/layers.py still wraps cli.spectral_norm by name
-    trace_columns,
     vec,
     write_csv,
 )
@@ -153,7 +152,7 @@ def _first_hit(rows, metric, tol: float) -> int:
     """First iterate index k with metric(row) <= tol, else -1. metric maps a
     chunk of the trace's columns (`TraceColumns.chunks`) to one value per row."""
     with overflow_as_data():    # inf/nan rows compare as the scalar forms did
-        for c in trace_columns(rows).chunks():
+        for c in rows.chunks():
             hits = np.flatnonzero(metric(c) <= tol)
             if hits.size:
                 return c.k[hits[0]]

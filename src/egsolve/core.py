@@ -352,13 +352,19 @@ class TraceRow:
     norm_F_xhat: float
     dist_sq: Optional[float] = None
 
+    def __eq__(self, other):
+        # field by field with np.array_equal, so rows that carry vectors compare
+        if not isinstance(other, TraceRow):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f), getattr(other, f)) for f in self.__slots__)
+
 
 TRACE_CHUNK = 4096   # rows per chunk of TraceColumns.chunks
 _SCALARS = struct.Struct("5d")   # gamma, omega, norm_F_x, norm_F_xhat, dist_sq
 
 
 class TraceColumns(Sequence):
-    """A recorded trace's rows as columns: float64 `gamma`, `omega`,
+    """A trace's rows (every `SolveTrace.rows`) as columns: float64 `gamma`, `omega`,
     `norm_F_x`, `norm_F_xhat` and `dist_sq` (None without a root), and
     (n, dim) blocks `x_k`, `xhat_k` (None for a trace read from CSV, dim 0);
     `k` is the row index.
@@ -434,24 +440,6 @@ class TraceColumns(Sequence):
     __hash__ = None
 
 
-def trace_columns(rows: Sequence[TraceRow]) -> TraceColumns:
-    """`rows` as a TraceColumns: a TraceColumns as it is, anything else (a
-    list of TraceRows assigned to `SolveTrace.rows`) packed once. The packed
-    store keeps iterates only if every row has both, distances only if every
-    row has one; each row's k becomes its index."""
-    if isinstance(rows, TraceColumns):
-        return rows
-    rows = list(rows)
-    has_x = bool(rows) and all(r.x_k is not None and r.xhat_k is not None for r in rows)
-    flat = lambda v: np.asarray(v, dtype=np.float64)
-    cols = TraceColumns(flat(rows[0].x_k).size if has_x else 0,
-                        dist=all(r.dist_sq is not None for r in rows))
-    for r in rows:
-        cols.append(flat(r.x_k) if has_x else None, flat(r.xhat_k) if has_x else None,
-                    r.gamma_k, r.omega_k, r.norm_F_x, r.norm_F_xhat, r.dist_sq)
-    return cols
-
-
 @dataclass
 class SolveTrace:
     """Recorded run: per-iterate rows plus summary fields.
@@ -462,10 +450,11 @@ class SolveTrace:
     PolicyKind that produced the trace (None for a trace read back from CSV).
     `first_rel_hit` is the first k whose row (recorded or not) has
     dist_sq_k / dist_sq_0 <= `SolveConfig.rel_tol`, -1 if none; None when the
-    run had no rel_tol or no root. `solve` and `read_trace_csv` fill `rows`
-    as a TraceColumns; a caller may assign a list of TraceRows instead.
+    run had no rel_tol or no root. `rows` is always a TraceColumns: `solve`
+    fills it, a summary-only run leaves it empty, and `SolveTrace()` starts
+    with an empty one (dim 0, as `read_trace_csv` fills it).
     """
-    rows: Sequence[TraceRow] = field(default_factory=list)
+    rows: TraceColumns = field(default_factory=TraceColumns)
     iterations_run: int = 0
     min_norm_F_x: float = math.inf
     argmin_norm_F_x: int = -1
@@ -482,9 +471,8 @@ class SolveTrace:
         `min`: a NaN in the first row is the minimum, a later NaN never is."""
         if not self.rows:
             raise EmptyTrace("no rows recorded")
-        cols = trace_columns(self.rows)
         first_min = lambda c: c[0] if math.isnan(c[0]) else np.fmin.reduce(c)
-        return first_min(cols.norm_F_x), first_min(cols.norm_F_xhat)
+        return first_min(self.rows.norm_F_x), first_min(self.rows.norm_F_xhat)
 
 
 # ---------------------------------------------------------------------------
@@ -507,19 +495,18 @@ def write_csv(out: Union[str, TextIO], header: Sequence[str], rows: Iterable[Seq
         fh.write(footer)
 
 
-def read_csv(path: str, header: Sequence[str], what: str) -> List[List[str]]:
-    """The rows after the header of a CSV file, as strings; ValueError when
-    its first row is not `header` (the file is not a `what` CSV) or a row
-    other than a `#` comment has a different number of cells."""
+def read_csv(path: str, header: Sequence[str], what: str) -> Iterator[List[str]]:
+    """Yield the rows after the header of a CSV file as it reads them, as
+    strings; ValueError when its first row is not `header` (the file is not a
+    `what` CSV) or a row other than a `#` comment has a different number of
+    cells."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         head = next(reader, None)
         if head != list(header):
             raise ValueError(f"{path}: not a {what} CSV (header {head or 'missing'})")
-        rows = []
         for rec in reader:
             if len(rec) != len(header) and not (rec and rec[0].startswith("#")):
                 raise ValueError(f"{path}, line {reader.line_num}: {len(rec)} cells, "
                                  f"a {what} CSV row has {len(header)}")
-            rows.append(rec)
-    return rows
+            yield rec

@@ -24,7 +24,6 @@ from .core import (
     norm,
     overflow_as_data,
     read_csv,
-    trace_columns,
     vec,
     write_csv,
 )
@@ -139,8 +138,7 @@ def solve(F: OperatorInstance, policy: StepSizePolicy, cfg: SolveConfig,
     xstar = F.solution
     rel_tol = cfg.rel_tol if xstar is not None else None
     stop_tol = cfg.stop_tol
-    tr = SolveTrace(kind=policy.kind,
-                    rows=TraceColumns(F.dim, dist=xstar is not None) if cfg.record_trace else [])
+    tr = SolveTrace(kind=policy.kind, rows=TraceColumns(F.dim, dist=xstar is not None))
     append = tr.rows.append if cfg.record_trace else None
     # running minima over the recorded rows, first index wins ties, and the
     # first relative hit; they are written to the trace on return and with
@@ -254,10 +252,9 @@ def check_descent_invariants(trace: SolveTrace, F: OperatorInstance,
             raise IncompatiblePolicy(f"policy '{trace.kind.value}' guarantees nothing on a "
                                      f"{cls.value} operator; no inequality to check")
         cls = [c for c in MonotoneClass if c in allowed][-1]   # classes run strongest first
-    rows = trace.rows
-    if not rows:
+    cols = trace.rows
+    if not cols:
         return InvariantReport(cls, 0, 0, 0, -math.inf)
-    cols = trace_columns(rows)
     d2 = cols.dist_sq
     if d2 is None:
         raise MissingSolution("trace rows carry no distances (solved without a known root?)")
@@ -304,7 +301,7 @@ def write_trace_csv(trace: SolveTrace, out: Union[str, TextIO]) -> None:
     """Write the scalar trace columns plus a summary comment line (see
     `core.write_csv`: the round-trip is exact, reruns byte-identical)."""
     def cells():
-        for c in trace_columns(trace.rows).chunks():
+        for c in trace.rows.chunks():
             d2 = repeat(None) if c.dist_sq is None else c.dist_sq.tolist()
             yield from zip(c.k, c.gamma_k.tolist(), c.omega_k.tolist(), c.norm_F_x.tolist(),
                            c.norm_F_xhat.tolist(), d2)
@@ -314,23 +311,22 @@ def write_trace_csv(trace: SolveTrace, out: Union[str, TextIO]) -> None:
 
 
 def read_trace_csv(path: str) -> SolveTrace:
-    """Rebuild a trace from the CSV; iterate vectors are not stored there, and
-    distances are kept only when every row has one. ValueError when the k
-    column does not count 0, 1, 2, ..."""
+    """Rebuild a trace from the CSV, one row at a time; iterate vectors are
+    not stored there, and distances are kept only when every row has one.
+    ValueError when the k column does not count 0, 1, 2, ..."""
     tr = SolveTrace()
-    recs = []
+    rows = tr.rows
     for rec in read_csv(path, _TRACE_HEADER, "trace"):
         if rec and rec[0].startswith("#"):
             fields = dict(p.split("=", 1) for p in [rec[0].lstrip("# ")] + rec[1:])
             tr.iterations_run = int(fields["iters"])
             tr.min_norm_F_x = float(fields["min_normF"])
             tr.reason = fields["reason"]
-        else:
-            recs.append(rec)
-    tr.rows = TraceColumns(0, dist=all(rec[5] != "" for rec in recs))
-    for i, (k, g, w, nfx, nfxh, d2) in enumerate(recs):
-        if int(k) != i:
-            raise ValueError(f"{path}: row {i} has k={k}; a trace CSV counts k from 0")
-        tr.rows.append(None, None, float(g), float(w), float(nfx), float(nfxh),
-                       None if d2 == "" else float(d2))
+            continue
+        k, g, w, nfx, nfxh, d2 = rec
+        if int(k) != len(rows):
+            raise ValueError(f"{path}: row {len(rows)} has k={k}; a trace CSV counts k from 0")
+        rows.dist = rows.dist and d2 != ""
+        rows.append(None, None, float(g), float(w), float(nfx), float(nfxh),
+                    None if d2 == "" else float(d2))
     return tr

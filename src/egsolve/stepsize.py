@@ -256,13 +256,13 @@ class StepSizePolicy:
             return nu / den
         return ratio
 
-    def update(self, rho: Optional[float] = None, strict: bool = False) -> Callable:
+    def update(self, rho: Optional[float] = None) -> Callable:
         """The map (gamma_k, F(xhat_k), x_k, xhat_k) -> omega_k, resolved here, once.
 
         Pethick: omega = gamma_k (rho + <F(xhat), x - xhat> / ||F(xhat)||^2), rho the
         policy's else the given (declared) one; relative to gamma_k, as an absolute step
         is nonconvergent on weak-Minty problems whenever gamma < rho. At F(xhat) = 0 the
-        update term is 0 either way: gamma_k (strict: ZeroOperatorAtExtrapolation)."""
+        update term is 0 either way: gamma_k."""
         rule = self.kind.omega_rule
         if rule is OmegaRule.EQUAL:
             return lambda g, F_xhat, x, xhat: g
@@ -275,8 +275,6 @@ class StepSizePolicy:
         def pethick(g: float, F_xhat, x, xhat) -> float:
             n2 = float(F_xhat @ F_xhat)
             if n2 == 0.0:
-                if strict:
-                    raise ZeroOperatorAtExtrapolation("||F(xhat)|| = 0 in the adaptive update rule")
                 return g
             return g * (r + float(F_xhat @ (x - xhat)) / n2)
         return pethick
@@ -299,7 +297,10 @@ def omega(policy: StepSizePolicy, gamma_k: float,
         raise ValueError(f"gamma_k must be positive, got {gamma_k}")
     if policy.omega_rule is OmegaRule.PETHICK and (F_xhat is None or x_minus_xhat is None):
         raise ValueError("Pethick rule needs F(xhat) and x - xhat")
-    return policy.update(rho, strict=True)(gamma_k, F_xhat, x_minus_xhat, 0.0)  # x - 0.0 = x - xhat
+    update = policy.update(rho)
+    if policy.omega_rule is OmegaRule.PETHICK and float(F_xhat @ F_xhat) == 0.0:
+        raise ZeroOperatorAtExtrapolation("||F(xhat)|| = 0 in the adaptive update rule")
+    return update(gamma_k, F_xhat, x_minus_xhat, 0.0)  # x - 0.0 = x - xhat
 
 
 # ---------------------------------------------------------------------------

@@ -764,6 +764,25 @@ class TestTheoreticalBounds:
         with pytest.raises(MissingConstant):
             theoretical_bounds(quad, PolicyKind.CONSTANT, [1.0, 1.0])
 
+    def test_weak_minty_bounds_take_rho_0_below_weak_minty(self):
+        # a (strongly) monotone operator is weak Minty with rho = 0, as the
+        # invariant checker and resolve_policy take it; no class, no rho
+        wm0 = MonotonicityParams(MonotoneClass.WEAK_MINTY, rho=0.0)
+        frac = SmoothnessParams(0.5, 1.0, 1.0)
+        for key in ("quadratic", "signpower", "cubicRd"):
+            op = build(key)
+            x0 = op.solution + 1.0
+            rep = theoretical_bounds(op, PolicyKind.WEAK_MINTY, x0)
+            assert rep == theoretical_bounds(op, PolicyKind.WEAK_MINTY, x0, m=wm0)
+            assert rep.delta == rep.zeta > 0.0 and math.isfinite(rep.sublinear_const)
+            assert (theoretical_bounds(op, PolicyKind.WEAK_MINTY_FRAC, x0, s=frac)
+                    == theoretical_bounds(op, PolicyKind.WEAK_MINTY_FRAC, x0, s=frac, m=wm0))
+        bare = OperatorInstance(dim=2, fn=lambda x: x, solution=np.zeros(2),
+                                smoothness=SmoothnessParams(1.0, 1.0, 0.0), label="bare")
+        for kind in (PolicyKind.WEAK_MINTY, PolicyKind.WEAK_MINTY_FRAC):
+            with pytest.raises(MissingConstant, match="weak-Minty rho"):
+                theoretical_bounds(bare, kind, [1.0, 1.0], s=frac if kind.nu is None else None)
+
     def test_iteration_count_step_growth_term(self):
         # L1 > 0: cor1 adds log(2 L1 D^2 / (zeta^2 L0)) / (zeta mu) to the count
         s = SmoothnessParams(1.0, 2.0, 0.5)
@@ -880,7 +899,7 @@ def _closed_forms(kind, s, m, D, epsilon):
     from egsolve.stepsize import solve_nu
     rep = BoundReport(kind=kind, D=D)
     mu = m.mu if m is not None and m.kind is MonotoneClass.STRONGLY_MONOTONE else None
-    rho = m.rho if m is not None and m.kind is MonotoneClass.WEAK_MINTY else None
+    rho = m.rho if m is not None else None   # 0 below weak Minty
     L0, L1 = s.L0, s.L1
     if kind.nu is not None:
         if s.alpha != 1.0:

@@ -188,10 +188,10 @@ class TestCsv:
                   footer="# done\n")
         with open(p, newline="") as fh:
             assert fh.read() == "a,b,c\n1,0.1,\n-0.0,inf,5e-324\n# done\n"
-        assert read_csv(p, ["a", "b", "c"], "test") == [
+        assert list(read_csv(p, ["a", "b", "c"], "test")) == [
             ["1", "0.1", ""], ["-0.0", "inf", "5e-324"], ["# done"]]
         with pytest.raises(ValueError, match="not a fit CSV"):
-            read_csv(p, ["a", "b"], "fit")
+            list(read_csv(p, ["a", "b"], "fit"))
 
     @pytest.mark.parametrize("reader, header, good", [
         (read_trace_csv, "k,gamma,omega,norm_F_x,norm_F_xhat,dist_sq", "0,1,1,1,1,1"),
@@ -322,10 +322,6 @@ class TestSolveStructures:
         tr = SolveTrace()
         with pytest.raises(EmptyTrace):
             tr.recomputed_minima()
-        tr.rows = [
-            TraceRow(k=0, x_k=None, xhat_k=None, gamma_k=0.1, omega_k=0.1,
-                     norm_F_x=2.0, norm_F_xhat=1.5),
-            TraceRow(k=1, x_k=None, xhat_k=None, gamma_k=0.1, omega_k=0.1,
-                     norm_F_x=0.5, norm_F_xhat=0.7),
-        ]
+        tr.rows.append(None, None, 0.1, 0.1, 2.0, 1.5, None)
+        tr.rows.append(None, None, 0.1, 0.1, 0.5, 0.7, None)
         assert tr.recomputed_minima() == (0.5, 0.7)

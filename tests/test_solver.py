@@ -24,9 +24,9 @@ from egsolve.core import (
     SmoothnessParams,
     SolveConfig,
     SolveTrace,
+    TraceColumns,
     TraceRow,
     norm,
-    trace_columns,
 )
 from egsolve import solver as solver_module, stepsize
 from egsolve.analysis import theoretical_bounds
@@ -905,19 +905,57 @@ class TestTraceColumns:
         assert [c.k for c in chunks] == [range(100, 4196), range(4196, 8292), range(8292, 9000)]
         assert np.array_equal(np.concatenate([c.norm_F_xhat for c in chunks]),
                               rows.norm_F_xhat[100:])
-        # a list of the same rows is packed into the same columns
-        packed = trace_columns(as_list)
-        for name in ("gamma", "omega", "norm_F_x", "norm_F_xhat", "dist_sq", "x_k", "xhat_k"):
-            assert getattr(packed, name).tobytes() == getattr(rows, name).tobytes()
-        out1, out2 = io.StringIO(), io.StringIO()
+        out1 = io.StringIO()
         write_trace_csv(tr, out1)
-        tr.rows = as_list
-        write_trace_csv(tr, out2)
-        assert out1.getvalue() == out2.getvalue()
         # rows compare as a list does (rows without vectors: read back from CSV)
         (tmp_path / "t.csv").write_text(out1.getvalue())
         back = read_trace_csv(str(tmp_path / "t.csv")).rows
         assert back == list(back) and back != list(back)[:-1] and back[:0] == []
+
+    def test_rows_with_vectors_compare(self):
+        tr = solve(build("quadratic"), parse_policy("thm3"),
+                   SolveConfig(max_iters=5, x0=[1.0, 1.0], stop_tol=0.0))
+        assert tr.rows == list(tr.rows) and list(tr.rows[:3]) == list(tr.rows[:3])
+        row = tr.rows[2]
+        assert row == tr.rows[2] and row != tr.rows[1] and row != "row"
+        moved = TraceRow(row.k, row.x_k + 1.0, row.xhat_k, row.gamma_k, row.omega_k,
+                         row.norm_F_x, row.norm_F_xhat, row.dist_sq)
+        assert moved != row and tr.rows != list(tr.rows[:2]) + [moved] + list(tr.rows[3:])
+
+    def test_every_trace_keeps_its_rows_as_columns(self, tmp_path):
+        op, policy = build("quadratic"), parse_policy("thm3")
+        full = solve(op, policy, SolveConfig(max_iters=5, x0=[1.0, 1.0], stop_tol=0.0))
+        lean = solve(op, policy, SolveConfig(max_iters=5, x0=[1.0, 1.0], stop_tol=0.0,
+                                             record_trace=False))
+        write_trace_csv(full, str(tmp_path / "t.csv"))
+        back = read_trace_csv(str(tmp_path / "t.csv"))
+        for tr in (full, lean, back, SolveTrace()):
+            assert type(tr.rows) is TraceColumns
+        assert (lean.rows.dim, lean.rows.dist, len(lean.rows)) == (2, True, 0)
+        assert (back.rows.dim, back.rows.dist, len(back.rows)) == (0, True, 5)
+        assert (SolveTrace().rows.dim, len(SolveTrace().rows)) == (0, 0)
+
+    def test_reading_a_trace_holds_about_the_store(self, tmp_path):
+        # fig3's cor1 trace; holding the file's cells as strings peaked near 14x the store
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)   # fig3 forces cor1 on signpower
+            tr = solve(build("signpower"), parse_policy("cor1"),
+                       SolveConfig(max_iters=20_000, x0=[5.0, 5.0], stop_tol=0.0), force=True)
+        p = str(tmp_path / "trace.csv")
+        write_trace_csv(tr, p)
+        del tr
+        gc.collect()
+        tracemalloc.start()
+        try:
+            back = read_trace_csv(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows = back.rows
+        assert len(rows) == 20_000 and rows.dist_sq is not None
+        held = sum(c.nbytes for c in (rows.gamma, rows.omega, rows.norm_F_x, rows.norm_F_xhat,
+                                      rows.dist_sq))
+        assert peak <= 2 * held
 
     def test_invariants_match_the_per_row_loop(self, tmp_path):
         # more rows than one chunk, so transitions cross chunk boundaries
@@ -943,8 +981,8 @@ class TestTraceColumns:
         rng = np.random.default_rng(0)
         op = build("signpower")   # monotone, with a root
         for g, nfx, d0, d1 in rng.uniform(0.1, 10.0, (3000, 4)):
-            t = SolveTrace(rows=[TraceRow(0, None, None, g, g, nfx, nfx, d0)],
-                           final_dist_sq=float(d1), reason="max_iters")
+            t = SolveTrace(final_dist_sq=float(d1), reason="max_iters")
+            t.rows.append(None, None, g, g, nfx, nfx, d0)
             rep = check_descent_invariants(t, op)
             ref = _invariants_by_row(t, op.monotonicity, rep.kind, 1e-10)
             assert float.hex(rep.max_excess) == float.hex(ref[3])
@@ -960,9 +998,11 @@ class TestTraceColumns:
         assert _first_hit(tr.rows, lambda r: r.dist_sq / d20, 1e-4) > TRACE_CHUNK
 
     def test_recomputed_minima_keep_python_min_on_nan(self):
-        row = lambda nfx, nfxh: TraceRow(0, None, None, 0.1, 0.1, nfx, nfxh)
-        tr = SolveTrace(rows=[row(2.0, 1.0), row(0.5, math.nan)])
-        assert tr.recomputed_minima() == (0.5, 1.0)
-        tr.rows = [row(math.nan, 1.0), row(0.5, 0.25)]
-        mf, mh = tr.recomputed_minima()
+        def trace(*rows):
+            tr = SolveTrace()
+            for nfx, nfxh in rows:
+                tr.rows.append(None, None, 0.1, 0.1, nfx, nfxh, None)
+            return tr
+        assert trace((2.0, 1.0), (0.5, math.nan)).recomputed_minima() == (0.5, 1.0)
+        mf, mh = trace((math.nan, 1.0), (0.5, 0.25)).recomputed_minima()
         assert math.isnan(mf) and mh == 0.25

@@ -381,9 +381,6 @@ class TestUpdate:
     def test_zero_extrapolation_value_returns_gamma(self):
         update = parse_policy("pethick:1:0.1").update()
         assert update(0.7, np.zeros(2), np.ones(2), np.zeros(2)) == 0.7
-        with pytest.raises(ZeroOperatorAtExtrapolation):
-            parse_policy("pethick:1:0.1").update(strict=True)(0.7, np.zeros(2), np.ones(2),
-                                                              np.zeros(2))
 
 
 class TestParsePolicy:
