@@ -1,6 +1,6 @@
-"""Command-line harness: generic solve/sweep/verify/estimate commands, the
-named experiment reproductions, INI config files, CSV outputs, and gnuplot
-script emission.
+"""Command-line harness: argument parsing, INI config files and the commands; the
+figures `reproduce` runs are data in `experiments`. A bad flag, a negative --seed
+included, fails before --out is created.
 
 Exit codes: 0 ok, 1 usage/config error, 2 divergence, 3 assertion or
 verification failure.
@@ -15,11 +15,11 @@ import re
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor  # unused; perfbench/layers.py subclasses it
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
-from . import analysis, operators, solver
+from . import analysis, experiments, operators, solver
 from .core import (
     MAX_TRACE_ROWS,
     EgsolveError,
@@ -29,19 +29,10 @@ from .core import (
     SolveConfig,
     check_iters,
     norm,
-    overflow_as_data,
     spectral_norm,  # unused here; perfbench/layers.py still wraps cli.spectral_norm by name
     vec,
-    write_csv,
 )
-from .stepsize import (
-    NuKind,
-    POLICY_KEY_HELP,
-    PolicyKind,
-    StepSizePolicy,
-    parse_policy,
-    solve_nu,
-)
+from .stepsize import NuKind, POLICY_KEY_HELP, StepSizePolicy, parse_policy, solve_nu
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -148,19 +139,8 @@ def _policy(args, op) -> StepSizePolicy:
     return policy
 
 
-def _first_hit(rows, metric, tol: float) -> int:
-    """First iterate index k with metric(row) <= tol, else -1. metric maps a
-    chunk of the trace's columns (`TraceColumns.chunks`) to one value per row."""
-    with overflow_as_data():    # inf/nan rows compare as the scalar forms did
-        for c in rows.chunks():
-            hits = np.flatnonzero(metric(c) <= tol)
-            if hits.size:
-                return c.k[hits[0]]
-    return -1
-
-
 # ---------------------------------------------------------------------------
-# plain commands
+# commands
 # ---------------------------------------------------------------------------
 
 def cmd_nu(args) -> int:
@@ -192,37 +172,6 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _sweep_cell(op, policy, cfg, d20: float) -> Tuple[int, float]:
-    """(iters_to_tol, final_relerr) of one summary-only cell, (-1, inf) if it
-    diverged or ended above 10x its starting error."""
-    try:
-        tr = solver.solve(op, policy, cfg)
-    except NonFiniteIterate:
-        return -1, math.inf
-    relerr = tr.final_dist_sq / d20
-    if not math.isfinite(relerr) or relerr > 10.0:
-        return -1, math.inf
-    return tr.first_rel_hit, relerr
-
-
-def _sweep(op, cells, x0, iters: int, rel_tol: float, out: str) -> List[tuple]:
-    """Run adaptive cells 1/(c0 + c1*||F||) in order (c1 = 0: step 1/c0) from x0,
-    relative to ||x0 - x*||^2 of op's root; iters, rel_tol, x0 and all cells are
-    checked before the first runs. Cells keep no trace rows: `solve` records each
-    one's first relative hit. Write sweep.csv, return (c0, c1, iters_to_tol,
-    final_relerr)."""
-    _flag("--iters", iters, check_iters, iters)
-    # with iters in range, only rel_tol can fail here with a ValueError
-    cfg = _flag("--tol", rel_tol, SolveConfig, max_iters=iters, x0=x0, stop_tol=0.0,
-                record_trace=False, rel_tol=rel_tol)
-    d20 = _flag("--x0", ",".join(map(str, cfg.x0)), solver.rel_err_base, cfg.x0, op.solution)
-    policies = [StepSizePolicy(kind=PolicyKind.ADAPTIVE, c0=c0, c1=c1) for c0, c1 in cells]
-    csv_path = os.path.join(_ensure_out(out), "sweep.csv")
-    rows = [(*cell, *_sweep_cell(op, p, cfg, d20)) for cell, p in zip(cells, policies)]
-    write_csv(csv_path, ["c0", "c1", "iters_to_tol", "final_relerr"], rows)
-    return rows
-
-
 def cmd_sweep(args) -> int:
     op = parse_op_key(args.op)
     if op.solution is None:
@@ -232,8 +181,13 @@ def cmd_sweep(args) -> int:
     if not c0s or not c1s:
         raise _UsageError("--c0 and --c1 grids must be non-empty")
     x0 = parse_x0(args.x0, op.dim, args.seed)
+    _flag("--iters", args.iters, check_iters, args.iters)
+    # with --iters in range, only --tol can fail here with a ValueError
+    cfg = _flag("--tol", args.tol, SolveConfig, max_iters=args.iters, x0=x0, stop_tol=0.0,
+                record_trace=False, rel_tol=args.tol)
+    d20 = _flag("--x0", ",".join(map(str, x0)), solver.rel_err_base, x0, op.solution)
     cells = [(c0, c1) for c0 in c0s for c1 in c1s]
-    for c0, c1, it, fr in _sweep(op, cells, x0, args.iters, args.tol, args.out):
+    for c0, c1, it, fr in experiments._sweep(op, cells, cfg, d20, args.out):
         tag = "diverged" if it == -1 and math.isinf(fr) else f"relerr={fr}"
         print(f"cell ({c0},{c1}): iters_to_tol={it} {tag}")
     print(f"summary: {os.path.join(args.out, 'sweep.csv')}")
@@ -294,173 +248,13 @@ def cmd_estimate(args) -> int:
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# experiment reproductions
-# ---------------------------------------------------------------------------
-
-def _compare(out: str, op, x0, iters: int, runs, col: str, metric, force: bool) -> dict:
-    """Solve the named runs from x0; write each trace_<name>.csv and comparison.csv
-    (k, then <col>_<name>, gamma_<name> per run, up to the shortest trace); metric
-    maps a chunk of a trace's columns to its <col> values."""
-    cfg = SolveConfig(max_iters=iters, x0=x0, stop_tol=0.0)
-    traces = {name: solver.solve(op, pol, cfg, force=force) for name, pol in runs.items()}
-    for name, tr in traces.items():
-        solver.write_trace_csv(tr, os.path.join(out, f"trace_{name}.csv"))
-    n = min(len(tr.rows) for tr in traces.values())
-
-    def cells():
-        with overflow_as_data():
-            for chunks in zip(*(tr.rows.chunks(stop=n) for tr in traces.values())):
-                cols = [v.tolist() for c in chunks for v in (metric(c), c.gamma_k)]
-                yield from zip(chunks[0].k, *cols)
-    write_csv(os.path.join(out, "comparison.csv"),
-              ["k"] + [f"{c}_{name}" for name in traces for c in (col, "gamma")], cells())
-    return traces
-
-
-# Each _reproduce_<fig>(out, iters, seed) writes its CSVs into out and returns
-# (meta items, gnuplot body, checks); cmd_reproduce writes meta.txt and
-# <fig>.gnuplot around them and prints one line per (name, ok, detail) check.
-
-def _reproduce_fig3(out: str, iters: int, seed: int) -> tuple:
-    op = operators.build("signpower")
-    x0 = np.array([5.0, 5.0])
-    d20 = solver.rel_err_base(x0, op.solution)
-    # mu is a strong-monotonicity modulus at no iterate of either run (the least eigenvalue
-    # of the symmetric Jacobian stays <= 10); force=True: signpower is merely monotone
-    mu_local = 12.5
-    cap = 1.0 / (4.0 * mu_local)   # the baseline's step cap
-    runs = {
-        "ours": parse_policy("cor1"),
-        "vankov": parse_policy(f"vankov:{mu_local}"),
-    }
-    relerr = lambda r: r.dist_sq / d20
-    traces = _compare(out, op, x0, iters, runs, "relerr", relerr, force=True)
-    rows_o, rows_v = traces["ours"].rows, traces["vankov"].rows
-    meta = [("operator", "signpower"), ("x0", "5,5"), ("iters", iters),
-            ("mu_local", mu_local), ("rel_tol", "1e-8")]
-    plot = (
-        "set multiplot layout 1,2\n"
-        "set logscale y\nset xlabel 'iteration'\nset ylabel 'relative squared error'\n"
-        "plot 'comparison.csv' using 1:2 every ::1 with lines title 'norm-adaptive (ours)', \\\n"
-        "     'comparison.csv' using 1:4 every ::1 with lines title 'capped baseline'\n"
-        "unset logscale y\nset ylabel 'step size'\n"
-        "plot 'comparison.csv' using 1:3 every ::1 with lines title 'norm-adaptive (ours)', \\\n"
-        "     'comparison.csv' using 1:5 every ::1 with lines title 'capped baseline'\n"
-        "unset multiplot\n")
-    hit_o = _first_hit(rows_o, relerr, 1e-8)
-    hit_v = _first_hit(rows_v, relerr, 1e-8)
-    g_o_max = max(c.gamma_k.max() for c in rows_o.chunks())
-    # the baseline step is norm-limited during the initial transient, then the
-    # 1/(4 mu) cap binds; "stays near the cap" means entered-and-held
-    off_cap = lambda r: abs(r.gamma_k - cap)
-    enter = _first_hit(rows_v, off_cap, 0.005)
-    checks = [
-        ("fig3-iterations", hit_o != -1 and hit_v != -1 and hit_o < hit_v,
-         f"ours@{hit_o} vs baseline@{hit_v} to relerr 1e-8"),
-        ("fig3-baseline-step",
-         enter != -1 and all((off_cap(c) <= 0.005).all() for c in rows_v.chunks(enter)),
-         f"baseline step reaches {cap:g} +/- 0.005 at k={enter} and holds it"),
-        ("fig3-our-step-grows", g_o_max > 0.032, f"our max step {g_o_max} > 0.032"),
-    ]
-    return meta, plot, checks
-
-
-_FIG4_OP, _FIG4_X0 = "cubicRd:d=10,seed=42,scale=5", "rand:1000"
-_FIG4_CONSTS = [1e2, 1e3, 1e4, 1e5, 1e6, 1e7]
-_FIG4_GRID = [(c0, c1) for c0 in (10.0, 100.0, 1000.0) for c1 in (0.1, 1.0, 10.0)]
-
-
-def _reproduce_fig4(out: str, iters: int, seed: int) -> tuple:
-    op = parse_op_key(_FIG4_OP)
-    x0 = parse_x0(_FIG4_X0, op.dim, seed)
-    results = _sweep(op, [(c, 0.0) for c in _FIG4_CONSTS] + _FIG4_GRID, x0, iters, 1e-8, out)
-    meta = [("operator", _FIG4_OP), ("x0", ",".join(map(str, x0))),
-            ("x0_rule", f"{_FIG4_X0} with seed {seed}"), ("iters", iters), ("rel_tol", "1e-8")]
-    plot = (
-        "set logscale y\nset xlabel 'grid cell'\nset ylabel 'final relative squared error'\n"
-        "set xtics rotate by -45\n"
-        "plot 'sweep.csv' every ::1 using 0:4:xtic(sprintf('(%g,%g)', "
-        "column(1), column(2))) with points pt 7 title 'final error'\n")
-    const_res = results[:len(_FIG4_CONSTS)]
-    adapt_res = {(c0, c1): (it, fr) for c0, c1, it, fr in results[len(_FIG4_CONSTS):]}
-    finite_consts = [(c0, fr) for c0, _, it, fr in const_res if math.isfinite(fr)]
-    best_c, best_fr = min(finite_consts, key=lambda t: t[1]) if finite_consts else (None, math.inf)
-    small_diverged = all(math.isinf(fr) for c0, _, it, fr in const_res if c0 < 1e5)
-    a_fr = adapt_res[(10.0, 10.0)][1]
-    checks = [
-        ("fig4-best-constant", best_c == 1e5,
-         f"best constant cell c={best_c if best_c else 'none'} "
-         f"(relerr {best_fr}), expected 1e5"),
-        ("fig4-small-constants-diverge", small_diverged,
-         "constant cells c in {1e2,1e3,1e4} all diverged"),
-        ("fig4-adaptive-beats-constant", a_fr < best_fr,
-         f"adaptive (10,10) relerr {a_fr} < best constant {best_fr}"),
-    ]
-    return meta, plot, checks
-
-
-def _reproduce_fig5(out: str, iters: int, seed: int) -> tuple:
-    op = operators.build("forsaken")
-    x0 = np.array([1.0, 1.0])
-    # ours runs with (alpha, L0, L1) = (1, 1, 1), smaller than the declared (1, 2.5, 5);
-    # ||J|| <= 1 + ||F|| fails at 1,155 of its 1,184 iterates (||J(0)|| = 1.20)
-    ours, step = SmoothnessParams(alpha=1.0, L0=1.0, L1=1.0), 0.1   # step: EG+'s and Pethick's
-    runs = {
-        "ours": StepSizePolicy(kind=PolicyKind.WEAK_MINTY, smoothness=ours),
-        "egplus": StepSizePolicy(kind=PolicyKind.EGPLUS, step=step),
-        "pethick": StepSizePolicy(kind=PolicyKind.PETHICK, step=step),
-    }
-    norm_x = lambda r: np.sqrt(r.dist_sq)
-    traces = _compare(out, op, x0, iters, runs, "norm_x", norm_x, force=False)
-    names = list(runs)
-    hits = {n: _first_hit(traces[n].rows, norm_x, 1e-3) for n in names}
-    finals = {n: math.sqrt(traces[n].final_dist_sq) for n in names}
-    meta = [("operator", "forsaken"), ("x0", "1,1"), ("iters", iters),
-            ("ours_constants", f"alpha={ours.alpha:g},L0={ours.L0:g},L1={ours.L1:g}"),
-            ("baseline_step", step),
-            ("hit_metric", "||x|| <= 1e-3")]
-    plot = (
-        "set logscale y\nset xlabel 'iteration'\nset ylabel 'distance to origin'\n"
-        "plot 'comparison.csv' using 1:2 every ::1 with lines title 'norm-adaptive (ours)', \\\n"
-        f"     'comparison.csv' using 1:4 every ::1 with lines title 'EG+ {step:g}', \\\n"
-        f"     'comparison.csv' using 1:6 every ::1 with lines title 'residual-adaptive {step:g}'\n")
-    checks = [
-        ("fig5-all-converge", all(finals[n] <= 1e-3 for n in names),
-         "final distances " + ", ".join(f"{n}={finals[n]}" for n in names)),
-        ("fig5-ours-fastest",
-         hits["ours"] != -1 and all(hits["ours"] < hits[n] or hits[n] == -1
-                                    for n in names[1:]),
-         f"iterations to 1e-3: " + ", ".join(f"{n}@{hits[n]}" for n in names)),
-    ]
-    return meta, plot, checks
-
-
-# figure -> (runner, default iterations, gnuplot terminal size)
-_FIGS = {"fig3": (_reproduce_fig3, 20000, "1200,500"),
-         "fig4": (_reproduce_fig4, 20000, "900,500"),
-         "fig5": (_reproduce_fig5, 3000, "900,500")}
-
-
 def cmd_reproduce(args) -> int:
-    fig = args.figure
-    run, default_iters, size = _FIGS[fig]
-    iters = args.iters if args.iters is not None else default_iters
+    iters = args.iters if args.iters is not None else experiments.FIGURES[args.figure]["iters"]
     _flag("--iters", iters, check_iters, iters)
-    out = _ensure_out(args.out)
-    meta, plot, checks = run(out, iters, args.seed)
-    with open(os.path.join(out, "meta.txt"), "w") as fh:
-        for k, v in [("experiment", fig), *meta, ("seed", args.seed)]:
-            fh.write(f"{k} = {v}\n")
-    with open(os.path.join(out, f"{fig}.gnuplot"), "w") as fh:
-        fh.write(f"set datafile separator comma\nset terminal pngcairo size {size}\n"
-                 f"set output '{fig}.png'\n{plot}")
-    code = EXIT_OK
+    checks = experiments.reproduce(args.figure, args.out, iters, args.seed)
     for name, ok, detail in checks:
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-        if not ok:
-            code = EXIT_ASSERT
-    return code
+    return EXIT_OK if all(ok for _, ok, _ in checks) else EXIT_ASSERT
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +297,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("reproduce", help="rerun a named experiment and assert its orderings")
-    p.add_argument("figure", choices=sorted(_FIGS))
+    p.add_argument("figure", choices=sorted(experiments.FIGURES))
     p.add_argument("--iters", type=int, default=None, help=_ITERS_HELP)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--out", default="egsolve-out")
@@ -589,6 +383,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         parser = _build_parser()
         args = parser.parse_args(_apply_config(argv, parser))
+        if "seed" in args and args.seed < 0:   # numpy's generators refuse it, at first use
+            raise _UsageError(f"--seed {args.seed}: expected a non-negative integer")
         return args.func(args)
     except _UsageError as e:
         print(str(e), file=sys.stderr)

@@ -310,6 +310,22 @@ class TestParserWiring:
         args = _build_parser().parse_args(argv)
         assert (args.seed, args.out) == (seed, "egsolve-out")
 
+    # numpy's generators refuse a negative seed only when first used, which for
+    # verify and reproduce fig4 comes after --out exists
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--op", "quadratic", "--x0", "rand:1", "--policy", "thm3"],
+        ["sweep", "--op", "quadratic", "--x0", "rand:1", "--c0", "10", "--c1", "0"],
+        ["verify", "--op", "forsaken", "--grid", "3"],
+        ["estimate", "--op", "quadratic", "--from-grid", "--grid", "3"],
+        ["reproduce", "fig4"],
+    ], ids=lambda v: v[0])
+    def test_negative_seed_exits_1_before_out_exists(self, argv, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, *argv, "--seed", "-1", "--out", str(out_dir))
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("--seed -1: ")
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("command", ["solve", "sweep", "reproduce", "verify", "estimate",
                                          "nu"])
     def test_help_exits_0(self, command, capsys):

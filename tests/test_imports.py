@@ -1,4 +1,5 @@
-"""Every name a module imports is used there, except the ones on ALLOWED."""
+"""Every name a module imports is used there, except the ones on ALLOWED, and
+only the command line imports argparse or the command line."""
 import ast
 import pathlib
 
@@ -26,6 +27,26 @@ def _unused_imports(path: pathlib.Path) -> set:
             imported |= {a.asname or a.name for a in node.names}
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     return imported - used
+
+
+def _imported(path: pathlib.Path) -> set:
+    """The first component of every module and name a module imports, the
+    package prefix dropped: 'from .cli import main' gives 'cli'."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    full = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            full |= {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            full |= {base} | {f"{base}.{a.name}".lstrip(".") for a in node.names}
+    return {n.removeprefix("egsolve.").split(".")[0] for n in full}
+
+
+def test_only_cli_imports_cli_or_argparse():
+    # the library, experiments included, never reaches back into the command line
+    importers = {p.stem for p in PACKAGE.glob("*.py") if _imported(p) & {"cli", "argparse"}}
+    assert importers == {"cli"}
 
 
 def test_modules_use_every_import():

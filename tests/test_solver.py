@@ -30,7 +30,7 @@ from egsolve.core import (
 )
 from egsolve import solver as solver_module, stepsize
 from egsolve.analysis import theoretical_bounds
-from egsolve.cli import _first_hit
+from egsolve.experiments import _first_hit
 from egsolve.operators import ZOO, build
 from egsolve.solver import (
     check_descent_invariants,
