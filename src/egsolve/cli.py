@@ -187,7 +187,7 @@ def cmd_sweep(args) -> int:
                 record_trace=False, rel_tol=args.tol)
     d20 = _flag("--x0", ",".join(map(str, x0)), solver.rel_err_base, x0, op.solution)
     cells = [(c0, c1) for c0 in c0s for c1 in c1s]
-    for c0, c1, it, fr in experiments._sweep(op, cells, cfg, d20, args.out):
+    for c0, c1, it, fr in experiments.sweep_cells(op, cells, cfg, d20, args.out):
         tag = "diverged" if it == -1 and math.isinf(fr) else f"relerr={fr}"
         print(f"cell ({c0},{c1}): iters_to_tol={it} {tag}")
     print(f"summary: {os.path.join(args.out, 'sweep.csv')}")
@@ -249,9 +249,12 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    iters = args.iters if args.iters is not None else experiments.FIGURES[args.figure]["iters"]
+    fig = experiments.FIGURES[args.figure]
+    iters = args.iters if args.iters is not None else fig["iters"]
     _flag("--iters", iters, check_iters, iters)
-    checks = experiments.reproduce(args.figure, args.out, iters, args.seed)
+    op = parse_op_key(fig["op"])
+    x0 = parse_x0(fig["x0"], op.dim, args.seed)
+    checks = experiments.reproduce(args.figure, op, x0, args.out, iters, args.seed)
     for name, ok, detail in checks:
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
     return EXIT_OK if all(ok for _, ok, _ in checks) else EXIT_ASSERT

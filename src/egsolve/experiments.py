@@ -1,7 +1,7 @@
 """The paper's three experiments as data, and the driver that reproduces them.
 
 Each FIGURES entry holds the operator key `op` and start rule `x0` as --op and
---x0 spell them, the default budget `iters`, the gnuplot terminal `size` and
+--x0 spell them (the caller builds both), the default budget `iters`, the gnuplot terminal `size` and
 `plot` body, its extra meta.txt lines `meta`, its `checks`, and either the
 adaptive `cells` (c0, c1) it sweeps or the `runs` {name: policy} it compares
 (`force`: outside a policy's class) in the comparison.csv column `col` of
@@ -16,13 +16,12 @@ from typing import List
 
 import numpy as np
 
-from . import operators, solver
-from .core import (NonFiniteIterate, SmoothnessParams, SolveConfig, norm, overflow_as_data, vec,
-                   write_csv)
+from . import solver
+from .core import NonFiniteIterate, SmoothnessParams, SolveConfig, overflow_as_data, write_csv
 from .stepsize import PolicyKind, StepSizePolicy, parse_policy
 
 
-def _first_hit(rows, metric, tol: float) -> int:
+def first_hit(rows, metric, tol: float) -> int:
     """First iterate index k with metric(row) <= tol, else -1. metric maps a
     chunk of the trace's columns (`TraceColumns.chunks`) to one value per row."""
     with overflow_as_data():    # inf/nan rows compare as the scalar forms did
@@ -33,22 +32,24 @@ def _first_hit(rows, metric, tol: float) -> int:
     return -1
 
 
-def _sweep(op, cells, cfg: SolveConfig, d20: float, out: str) -> List[tuple]:
+def sweep_cells(op, cells, cfg: SolveConfig, d20: float, out: str) -> List[tuple]:
     """Run adaptive cells 1/(c0 + c1*||F||) (c1 = 0: step 1/c0) in order under cfg,
     a summary-only config with a rel_tol; d20 = ||x0 - x*||^2. Every cell is checked
-    before the first runs. Write sweep.csv and return its rows (c0, c1, iters_to_tol,
-    final_relerr); a cell that diverged or ended above 10x its start reads (-1, inf)."""
+    before out is created and the first runs. Write sweep.csv and return its rows
+    (c0, c1, iters_to_tol, final_relerr); a cell that diverged or ended above 10x its
+    start reads (-1, inf)."""
     policies = [StepSizePolicy(kind=PolicyKind.ADAPTIVE, c0=c0, c1=c1) for c0, c1 in cells]
     os.makedirs(out, exist_ok=True)
     rows = []
     for cell, policy in zip(cells, policies):
         try:
             tr = solver.solve(op, policy, cfg)
-            hit, relerr = tr.first_rel_hit, tr.final_dist_sq / d20
         except NonFiniteIterate:
-            relerr = math.inf
+            rows.append((*cell, -1, math.inf))
+            continue
+        relerr = tr.final_dist_sq / d20
         ok = math.isfinite(relerr) and relerr <= 10.0
-        rows.append((*cell, hit, relerr) if ok else (*cell, -1, math.inf))
+        rows.append((*cell, tr.first_rel_hit, relerr) if ok else (*cell, -1, math.inf))
     write_csv(os.path.join(out, "sweep.csv"), ["c0", "c1", "iters_to_tol", "final_relerr"], rows)
     return rows
 
@@ -57,6 +58,7 @@ def _compare(out: str, op, cfg: SolveConfig, fig: dict, d20: float) -> dict:
     """Solve the figure's runs under cfg; write each trace_<name>.csv and comparison.csv
     (k, then <col>_<name>, gamma_<name> per run, up to the shortest trace), where
     metric(chunk, d20) maps a chunk of a trace's columns to its <col> values."""
+    os.makedirs(out, exist_ok=True)
     traces = {n: solver.solve(op, pol, cfg, force=fig["force"]) for n, pol in fig["runs"].items()}
     for name, tr in traces.items():
         solver.write_trace_csv(tr, os.path.join(out, f"trace_{name}.csv"))
@@ -72,26 +74,20 @@ def _compare(out: str, op, cfg: SolveConfig, fig: dict, d20: float) -> dict:
     return traces
 
 
-def reproduce(name: str, out: str, iters: int, seed: int) -> List[tuple]:
-    """Solve figure `name` with `iters` iterations from its start under `seed`;
-    write its CSVs, meta.txt and <name>.gnuplot into out (created if missing),
-    and return its checks as (check name, ok, detail)."""
+def reproduce(name: str, op, x0, out: str, iters: int, seed: int) -> List[tuple]:
+    """Solve figure `name` on op, built from its `op` key, with `iters` iterations
+    from x0, read from its `x0` rule under `seed`; write its CSVs, meta.txt and
+    <name>.gnuplot into out (created if missing), and return its checks as
+    (check name, ok, detail)."""
     fig = FIGURES[name]
-    key, _, params = fig["op"].partition(":")
-    op = operators.build(key, **{k: int(v) for k, v in (p.split("=") for p in params.split(",") if p)})
     rule = fig["x0"]
-    if rule.startswith("rand:"):   # as --x0 rand:R: the seeded direction of norm R
-        u = np.random.default_rng(seed).standard_normal(op.dim)
-        x0 = vec(float(rule[5:]) * u / norm(u))
-        start = [("x0", ",".join(map(str, x0))), ("x0_rule", f"{rule} with seed {seed}")]
-    else:
-        x0, start = vec([float(v) for v in rule.split(",")]), [("x0", rule)]
+    start = ([("x0", ",".join(map(str, x0))), ("x0_rule", f"{rule} with seed {seed}")]
+             if rule.startswith("rand:") else [("x0", rule)])
     d20 = solver.rel_err_base(x0, op.solution)
-    os.makedirs(out, exist_ok=True)
     # each solve records its first hit of relative error 1e-8; sweep cells keep no rows
     cfg = SolveConfig(max_iters=iters, x0=x0, stop_tol=0.0, record_trace="runs" in fig,
                       rel_tol=_REL_TOL)
-    result = (_sweep(op, fig["cells"], cfg, d20, out) if "cells" in fig
+    result = (sweep_cells(op, fig["cells"], cfg, d20, out) if "cells" in fig
               else _compare(out, op, cfg, fig, d20))
     meta = [("experiment", name), ("operator", fig["op"]), *start, ("iters", iters), *fig["meta"],
             ("seed", seed)]
@@ -117,7 +113,7 @@ def _fig3_checks(traces) -> list:
     # the baseline step is norm-limited during the initial transient, then the
     # 1/(4 mu) cap binds; "stays near the cap" means entered-and-held
     off_cap = lambda r: abs(r.gamma_k - cap)
-    enter = _first_hit(rows_v, off_cap, 0.005)
+    enter = first_hit(rows_v, off_cap, 0.005)
     return [
         ("fig3-iterations", hit_o != -1 and hit_v != -1 and hit_o < hit_v,
          f"ours@{hit_o} vs baseline@{hit_v} to relerr 1e-8"),
@@ -152,7 +148,7 @@ _FIG5_OURS, _FIG5_STEP = SmoothnessParams(alpha=1.0, L0=1.0, L1=1.0), 0.1  # ste
 
 def _fig5_checks(traces) -> list:
     norm_x = lambda r: np.sqrt(r.dist_sq)   # the comparison.csv column
-    hits = {n: _first_hit(tr.rows, norm_x, 1e-3) for n, tr in traces.items()}
+    hits = {n: first_hit(tr.rows, norm_x, 1e-3) for n, tr in traces.items()}
     finals = {n: math.sqrt(tr.final_dist_sq) for n, tr in traces.items()}
     return [
         ("fig5-all-converge", all(f <= 1e-3 for f in finals.values()),

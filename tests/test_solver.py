@@ -30,7 +30,7 @@ from egsolve.core import (
 )
 from egsolve import solver as solver_module, stepsize
 from egsolve.analysis import theoretical_bounds
-from egsolve.experiments import _first_hit
+from egsolve.experiments import first_hit
 from egsolve.operators import ZOO, build
 from egsolve.solver import (
     check_descent_invariants,
@@ -694,7 +694,7 @@ class TestSummaryOnlyRuns:
         if d20 is not None:
             e = x0 - op.solution
             assert d20 == float(e.dot(e))
-            assert full.first_rel_hit == _first_hit(full.rows, lambda r: r.dist_sq / d20, tol)
+            assert full.first_rel_hit == first_hit(full.rows, lambda r: r.dist_sq / d20, tol)
         assert lean.first_rel_hit == full.first_rel_hit
         h = lambda v: None if v is None else float.hex(float(v))
         summary = lambda t: (t.iterations_run, t.reason, h(t.min_norm_F_x), t.argmin_norm_F_x,
@@ -994,8 +994,8 @@ class TestTraceColumns:
         d20 = tr.rows[0].dist_sq
         for tol in (1.0, 0.5, 1e-3, 1e-4, 1e-30):
             ref = next((r.k for r in tr.rows if r.dist_sq / d20 <= tol), -1)
-            assert _first_hit(tr.rows, lambda r: r.dist_sq / d20, tol) == ref
-        assert _first_hit(tr.rows, lambda r: r.dist_sq / d20, 1e-4) > TRACE_CHUNK
+            assert first_hit(tr.rows, lambda r: r.dist_sq / d20, tol) == ref
+        assert first_hit(tr.rows, lambda r: r.dist_sq / d20, 1e-4) > TRACE_CHUNK
 
     def test_recomputed_minima_keep_python_min_on_nan(self):
         def trace(*rows):
