@@ -50,7 +50,7 @@ from .solver import (
 from .analysis import (
     BoundReport,
     PairCheckReport,
-    ScatterSample,
+    ScatterSamples,
     SmoothnessFit,
     fit_constants,
     scatter_from_trace,

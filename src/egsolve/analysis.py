@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from numpy import linalg as la
@@ -22,6 +22,7 @@ from .core import (
     OperatorInstance,
     SmoothnessParams,
     SolveTrace,
+    TRACE_CHUNK,
     norm,
     overflow_as_data,
     read_csv,
@@ -139,17 +140,28 @@ def _pow_alpha_rows(v: np.ndarray, alpha: float) -> np.ndarray:
 # scatter samples and fits
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ScatterSample:
-    norm_F: float
-    norm_J: float
-    iterate_index: int = -1   # -1 marks a grid sample
+class ScatterSamples:
+    """(||F||, ||J||) samples as columns: float64 `norm_F`, `norm_J` and int64
+    `k`, the iterate index (-1, the default, marks a grid sample). The
+    constructor is the one check: ValueError at the first sample whose norm is
+    negative or not finite, norm_F before norm_J there."""
+    __slots__ = ("norm_F", "norm_J", "k")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.norm_F) and self.norm_F >= 0):
-            raise ValueError(f"norm_F must be finite and >= 0, got {self.norm_F}")
-        if not (math.isfinite(self.norm_J) and self.norm_J >= 0):
-            raise ValueError(f"norm_J must be finite and >= 0, got {self.norm_J}")
+    def __init__(self, norm_F=(), norm_J=(), k=None):
+        nf, nj = np.asarray(norm_F, dtype=np.float64), np.asarray(norm_J, dtype=np.float64)
+        # a grid's -1 as a broadcast view, which holds no memory per sample
+        k = np.broadcast_to(np.int64(-1), nf.shape) if k is None else np.asarray(k, dtype=np.int64)
+        if not (nf.ndim == 1 and nf.shape == nj.shape == k.shape):
+            raise ValueError(f"scatter columns must be 1-d of one length, got {nf.shape, nj.shape, k.shape}")
+        bad_F, bad_J = ~(np.isfinite(nf) & (nf >= 0)), ~(np.isfinite(nj) & (nj >= 0))
+        if (bad_F | bad_J).any():
+            i = int(np.argmax(bad_F | bad_J))
+            name, v = ("norm_F", nf[i]) if bad_F[i] else ("norm_J", nj[i])
+            raise ValueError(f"{name} must be finite and >= 0, got {float(v)}")
+        self.norm_F, self.norm_J, self.k = nf, nj, k
+
+    def __len__(self) -> int:
+        return len(self.norm_F)
 
 
 @dataclass
@@ -163,7 +175,7 @@ class SmoothnessFit:
     L0_hat: float
     L1_hat: float
     max_violation: float
-    samples: List[ScatterSample] = field(default_factory=list)
+    samples: ScatterSamples = field(default_factory=ScatterSamples)
 
     @property
     def passed(self) -> bool:
@@ -179,7 +191,7 @@ def _grid_norms(F: OperatorInstance, X: np.ndarray,
     a row it drops holds its ||J||_F, an upper bound. A screen keeps every
     row whose ||J||_F is not finite.
 
-    The first offending row raises what a per-point ScatterSample of
+    The first offending row raises what ScatterSamples of one point's
     (norm(F(x)), spectral_norm(F.jacobian_at(x))) raises there: a non-finite
     Jacobian NonFiniteEvaluation, a non-finite norm ValueError.
     """
@@ -191,38 +203,29 @@ def _grid_norms(F: OperatorInstance, X: np.ndarray,
     svd = screen(nf[:cut], nj) if screen is not None else np.ones(cut, dtype=bool)
     if svd.any():
         nj[svd] = la.svd(J[:cut][svd], compute_uv=False)[:, 0]
-    ok = np.isfinite(nf[:cut]) & np.isfinite(nj)
-    if not ok.all():
-        i = int(np.argmin(ok))
-        ScatterSample(norm_F=float(nf[i]), norm_J=float(nj[i]))   # raises ValueError
+    ScatterSamples(nf[:cut], nj)   # raises ValueError at the first non-finite norm
     if cut < X.shape[0]:
         raise NonFiniteEvaluation("spectral_norm: non-finite matrix")
     return nf, nj
 
 
-def grid_samples(F: OperatorInstance, box: BoxLike, n: int) -> List[ScatterSample]:
+def grid_samples(F: OperatorInstance, box: BoxLike, n: int) -> ScatterSamples:
     """One (||F(x)||, ||J(x)||) sample per point of the n-per-axis grid over
     the box, in grid order (index -1)."""
-    out = []
     with overflow_as_data():
-        for X in _grid_blocks(box, F.dim, n):
-            nf, nj = _grid_norms(F, X)
-            out += [ScatterSample(norm_F=a, norm_J=b) for a, b in zip(nf.tolist(), nj.tolist())]
-    return out
+        blocks = [_grid_norms(F, X) for X in _grid_blocks(box, F.dim, n)]
+    return ScatterSamples(*map(np.concatenate, zip(*blocks)))
 
 
-def scatter_from_trace(F: OperatorInstance, trace: SolveTrace) -> List[ScatterSample]:
+def scatter_from_trace(F: OperatorInstance, trace: SolveTrace) -> ScatterSamples:
     """One (||F(x_k)||, ||J(x_k)||) sample per recorded iterate."""
     cols = trace.rows
     if cols.x_k is None or not len(cols):
         raise EmptyTrace("trace has no recorded iterate vectors")
-    out = []
     with overflow_as_data():
-        for c in cols.chunks():
-            out += [ScatterSample(norm_F=nf, norm_J=spectral_norm(F.jacobian_at(x)),
-                                  iterate_index=k)
-                    for k, x, nf in zip(c.k, c.x_k, c.norm_F_x.tolist())]
-    return out
+        nj = [spectral_norm(F.jacobian_at(x)) for x in cols.x_k]
+    # a copy: a view of the column would keep the trace's whole buffer alive
+    return ScatterSamples(cols.norm_F_x.copy(), nj, np.arange(len(cols)))
 
 
 def verify_condition(F: OperatorInstance, s: SmoothnessParams, box: BoxLike,
@@ -230,7 +233,7 @@ def verify_condition(F: OperatorInstance, s: SmoothnessParams, box: BoxLike,
     """Grid check of ||J(x)|| <= L0 + L1 ||F(x)||^alpha over the box.
 
     Returns a fit echoing s whose max_violation is the grid minimum of the
-    slack; the minimum location enters the sample list with index -1.
+    slack; its samples hold the minimum's location alone, with index -1.
 
     Since ||J||_F / sqrt(dim) <= ||J|| <= ||J||_F, the Frobenius norms bound
     each point's slack from both sides; the SVD runs only on the points whose
@@ -242,8 +245,7 @@ def verify_condition(F: OperatorInstance, s: SmoothnessParams, box: BoxLike,
     dropped point's slack from its ||J||_F still tops the minimum: the result
     is the one an SVD at every point gives.
     """
-    worst = math.inf
-    worst_sample = None
+    worst, at = math.inf, ((), ())
     root_dim = math.sqrt(F.dim)
     bound = lambda nf: s.L0 + s.L1 * _pow_alpha_rows(nf, s.alpha)
 
@@ -259,10 +261,9 @@ def verify_condition(F: OperatorInstance, s: SmoothnessParams, box: BoxLike,
             g = bound(nf) - nj
             i = int(np.argmin(g))   # first minimum in grid order
             if g[i] < worst:
-                worst = float(g[i])
-                worst_sample = ScatterSample(norm_F=float(nf[i]), norm_J=float(nj[i]))
+                worst, at = float(g[i]), ([nf[i]], [nj[i]])
     return SmoothnessFit(alpha_hat=s.alpha, L0_hat=s.L0, L1_hat=s.L1, max_violation=worst,
-                         samples=[worst_sample] if worst_sample is not None else [])
+                         samples=ScatterSamples(*at))
 
 
 @dataclass
@@ -361,7 +362,7 @@ def check_alpha_grid(alpha_grid: Sequence[float]) -> None:
             raise InvalidAlpha(f"alpha grid entries must lie in (0, 1], got {a}")
 
 
-def fit_constants(samples: Sequence[ScatterSample],
+def fit_constants(samples: ScatterSamples,
                   alpha_grid: Iterable[float]) -> SmoothnessFit:
     """Envelope fit of (L0, L1, alpha) to scatter samples.
 
@@ -370,13 +371,11 @@ def fit_constants(samples: Sequence[ScatterSample],
     sample satisfies the bound. Returns the alpha with the smallest L0 + L1;
     ties keep the earlier grid entry. Heuristic, not a guarantee.
     """
-    samples = list(samples)
     alpha_grid = list(alpha_grid)
     check_alpha_grid(alpha_grid)
     if len(samples) < 3:
         raise DegenerateSamples(f"need >= 3 samples to fit, got {len(samples)}")
-    nf = np.array([sm.norm_F for sm in samples])
-    nj = np.array([sm.norm_J for sm in samples])
+    nf, nj = samples.norm_F, samples.norm_J
     if np.all(nf == nf[0]):
         raise DegenerateSamples("all samples share one ||F|| value; constants are unidentifiable")
     best = None
@@ -507,13 +506,18 @@ _SCATTER_HEADER = ["norm_F", "norm_J", "k"]
 _FIT_HEADER = ["alpha", "L0", "L1", "max_violation"]
 
 
-def write_scatter_csv(samples: Sequence[ScatterSample], path: str) -> None:
-    write_csv(path, _SCATTER_HEADER, ([sm.norm_F, sm.norm_J, sm.iterate_index] for sm in samples))
+def write_scatter_csv(samples: ScatterSamples, path: str) -> None:
+    def cells():   # TRACE_CHUNK rows at a time
+        for a in range(0, len(samples), TRACE_CHUNK):
+            s = slice(a, a + TRACE_CHUNK)
+            yield from zip(samples.norm_F[s].tolist(), samples.norm_J[s].tolist(),
+                           samples.k[s].tolist())
+    write_csv(path, _SCATTER_HEADER, cells())
 
 
-def read_scatter_csv(path: str) -> List[ScatterSample]:
-    return [ScatterSample(norm_F=float(a), norm_J=float(b), iterate_index=int(c))
-            for a, b, c in read_csv(path, _SCATTER_HEADER, "scatter")]
+def read_scatter_csv(path: str) -> ScatterSamples:
+    rows = read_csv(path, _SCATTER_HEADER, "scatter", (float, float, int))
+    return ScatterSamples(*(list(zip(*rows)) or ((), (), ())))
 
 
 def write_fit_csv(fit: SmoothnessFit, path: str) -> None:
@@ -522,8 +526,8 @@ def write_fit_csv(fit: SmoothnessFit, path: str) -> None:
 
 
 def read_fit_csv(path: str) -> SmoothnessFit:
-    rows = list(read_csv(path, _FIT_HEADER, "fit"))
+    rows = list(read_csv(path, _FIT_HEADER, "fit", (float,) * 4))
     if len(rows) != 1:
         raise ValueError(f"{path}: a fit CSV holds one row, found {len(rows)}")
-    a, L0, L1, mv = map(float, rows[0])
+    a, L0, L1, mv = rows[0]
     return SmoothnessFit(alpha_hat=a, L0_hat=L0, L1_hat=L1, max_violation=mv)

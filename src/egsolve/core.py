@@ -495,18 +495,30 @@ def write_csv(out: Union[str, TextIO], header: Sequence[str], rows: Iterable[Seq
         fh.write(footer)
 
 
-def read_csv(path: str, header: Sequence[str], what: str) -> Iterator[List[str]]:
-    """Yield the rows after the header of a CSV file as it reads them, as
-    strings; ValueError when its first row is not `header` (the file is not a
-    `what` CSV) or a row other than a `#` comment has a different number of
-    cells."""
+def read_csv(path: str, header: Sequence[str], what: str,
+             types: Sequence[Callable[[str], object]],
+             footer: Optional[Callable[[List[str]], None]] = None) -> Iterator[list]:
+    """Yield the rows after the header of a CSV file as it reads them, each
+    cell converted by its column's entry of `types`; a row whose first cell
+    starts with `#` goes to `footer`. ValueError when the first row is not
+    `header` (the file is not a `what` CSV), and, naming the file and line, at
+    a row of the wrong width, a cell that does not convert, or a `#` row
+    without `footer` or that `footer` refuses with ValueError."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         head = next(reader, None)
         if head != list(header):
             raise ValueError(f"{path}: not a {what} CSV (header {head or 'missing'})")
         for rec in reader:
-            if len(rec) != len(header) and not (rec and rec[0].startswith("#")):
-                raise ValueError(f"{path}, line {reader.line_num}: {len(rec)} cells, "
-                                 f"a {what} CSV row has {len(header)}")
-            yield rec
+            try:
+                if rec and rec[0].startswith("#"):
+                    if footer is None:
+                        raise ValueError(f"a {what} CSV has no # rows")
+                    footer(rec)
+                    continue
+                if len(rec) != len(header):
+                    raise ValueError(f"{len(rec)} cells, a {what} CSV row has {len(header)}")
+                row = [t(c) for t, c in zip(types, rec)]
+            except ValueError as e:
+                raise ValueError(f"{path}, line {reader.line_num}: {e}") from None
+            yield row

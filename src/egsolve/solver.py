@@ -295,6 +295,7 @@ def check_descent_invariants(trace: SolveTrace, F: OperatorInstance,
 # ---------------------------------------------------------------------------
 
 _TRACE_HEADER = ["k", "gamma", "omega", "norm_F_x", "norm_F_xhat", "dist_sq"]
+_TRACE_TYPES = (int, float, float, float, float, lambda c: None if c == "" else float(c))
 
 
 def write_trace_csv(trace: SolveTrace, out: Union[str, TextIO]) -> None:
@@ -313,20 +314,23 @@ def write_trace_csv(trace: SolveTrace, out: Union[str, TextIO]) -> None:
 def read_trace_csv(path: str) -> SolveTrace:
     """Rebuild a trace from the CSV, one row at a time; iterate vectors are
     not stored there, and distances are kept only when every row has one.
-    ValueError when the k column does not count 0, 1, 2, ..."""
+    ValueError naming the line at a bad cell or a `#` row that is not a
+    summary footer, and when the k column does not count 0, 1, 2, ..."""
     tr = SolveTrace()
     rows = tr.rows
-    for rec in read_csv(path, _TRACE_HEADER, "trace"):
-        if rec and rec[0].startswith("#"):
-            fields = dict(p.split("=", 1) for p in [rec[0].lstrip("# ")] + rec[1:])
-            tr.iterations_run = int(fields["iters"])
-            tr.min_norm_F_x = float(fields["min_normF"])
-            tr.reason = fields["reason"]
-            continue
-        k, g, w, nfx, nfxh, d2 = rec
-        if int(k) != len(rows):
+
+    def footer(rec):
+        fields = dict(p.partition("=")[::2] for p in [rec[0].lstrip("# ")] + rec[1:])
+        if not {"iters", "min_normF", "reason"} <= fields.keys():
+            raise ValueError("a trace CSV's # row is its footer "
+                             "'# iters=..,min_normF=..,reason=..'")
+        tr.iterations_run = int(fields["iters"])
+        tr.min_norm_F_x = float(fields["min_normF"])
+        tr.reason = fields["reason"]
+
+    for k, g, w, nfx, nfxh, d2 in read_csv(path, _TRACE_HEADER, "trace", _TRACE_TYPES, footer):
+        if k != len(rows):
             raise ValueError(f"{path}: row {len(rows)} has k={k}; a trace CSV counts k from 0")
-        rows.dist = rows.dist and d2 != ""
-        rows.append(None, None, float(g), float(w), float(nfx), float(nfxh),
-                    None if d2 == "" else float(d2))
+        rows.dist = rows.dist and d2 is not None
+        rows.append(None, None, g, w, nfx, nfxh, d2)
     return tr

@@ -1,4 +1,6 @@
+import collections
 import dataclasses
+import gc
 import math
 import tracemalloc
 import warnings
@@ -12,7 +14,7 @@ from egsolve import analysis
 from egsolve.analysis import (
     MAX_GRID_POINTS,
     BoundReport,
-    ScatterSample,
+    ScatterSamples,
     box_bounds,
     check_alpha_grid,
     check_grid,
@@ -52,6 +54,15 @@ from egsolve.solver import solve
 from egsolve.stepsize import PolicyKind, k_constants, parse_policy, pow_alpha
 
 SQ2 = math.sqrt(2.0)
+
+
+SampleRow = collections.namedtuple("SampleRow", "norm_F norm_J k")
+
+
+def sample_rows(samples):
+    """The samples of a ScatterSamples record, one (norm_F, norm_J, k) row each."""
+    return [SampleRow(*r) for r in zip(samples.norm_F.tolist(), samples.norm_J.tolist(),
+                                       samples.k.tolist())]
 
 
 def spearman(a, b):
@@ -112,8 +123,8 @@ class TestScatter:
                    SolveConfig(max_iters=60, x0=[1.0, 1.0], stop_tol=0.0))
         samples = scatter_from_trace(op, tr)
         assert len(samples) == 60
-        assert all(abs(sm.norm_J - SQ2) <= 1e-9 for sm in samples)
-        assert [sm.iterate_index for sm in samples] == list(range(60))
+        assert all(abs(nj - SQ2) <= 1e-9 for nj in samples.norm_J)
+        assert samples.k.tolist() == list(range(60))
 
     def test_norm_growth_tracks_residual(self):
         # cubic1d declares no monotonicity class, so the run needs force=True
@@ -124,7 +135,7 @@ class TestScatter:
                        SolveConfig(max_iters=400, x0=[2.0, 2.0], stop_tol=0.0),
                        force=True)
         samples = scatter_from_trace(op, tr)
-        rho = spearman([sm.norm_F for sm in samples], [sm.norm_J for sm in samples])
+        rho = spearman(samples.norm_F, samples.norm_J)
         assert rho > 0.99
 
     def test_start_at_root(self):
@@ -133,8 +144,8 @@ class TestScatter:
                    SolveConfig(max_iters=5, x0=[0.0, 0.0]))
         samples = scatter_from_trace(op, tr)
         assert len(samples) == 1
-        assert samples[0].norm_F == 0.0
-        assert samples[0].norm_J == pytest.approx(SQ2, abs=1e-9)
+        assert samples.norm_F[0] == 0.0
+        assert samples.norm_J[0] == pytest.approx(SQ2, abs=1e-9)
 
     def test_empty_trace_rejected(self):
         op = build("quadratic")
@@ -146,9 +157,16 @@ class TestScatter:
 
     def test_sample_validation(self):
         with pytest.raises(ValueError):
-            ScatterSample(norm_F=-1.0, norm_J=1.0)
+            ScatterSamples(norm_F=[-1.0], norm_J=[1.0])
         with pytest.raises(ValueError):
-            ScatterSample(norm_F=1.0, norm_J=math.inf)
+            ScatterSamples(norm_F=[1.0], norm_J=[math.inf])
+        # the first offending sample, norm_F before norm_J there
+        with pytest.raises(ValueError, match="^norm_J must be finite and >= 0, got inf$"):
+            ScatterSamples(norm_F=[1.0, math.nan], norm_J=[math.inf, 1.0])
+        with pytest.raises(ValueError, match="^norm_F must be finite and >= 0, got nan$"):
+            ScatterSamples(norm_F=[math.nan], norm_J=[-1.0])
+        with pytest.raises(ValueError, match="one length"):
+            ScatterSamples(norm_F=[1.0], norm_J=[1.0, 2.0])
 
 
 class TestVerifyCondition:
@@ -157,7 +175,7 @@ class TestVerifyCondition:
         fit = verify_condition(op, SmoothnessParams(1.0, 10.0, 10.0), 50.0, 201)
         assert fit.max_violation == pytest.approx(7.0, rel=1e-12)
         assert fit.passed
-        assert fit.samples and fit.samples[0].iterate_index == -1
+        assert fit.samples and fit.samples.k[0] == -1
 
     def test_tight_constants_fail(self):
         op = build("cubic1d")
@@ -179,10 +197,15 @@ class TestVerifyCondition:
 
 def per_point_samples(F, box, n):
     """The per-point reference for the block grid route: one F, Jacobian and
-    spectral norm call per grid point."""
+    spectral norm call per grid point, each point checked before the next is
+    evaluated."""
+    nf, nj = [], []
     with overflow_as_data():
-        return [ScatterSample(norm_F=norm(F(x)), norm_J=spectral_norm(F.jacobian_at(x)))
-                for x in grid_points(box, F.dim, n)]
+        for x in grid_points(box, F.dim, n):
+            nf.append(norm(F(x)))
+            nj.append(spectral_norm(F.jacobian_at(x)))
+            ScatterSamples(nf[-1:], nj[-1:])
+    return sample_rows(ScatterSamples(nf, nj))
 
 
 ZOO_GRID_N = {1: 201, 2: 41, 3: 13, 4: 7}
@@ -194,17 +217,17 @@ class TestBlockGridRoute:
         op = build(key)
         box, n, s = default_box(key, op.dim), ZOO_GRID_N[op.dim], op.smoothness
         want = per_point_samples(op, box, n)
-        got = grid_samples(op, box, n)
+        got = sample_rows(grid_samples(op, box, n))
         assert len(got) == len(want) == n ** op.dim
         for g, w in zip(got, want):
-            assert g.iterate_index == -1
+            assert g.k == -1
             assert g.norm_F == pytest.approx(w.norm_F, rel=1e-12, abs=1e-300)
             assert g.norm_J == pytest.approx(w.norm_J, rel=1e-12, abs=1e-300)
         slacks = [s.L0 + s.L1 * pow_alpha(w.norm_F, s.alpha) - w.norm_J for w in want]
         i = int(np.argmin(slacks))   # first minimum, as the scalar loop kept it
         fit = verify_condition(op, s, box, n)
         assert fit.max_violation == pytest.approx(slacks[i], rel=1e-12, abs=1e-12)
-        (worst,) = fit.samples
+        (worst,) = sample_rows(fit.samples)
         assert worst.norm_F == pytest.approx(want[i].norm_F, rel=1e-12, abs=1e-300)
         assert worst.norm_J == pytest.approx(want[i].norm_J, rel=1e-12, abs=1e-300)
 
@@ -245,6 +268,21 @@ class TestBlockGridRoute:
         assert fit.passed
         assert peak < 8 * 2 ** 20
 
+    def test_memory_per_grid_sample(self):
+        # one sample object per point held about 150 bytes; the columns hold
+        # norm_F and norm_J at 8 bytes each, and a grid's k holds none
+        op = build("cubicRd", d=2)
+        grid_samples(op, 5.0, 3)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            samples = grid_samples(op, 5.0, 13)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(samples) == 13 ** 4
+        assert held / len(samples) <= 32
+
 
 # the zoo operators with block kernels. The first six must give the row
 # loop's bits; forsaken's and cubicRd's point fields predate their block forms
@@ -278,10 +316,11 @@ class TestZooBlockKernels:
             same = lambda a, b, scale=None: a == pytest.approx(
                 b, rel=1e-12, abs=1e-12 * (abs(b) if scale is None else scale))
 
-        for got, want in zip(grid_samples(op, box, n), grid_samples(ref, box, n)):
+        for got, want in zip(sample_rows(grid_samples(op, box, n)),
+                             sample_rows(grid_samples(ref, box, n))):
             assert same(got.norm_F, want.norm_F) and same(got.norm_J, want.norm_J)
         fit, fit_ref = verify_condition(op, s, box, n), verify_condition(ref, s, box, n)
-        (got,), (want,) = fit.samples, fit_ref.samples
+        (got,), (want,) = sample_rows(fit.samples), sample_rows(fit_ref.samples)
         assert same(fit.max_violation, fit_ref.max_violation, abs(fit_ref.max_violation) + want.norm_J)
         assert same(got.norm_F, want.norm_F) and same(got.norm_J, want.norm_J)
         seg = verify_segment_condition(op, s, pairs=pairs, box=box, seed=seed)
@@ -297,10 +336,11 @@ class TestZooBlockKernels:
         ref = dataclasses.replace(op, fn_batch=None, jacobian_batch=None)
         s = op.smoothness
         hexes = lambda *vals: [v.hex() for v in vals]
-        for got, want in zip(grid_samples(op, 50.0, 40), grid_samples(ref, 50.0, 40)):
+        for got, want in zip(sample_rows(grid_samples(op, 50.0, 40)),
+                             sample_rows(grid_samples(ref, 50.0, 40))):
             assert hexes(got.norm_F, got.norm_J) == hexes(want.norm_F, want.norm_J)
         fit, fit_ref = verify_condition(op, s, 50.0, 40), verify_condition(ref, s, 50.0, 40)
-        (got,), (want,) = fit.samples, fit_ref.samples
+        (got,), (want,) = sample_rows(fit.samples), sample_rows(fit_ref.samples)
         assert (hexes(fit.max_violation, got.norm_F, got.norm_J)
                 == hexes(fit_ref.max_violation, want.norm_F, want.norm_J))
         seg = verify_segment_condition(op, s, pairs=500, box=50.0, seed=1)
@@ -328,7 +368,7 @@ def assert_screen_matches_all_svd(F, s, box, n):
     fit = verify_condition(F, s, box, n)
     worst, (nf, nj) = all_svd_fit(F, s, box, n)
     assert fit.max_violation.hex() == worst.hex()
-    (got,) = fit.samples
+    (got,) = sample_rows(fit.samples)
     assert got.norm_F.hex() == nf.hex() and got.norm_J.hex() == nj.hex()
     return fit
 
@@ -385,7 +425,7 @@ class TestSvdScreen:
         op = affine_operator(M)
         fit = assert_screen_matches_all_svd(op, SmoothnessParams(1.0, L0, 0.0), 2.0, 7)
         nf, _ = analysis._grid_norms(op, next(analysis._grid_blocks(2.0, n, 7)))
-        assert fit.samples[0].norm_F == nf[0]
+        assert fit.samples.norm_F[0] == nf[0]
 
     @pytest.mark.parametrize("J, norm_F, s", [
         # squares of 1.5e-162 underflow to 0, so ||J||_F reads 0 while ||J|| is
@@ -638,22 +678,22 @@ class TestFitConstants:
 
     def test_synthetic_affine_fit_and_scaling(self):
         nf = np.linspace(0.0, 4.0, 30)
-        base = [ScatterSample(float(f), float(1.0 + 2.0 * f)) for f in nf]
+        base = ScatterSamples(nf, 1.0 + 2.0 * nf)
         fit = fit_constants(base, [1.0])
         assert fit.L0_hat == pytest.approx(1.0, abs=1e-8)
         assert fit.L1_hat == pytest.approx(2.0, abs=1e-8)
-        doubled = [ScatterSample(sm.norm_F, 2.0 * sm.norm_J) for sm in base]
+        doubled = ScatterSamples(base.norm_F, 2.0 * base.norm_J)
         fit2 = fit_constants(doubled, [1.0])
         assert fit2.L0_hat == pytest.approx(2.0, abs=1e-8)
         assert fit2.L1_hat == pytest.approx(4.0, abs=1e-8)
 
     def test_fit_is_an_envelope(self):
         rng = np.random.default_rng(11)
-        samples = [ScatterSample(float(f), float(0.5 + f + 0.2 * rng.uniform()))
-                   for f in rng.uniform(0.0, 5.0, 40)]
+        nf = rng.uniform(0.0, 5.0, 40)
+        samples = ScatterSamples(nf, [0.5 + f + 0.2 * rng.uniform() for f in nf])
         fit = fit_constants(samples, [0.5, 1.0])
         assert fit.max_violation >= -1e-9
-        for sm in samples:
+        for sm in sample_rows(samples):
             bound = fit.L0_hat + fit.L1_hat * sm.norm_F ** fit.alpha_hat
             assert sm.norm_J <= bound + 1e-9
 
@@ -669,8 +709,7 @@ class TestFitConstants:
         # the alpha column is one array expression, whose exp/log may round
         # differently from math's in the last bit: equal to 1e-12
         samples = grid_samples(build("cubic1d"), 1.0, 9)   # (0, 0) gives ||F|| = 0
-        nf = np.array([sm.norm_F for sm in samples])
-        nj = np.array([sm.norm_J for sm in samples])
+        nf, nj = samples.norm_F, samples.norm_J
         col = np.array([pow_alpha(v, alpha) for v in nf])
         coef, *_ = np.linalg.lstsq(np.column_stack([np.ones_like(col), col]), nj, rcond=None)
         L0, L1 = max(float(coef[0]), 0.0), max(float(coef[1]), 0.0)
@@ -682,13 +721,13 @@ class TestFitConstants:
 
     def test_degenerate_inputs(self):
         with pytest.raises(DegenerateSamples):
-            fit_constants([ScatterSample(0.0, 1.0), ScatterSample(1.0, 2.0)], [1.0])
-        same = [ScatterSample(1.0, float(j)) for j in (1.0, 2.0, 3.0)]
+            fit_constants(ScatterSamples([0.0, 1.0], [1.0, 2.0]), [1.0])
+        same = ScatterSamples([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
         with pytest.raises(DegenerateSamples):
             fit_constants(same, [1.0])
 
     def test_alpha_grid_validation(self):
-        s = [ScatterSample(float(f), float(f)) for f in (0.0, 1.0, 2.0)]
+        s = ScatterSamples([0.0, 1.0, 2.0], [0.0, 1.0, 2.0])
         from egsolve.core import InvalidAlpha
         with pytest.raises(InvalidAlpha):
             fit_constants(s, [1.5])
@@ -956,11 +995,11 @@ def _closed_forms(kind, s, m, D, epsilon):
 
 class TestCsvRoundTrip:
     def test_scatter(self, tmp_path):
-        samples = [ScatterSample(0.5, 1.25, 0), ScatterSample(1.0 / 3.0, 2.0, -1)]
+        samples = ScatterSamples([0.5, 1.0 / 3.0], [1.25, 2.0], [0, -1])
         p = str(tmp_path / "scatter.csv")
         write_scatter_csv(samples, p)
         back = read_scatter_csv(p)
-        assert back == samples
+        assert sample_rows(back) == sample_rows(samples)
 
     def test_fit(self, tmp_path):
         op = build("quadratic")

@@ -709,7 +709,33 @@ class TestVerify:
         assert "jacobian" in out and "segment" in out
 
 
+# sha256 of estimate's fit.csv and scatter.csv, recorded from this
+# implementation before the samples became columns: a byte-identity
+# contract, not an oracle value
+ESTIMATE_SHA256 = {
+    "grid": {
+        "fit.csv": "e90df529126dfd42c94d34901ff3c5ef6cd2eda4cb3c216b092339a1262c74fa",
+        "scatter.csv": "2bdc8e8a3ccc6ec096463a3c73cc0e305b65d2c808a5436b4d8514ee68bc67f4",
+    },
+    "trace": {
+        "fit.csv": "04d63b5b6958d4c07e1401ad819acf2a692759e0bf04150580dc39cec163e486",
+        "scatter.csv": "d5d8e16eb43fef52d244e68a0b8f6780c1cf4a270fd3a356bae72354bba5be68",
+    },
+}
+
+
 class TestEstimate:
+    @pytest.mark.parametrize("source, argv", [
+        ("grid", ["--op", "cubicRd:d=2", "--from-grid", "--grid", "9"]),
+        ("trace", ["--op", "forsaken", "--policy", "thm8", "--x0", "1,1", "--iters", "300"]),
+    ])
+    def test_outputs_are_frozen(self, source, argv, tmp_path, capsys):
+        code, _, _ = run(capsys, "estimate", *argv, "--out", str(tmp_path))
+        assert code == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in ESTIMATE_SHA256[source]}
+        assert digests == ESTIMATE_SHA256[source]
+
     def test_from_grid_recovers_affine_constants(self, tmp_path, capsys):
         code, out, _ = run(capsys, "estimate", "--op", "quadratic", "--from-grid",
                            "--out", str(tmp_path))

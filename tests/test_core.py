@@ -180,6 +180,9 @@ class TestParams:
                 MonotonicityParams(MonotoneClass.MONOTONE, rho=v)
 
 
+TRACE_HEADER = "k,gamma,omega,norm_F_x,norm_F_xhat,dist_sq"
+
+
 class TestCsv:
     def test_cells_are_plain_numbers(self, tmp_path):
         p = str(tmp_path / "t.csv")
@@ -188,10 +191,12 @@ class TestCsv:
                   footer="# done\n")
         with open(p, newline="") as fh:
             assert fh.read() == "a,b,c\n1,0.1,\n-0.0,inf,5e-324\n# done\n"
-        assert list(read_csv(p, ["a", "b", "c"], "test")) == [
-            ["1", "0.1", ""], ["-0.0", "inf", "5e-324"], ["# done"]]
+        footers = []
+        assert list(read_csv(p, ["a", "b", "c"], "test", (str,) * 3, footer=footers.append)) == [
+            ["1", "0.1", ""], ["-0.0", "inf", "5e-324"]]
+        assert footers == [["# done"]]
         with pytest.raises(ValueError, match="not a fit CSV"):
-            list(read_csv(p, ["a", "b"], "fit"))
+            list(read_csv(p, ["a", "b"], "fit", (str,) * 2))
 
     @pytest.mark.parametrize("reader, header, good", [
         (read_trace_csv, "k,gamma,omega,norm_F_x,norm_F_xhat,dist_sq", "0,1,1,1,1,1"),
@@ -207,6 +212,25 @@ class TestCsv:
             reader(str(p))
         p.write_text(f"{header}\n{good}\n")
         reader(str(p))
+
+    @pytest.mark.parametrize("reader, header, good, bad", [
+        (read_scatter_csv, "norm_F,norm_J,k", "1,2,0", "# note"),
+        (read_fit_csv, "alpha,L0,L1,max_violation", "1,2,3,0", "# note"),
+        (read_trace_csv, TRACE_HEADER, "0,1,1,1,1,1", "# note"),
+        (read_trace_csv, TRACE_HEADER, "0,1,1,1,1,1", "# iters=1,min_normF=0.5"),
+        (read_trace_csv, TRACE_HEADER, "0,1,1,1,1,1", "# iters=x,min_normF=0.5,reason=y"),
+        (read_trace_csv, TRACE_HEADER, "0,1,1,1,1,1", "1,abc,1,1,1,1"),
+        (read_scatter_csv, "norm_F,norm_J,k", "1,2,0", "1,2,1.0"),
+        (read_fit_csv, "alpha,L0,L1,max_violation", "1,2,3,0", "x,2,3,0"),
+    ], ids=["scatter-comment", "fit-comment", "trace-comment", "trace-footer-no-reason",
+            "trace-footer-bad-iters", "trace-cell", "scatter-k", "fit-cell"])
+    def test_bad_row_names_file_and_line(self, reader, header, good, bad, tmp_path):
+        # one ValueError naming the file and the line of the first bad row;
+        # only a trace CSV has a # row, its summary footer
+        p = tmp_path / "t.csv"
+        p.write_text(f"{header}\n{good}\n{bad}\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}, line 3: "):
+            reader(str(p))
 
 
 class TestOperatorInstance:
