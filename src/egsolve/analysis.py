@@ -22,7 +22,6 @@ from .core import (
     OperatorInstance,
     SmoothnessParams,
     SolveTrace,
-    TRACE_CHUNK,
     norm,
     overflow_as_data,
     read_csv,
@@ -362,6 +361,12 @@ def check_alpha_grid(alpha_grid: Sequence[float]) -> None:
             raise InvalidAlpha(f"alpha grid entries must lie in (0, 1], got {a}")
 
 
+def check_fit_size(n: int) -> None:
+    """Raise DegenerateSamples unless n samples are enough to fit: at least 3."""
+    if n < 3:
+        raise DegenerateSamples(f"need >= 3 samples to fit, got {n}")
+
+
 def fit_constants(samples: ScatterSamples,
                   alpha_grid: Iterable[float]) -> SmoothnessFit:
     """Envelope fit of (L0, L1, alpha) to scatter samples.
@@ -373,8 +378,7 @@ def fit_constants(samples: ScatterSamples,
     """
     alpha_grid = list(alpha_grid)
     check_alpha_grid(alpha_grid)
-    if len(samples) < 3:
-        raise DegenerateSamples(f"need >= 3 samples to fit, got {len(samples)}")
+    check_fit_size(len(samples))
     nf, nj = samples.norm_F, samples.norm_J
     if np.all(nf == nf[0]):
         raise DegenerateSamples("all samples share one ||F|| value; constants are unidentifiable")
@@ -507,12 +511,7 @@ _FIT_HEADER = ["alpha", "L0", "L1", "max_violation"]
 
 
 def write_scatter_csv(samples: ScatterSamples, path: str) -> None:
-    def cells():   # TRACE_CHUNK rows at a time
-        for a in range(0, len(samples), TRACE_CHUNK):
-            s = slice(a, a + TRACE_CHUNK)
-            yield from zip(samples.norm_F[s].tolist(), samples.norm_J[s].tolist(),
-                           samples.k[s].tolist())
-    write_csv(path, _SCATTER_HEADER, cells())
+    write_csv(path, _SCATTER_HEADER, [samples.norm_F, samples.norm_J, samples.k])
 
 
 def read_scatter_csv(path: str) -> ScatterSamples:
@@ -522,7 +521,7 @@ def read_scatter_csv(path: str) -> ScatterSamples:
 
 def write_fit_csv(fit: SmoothnessFit, path: str) -> None:
     write_csv(path, _FIT_HEADER,
-              [[fit.alpha_hat, fit.L0_hat, fit.L1_hat, fit.max_violation]])
+              [[fit.alpha_hat], [fit.L0_hat], [fit.L1_hat], [fit.max_violation]])
 
 
 def read_fit_csv(path: str) -> SmoothnessFit:

@@ -227,12 +227,14 @@ def cmd_estimate(args) -> int:
     if args.from_grid:
         box = _box(args, op)
         grid_n = _grid_n(args, op.dim, 21)
+        _flag("--grid", grid_n, analysis.check_fit_size, grid_n ** op.dim)
         sample = lambda: analysis.grid_samples(op, box, grid_n)
     else:
         if args.policy is None:
             raise _UsageError("estimate needs --from-grid or --policy (trace source)")
         policy = _policy(args, op)
         _flag("--iters", args.iters, check_iters, args.iters)
+        _flag("--iters", args.iters, analysis.check_fit_size, args.iters)   # a sample a row
         cfg = SolveConfig(max_iters=args.iters, x0=parse_x0(args.x0, op.dim, args.seed),
                           stop_tol=0.0)
         sample = lambda: analysis.scatter_from_trace(

@@ -17,6 +17,7 @@ import struct
 from array import array
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple, Union
 
 import numpy as np
@@ -343,6 +344,7 @@ class SolveConfig:
 
 @dataclass(slots=True)
 class TraceRow:
+    """One row of a trace, as TraceColumns builds it on access."""
     k: int
     x_k: Optional[np.ndarray]
     xhat_k: Optional[np.ndarray]
@@ -359,7 +361,7 @@ class TraceRow:
         return all(np.array_equal(getattr(self, f), getattr(other, f)) for f in self.__slots__)
 
 
-TRACE_CHUNK = 4096   # rows per chunk of TraceColumns.chunks
+TRACE_CHUNK = 4096   # rows per bounded run of write_csv and check_descent_invariants
 _SCALARS = struct.Struct("5d")   # gamma, omega, norm_F_x, norm_F_xhat, dist_sq
 
 
@@ -376,8 +378,7 @@ class TraceColumns(Sequence):
     grow (BufferError).
 
     As a Sequence it is a read-only list of TraceRows built on access: scalars
-    as np.float64, vectors as read-only views. `chunks` reads it a bounded
-    number of rows at a time.
+    as np.float64, vectors as read-only views.
     """
     __slots__ = ("dim", "dist", "_buf")
 
@@ -407,17 +408,6 @@ class TraceColumns(Sequence):
     dist_sq = property(lambda self: self._table()[:, 4] if self.dist else None)
     x_k = property(lambda self: self._table()[:, 5:5 + self.dim] if self.dim else None)
     xhat_k = property(lambda self: self._table()[:, 5 + self.dim:] if self.dim else None)
-
-    def chunks(self, start: int = 0, stop: Optional[int] = None) -> Iterator[TraceRow]:
-        """Rows start..stop-1 (stop defaults to len) in runs of at most
-        TRACE_CHUNK rows, each as one TraceRow whose k is a range and whose
-        other fields are the column slices over it (None where absent)."""
-        stop = len(self) if stop is None else stop
-        cols = (self.x_k, self.xhat_k, self.gamma, self.omega, self.norm_F_x,
-                self.norm_F_xhat, self.dist_sq)
-        for a in range(start, stop, TRACE_CHUNK):
-            b = min(a + TRACE_CHUNK, stop)
-            yield TraceRow(range(a, b), *(None if c is None else c[a:b] for c in cols))
 
     def __getitem__(self, i):
         if isinstance(i, slice):
@@ -479,19 +469,26 @@ class SolveTrace:
 # CSV files
 # ---------------------------------------------------------------------------
 
-def write_csv(out: Union[str, TextIO], header: Sequence[str], rows: Iterable[Sequence],
+def write_csv(out: Union[str, TextIO], header: Sequence[str], columns: Iterable,
               footer: str = "") -> None:
-    """Write the header row, the rows and then `footer` verbatim to a path or
-    an open text stream.
+    """Write the header row, one row per index of the equal-length `columns`
+    and then `footer` verbatim to a path or an open text stream.
 
-    Cells go to `csv.writer` as they are: `str()` of a Python or numpy float
-    is its shortest repr, so every number reads back exactly and identical
-    runs write identical bytes; None becomes an empty cell.
+    A column is an ndarray (converted by `.tolist()` TRACE_CHUNK rows at a
+    time), any other sequence, or None (empty cells). Cells go to `csv.writer`
+    as they are: `str()` of a Python or numpy float is its shortest repr, so
+    every number reads back exactly and identical runs write identical bytes.
     """
+    columns = list(columns)
+    n = max((len(c) for c in columns if c is not None), default=0)
     with open(out, "w", newline="") if isinstance(out, str) else nullcontext(out) as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
-        w.writerows(rows)
+        for a in range(0, n, TRACE_CHUNK):
+            run = slice(a, a + TRACE_CHUNK)
+            w.writerows(zip(*(repeat(None) if c is None else
+                              c[run].tolist() if isinstance(c, np.ndarray) else c[run]
+                              for c in columns)))
         fh.write(footer)
 
 

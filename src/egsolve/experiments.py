@@ -5,7 +5,7 @@ Each FIGURES entry holds the operator key `op` and start rule `x0` as --op and
 `plot` body, its extra meta.txt lines `meta`, its `checks`, and either the
 adaptive `cells` (c0, c1) it sweeps or the `runs` {name: policy} it compares
 (`force`: outside a policy's class) in the comparison.csv column `col` of
-`metric`(trace chunk, ||x0 - x*||^2). Every solve and trace write calls the module
+`metric`(trace columns, ||x0 - x*||^2). Every solve and trace write calls the module
 attributes `solver.solve` and `solver.write_trace_csv`, which perfbench wraps.
 """
 from __future__ import annotations
@@ -22,14 +22,11 @@ from .stepsize import PolicyKind, StepSizePolicy, parse_policy
 
 
 def first_hit(rows, metric, tol: float) -> int:
-    """First iterate index k with metric(row) <= tol, else -1. metric maps a
-    chunk of the trace's columns (`TraceColumns.chunks`) to one value per row."""
+    """First iterate index k with metric(rows)[k] <= tol, else -1; metric maps
+    the trace's TraceColumns to one value per row."""
     with overflow_as_data():    # inf/nan rows compare as the scalar forms did
-        for c in rows.chunks():
-            hits = np.flatnonzero(metric(c) <= tol)
-            if hits.size:
-                return c.k[hits[0]]
-    return -1
+        hits = np.flatnonzero(metric(rows) <= tol)
+    return int(hits[0]) if hits.size else -1
 
 
 def sweep_cells(op, cells, cfg: SolveConfig, d20: float, out: str) -> List[tuple]:
@@ -50,27 +47,26 @@ def sweep_cells(op, cells, cfg: SolveConfig, d20: float, out: str) -> List[tuple
         relerr = tr.final_dist_sq / d20
         ok = math.isfinite(relerr) and relerr <= 10.0
         rows.append((*cell, tr.first_rel_hit, relerr) if ok else (*cell, -1, math.inf))
-    write_csv(os.path.join(out, "sweep.csv"), ["c0", "c1", "iters_to_tol", "final_relerr"], rows)
+    write_csv(os.path.join(out, "sweep.csv"), ["c0", "c1", "iters_to_tol", "final_relerr"],
+              zip(*rows))
     return rows
 
 
 def _compare(out: str, op, cfg: SolveConfig, fig: dict, d20: float) -> dict:
     """Solve the figure's runs under cfg; write each trace_<name>.csv and comparison.csv
     (k, then <col>_<name>, gamma_<name> per run, up to the shortest trace), where
-    metric(chunk, d20) maps a chunk of a trace's columns to its <col> values."""
+    metric(rows, d20) maps a trace's TraceColumns to its <col> values."""
     os.makedirs(out, exist_ok=True)
     traces = {n: solver.solve(op, pol, cfg, force=fig["force"]) for n, pol in fig["runs"].items()}
     for name, tr in traces.items():
         solver.write_trace_csv(tr, os.path.join(out, f"trace_{name}.csv"))
     n = min(len(tr.rows) for tr in traces.values())
-
-    def cells():
-        with overflow_as_data():
-            for chunks in zip(*(tr.rows.chunks(stop=n) for tr in traces.values())):
-                cols = [v.tolist() for c in chunks for v in (fig["metric"](c, d20), c.gamma_k)]
-                yield from zip(chunks[0].k, *cols)
+    with overflow_as_data():
+        cols = [v[:n] for tr in traces.values()
+                for v in (fig["metric"](tr.rows, d20), tr.rows.gamma)]
     write_csv(os.path.join(out, "comparison.csv"),
-              ["k"] + [f"{c}_{name}" for name in traces for c in (fig["col"], "gamma")], cells())
+              ["k"] + [f"{c}_{name}" for name in traces for c in (fig["col"], "gamma")],
+              [range(n), *cols])
     return traces
 
 
@@ -109,16 +105,16 @@ def _fig3_checks(traces) -> list:
     rows_o, rows_v = traces["ours"].rows, traces["vankov"].rows
     cap = 1.0 / (4.0 * _MU_LOCAL)   # the baseline's step cap
     hit_o, hit_v = traces["ours"].first_rel_hit, traces["vankov"].first_rel_hit
-    g_o_max = max(c.gamma_k.max() for c in rows_o.chunks())
+    g_o_max = rows_o.gamma.max()
     # the baseline step is norm-limited during the initial transient, then the
     # 1/(4 mu) cap binds; "stays near the cap" means entered-and-held
-    off_cap = lambda r: abs(r.gamma_k - cap)
+    off_cap = lambda r: abs(r.gamma - cap)
     enter = first_hit(rows_v, off_cap, 0.005)
     return [
         ("fig3-iterations", hit_o != -1 and hit_v != -1 and hit_o < hit_v,
          f"ours@{hit_o} vs baseline@{hit_v} to relerr 1e-8"),
         ("fig3-baseline-step",
-         enter != -1 and all((off_cap(c) <= 0.005).all() for c in rows_v.chunks(enter)),
+         enter != -1 and bool((off_cap(rows_v)[enter:] <= 0.005).all()),
          f"baseline step reaches {cap:g} +/- 0.005 at k={enter} and holds it"),
         ("fig3-our-step-grows", g_o_max > 0.032, f"our max step {g_o_max} > 0.032"),
     ]

@@ -64,8 +64,8 @@ def logistic(a: Sequence[float] = (1.0, 1.0)) -> OperatorInstance:
     """
     a = np.asarray(a, dtype=np.float64).reshape(-1)
     na = float(la.norm(a))
-    if na == 0.0:
-        raise ValueError("logistic: a must be nonzero")
+    if not 0.0 < na < math.inf:
+        raise ValueError(f"logistic: a must be finite and nonzero, got {a}")
     d = a.shape[0]
 
     def fn(x):
@@ -159,8 +159,11 @@ def cubicRd(d: int = 2, seed: int = 0, scale: float = 1.0) -> OperatorInstance:
     Chat = 2^{5/4} max(||A||,||C||)/lambda_min^{1/4}, turned into a linear
     envelope via AM-GM: L1 = Chat/2, L0 = sigma_max(B) + Chat/2.
     """
-    if not 1 <= d <= MAX_DIM // 2:
-        raise ValueError(f"cubicRd: d must lie in 1..{MAX_DIM // 2} (dim 2d <= MAX_DIM), got {d}")
+    if not (isinstance(d, (int, np.integer)) and 1 <= d <= MAX_DIM // 2):
+        raise ValueError(f"cubicRd: d must be an integer in 1..{MAX_DIM // 2} "
+                         f"(dim 2d <= MAX_DIM), got {d}")
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ValueError(f"cubicRd: seed must be a non-negative integer, got {seed}")
     if not (math.isfinite(scale) and scale > 0):
         raise ValueError(f"cubicRd: scale must be finite and > 0, got {scale}")
     rng = np.random.default_rng(seed)
@@ -245,17 +248,22 @@ def power(p: float = 2.0, B: Sequence[Sequence[float]] = ((1.0,),), tau1: float 
     L0 = 2*((p-1)/tau1)^{p-1} + sigma_max(B), L1 = 2^{(2p^2-1)/(2p^2)} * tau1.
     Monotone, root at the origin.
     """
-    if p <= 1.0:
-        raise ValueError(f"power: exponent p must exceed 1, got {p}")
-    if tau1 <= 0:
-        raise ValueError("power: tau1 must be positive")
+    if not 1.0 < p < math.inf:
+        raise ValueError(f"power: p must be a finite exponent above 1, got {p}")
+    if not 0.0 < tau1 < math.inf:
+        raise ValueError(f"power: tau1 must be finite and positive, got {tau1}")
     B = np.asarray(B, dtype=np.float64)
     if B.ndim != 2:
         raise ValueError("power: B must be a matrix")
     n, m = B.shape
-    tau0 = ((p - 1.0) / tau1) ** (p - 1.0)
+    try:
+        tau0 = ((p - 1.0) / tau1) ** (p - 1.0)
+    except OverflowError:
+        tau0 = math.inf
     L0 = 2.0 * tau0 + float(la.norm(B, 2))
     L1 = 2.0 ** ((2.0 * p * p - 1.0) / (2.0 * p * p)) * tau1
+    if not (math.isfinite(L0) and math.isfinite(L1)):
+        raise ValueError(f"power: p {p:g} with tau1 {tau1:g} leaves no finite constants L0, L1")
 
     def _block(w):
         nw = la.norm(w)
@@ -347,8 +355,8 @@ def bilinear(R: float = 5.0) -> OperatorInstance:
     L0 = (1 + 2R) * sigma_max(B), L1 = sqrt(2) on the box. Monotone; the root
     solves f'(w) = -w numerically, so no exact solution is declared.
     """
-    if R <= 0:
-        raise ValueError("bilinear: R must be positive")
+    if not 0.0 < R < math.inf:
+        raise ValueError(f"bilinear: R must be finite and positive, got {R}")
 
     def fp(w):
         return -_sigmoid(-w)
@@ -382,8 +390,8 @@ def nplayer(n: int = 3) -> OperatorInstance:
     (sqrt(2n)*5, sqrt(2)*1); the per-player offset 5 covers pairs where one
     endpoint has F = 0 on the sampling box [-5, 5]^n.
     """
-    if not 2 <= n <= MAX_DIM:
-        raise ValueError(f"nplayer: n must lie in 2..{MAX_DIM} (MAX_DIM), got {n}")
+    if not (isinstance(n, (int, np.integer)) and 2 <= n <= MAX_DIM):
+        raise ValueError(f"nplayer: n must be an integer in 2..{MAX_DIM} (MAX_DIM), got {n}")
     S = np.zeros((n, n))
     i = np.arange(n)
     S[i, (i + 1) % n] = 1.0
@@ -411,25 +419,21 @@ def nplayer(n: int = 3) -> OperatorInstance:
 
 @dataclass(frozen=True)
 class ZooEntry:
-    key: str
     builder: Callable[..., OperatorInstance]
     box_halfwidth: float
-    doc: str
 
 
 ZOO: Dict[str, ZooEntry] = {
-    e.key: e for e in [
-        ZooEntry("logistic", logistic, 3.0, "logistic-loss gradient, monotone, no finite root"),
-        ZooEntry("quadratic", quadratic, 50.0, "strongly monotone bilinear saddle, constant Jacobian"),
-        ZooEntry("cubic1d", cubic1d, 50.0, "nonmonotone coupled quadratic field"),
-        ZooEntry("signpower", signpower, 50.0, "monotone odd-quadratic saddle"),
-        ZooEntry("cubicRd", cubicRd, 5.0, "monotone cubic min-max field on R^{2d}"),
-        ZooEntry("power", power, 50.0, "norm-power coupled saddle"),
-        ZooEntry("square", square, 50.0, "componentwise square, half-symmetric"),
-        ZooEntry("forsaken", forsaken, 2.0, "weak-Minty polynomial saddle"),
-        ZooEntry("bilinear", bilinear, 5.0, "logistic-regularized bilinear saddle"),
-        ZooEntry("nplayer", nplayer, 5.0, "n-player cubic game gradient field"),
-    ]
+    "logistic": ZooEntry(logistic, 3.0),
+    "quadratic": ZooEntry(quadratic, 50.0),
+    "cubic1d": ZooEntry(cubic1d, 50.0),
+    "signpower": ZooEntry(signpower, 50.0),
+    "cubicRd": ZooEntry(cubicRd, 5.0),
+    "power": ZooEntry(power, 50.0),
+    "square": ZooEntry(square, 50.0),
+    "forsaken": ZooEntry(forsaken, 2.0),
+    "bilinear": ZooEntry(bilinear, 5.0),
+    "nplayer": ZooEntry(nplayer, 5.0),
 }
 
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Optional, TextIO, Union
 
 import numpy as np
@@ -20,6 +19,7 @@ from .core import (
     OperatorInstance,
     SolveConfig,
     SolveTrace,
+    TRACE_CHUNK,
     TraceColumns,
     norm,
     overflow_as_data,
@@ -269,20 +269,22 @@ def check_descent_invariants(trace: SolveTrace, F: OperatorInstance,
     checked = 0
     viol = 0
     worst = -math.inf
+    gam, nfx, nfxh = cols.gamma, cols.norm_F_x, cols.norm_F_xhat
     with overflow_as_data():
-        for c in cols.chunks(stop=n_trans):
-            lhs = d2[c.k.start + 1:c.k.stop + 1]
-            if len(lhs) < len(c.k):    # the last transition lands on final_dist_sq
+        for a in range(0, n_trans, TRACE_CHUNK):
+            stop = min(a + TRACE_CHUNK, n_trans)
+            lhs = d2[a + 1:stop + 1]
+            if len(lhs) < stop - a:    # the last transition lands on final_dist_sq
                 lhs = np.append(lhs, trace.final_dist_sq)
-            g = c.gamma_k
+            g, d = gam[a:stop], d2[a:stop]
             if cls is MonotoneClass.STRONGLY_MONOTONE:
-                rhs = (1.0 - g * m.mu) * c.dist_sq
+                rhs = (1.0 - g * m.mu) * d
             elif cls is MonotoneClass.MONOTONE:
-                rhs = c.dist_sq - 0.5 * sq(g) * sq(c.norm_F_x)
+                rhs = d - 0.5 * sq(g) * sq(nfx[a:stop])
             else:
                 on = g > 4.0 * m.rho
                 g, lhs = g[on], lhs[on]
-                rhs = c.dist_sq[on] - (g / 4.0) * (g - 4.0 * m.rho) * sq(c.norm_F_xhat[on])
+                rhs = d[on] - (g / 4.0) * (g - 4.0 * m.rho) * sq(nfxh[a:stop][on])
             excess = lhs - rhs
             checked += len(excess)
             viol += int(np.count_nonzero(excess > tol))
@@ -301,12 +303,9 @@ _TRACE_TYPES = (int, float, float, float, float, lambda c: None if c == "" else 
 def write_trace_csv(trace: SolveTrace, out: Union[str, TextIO]) -> None:
     """Write the scalar trace columns plus a summary comment line (see
     `core.write_csv`: the round-trip is exact, reruns byte-identical)."""
-    def cells():
-        for c in trace.rows.chunks():
-            d2 = repeat(None) if c.dist_sq is None else c.dist_sq.tolist()
-            yield from zip(c.k, c.gamma_k.tolist(), c.omega_k.tolist(), c.norm_F_x.tolist(),
-                           c.norm_F_xhat.tolist(), d2)
-    write_csv(out, _TRACE_HEADER, cells(),
+    rows = trace.rows
+    write_csv(out, _TRACE_HEADER, [range(len(rows)), rows.gamma, rows.omega, rows.norm_F_x,
+                                   rows.norm_F_xhat, rows.dist_sq],
               footer=f"# iters={trace.iterations_run},min_normF={trace.min_norm_F_x},"
                      f"reason={trace.reason}\n")
 

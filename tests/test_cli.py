@@ -104,6 +104,22 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert len(err.splitlines()) == 1 and "finite" in err
 
+    @pytest.mark.parametrize("spec", [
+        "cubicRd:seed=-1", "cubicRd:seed=2.5", "cubicRd:seed=1e30", "cubicRd:d=1.5",
+        "nplayer:n=2.5", "bilinear:R=nan", "bilinear:R=inf", "power:p=nan", "power:tau1=inf",
+        "logistic:a=nan",
+        "power:p=1e300",   # ((p-1)/tau1)^(p-1) overflows
+    ])
+    def test_bad_operator_parameter_names_it(self, spec, tmp_path, capsys):
+        key, _, param = spec.partition(":")
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, "verify", "--op", spec, "--grid", "2", "--pairs", "1",
+                             "--out", str(out_dir))
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {key}: {param.partition('=')[0]} ")
+        assert not out_dir.exists()
+
     def test_missing_flag_exits_1(self, capsys):
         code, _, err = run(capsys, "solve", "--op", "quadratic")
         assert code == 1 and err
@@ -625,7 +641,11 @@ class TestRefusedPolicy:
         (["estimate", "--op", "square", "--policy", "thm3", "--x0", "1,1"], "assumes one of"),
         (["solve", "--op", "cubic1d", "--x0", "0.5,0.5", "--policy", "pethick:0.1", "--force"],
          "needs rho"),
-    ], ids=["incompatible", "forced-bad-alpha", "estimate-incompatible", "forced-no-rho"])
+        # too few samples to fit: one a trace row, one a grid point
+        (["estimate", "--op", "quadratic", "--policy", "thm3", "--iters", "2"], "--iters 2: "),
+        (["estimate", "--op", "logistic:a=1", "--from-grid", "--grid", "2"], "--grid 2: "),
+    ], ids=["incompatible", "forced-bad-alpha", "estimate-incompatible", "forced-no-rho",
+            "estimate-too-few-rows", "estimate-too-few-points"])
     def test_exits_1_before_out_exists(self, argv, match, tmp_path, capsys, monkeypatch):
         def evaluate(*a, **kw):
             raise AssertionError("an operator was evaluated before the policy check")

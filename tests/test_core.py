@@ -18,6 +18,7 @@ from egsolve.core import (
     SmoothnessParams,
     SolveConfig,
     SolveTrace,
+    TRACE_CHUNK,
     TraceRow,
     finite_diff_jacobian,
     norm,
@@ -187,7 +188,7 @@ class TestCsv:
     def test_cells_are_plain_numbers(self, tmp_path):
         p = str(tmp_path / "t.csv")
         write_csv(p, ["a", "b", "c"],
-                  [[1, np.float64(0.1), None], [np.float64(-0.0), math.inf, 5e-324]],
+                  [[1, np.float64(-0.0)], [np.float64(0.1), math.inf], [None, 5e-324]],
                   footer="# done\n")
         with open(p, newline="") as fh:
             assert fh.read() == "a,b,c\n1,0.1,\n-0.0,inf,5e-324\n# done\n"
@@ -197,6 +198,12 @@ class TestCsv:
         assert footers == [["# done"]]
         with pytest.raises(ValueError, match="not a fit CSV"):
             list(read_csv(p, ["a", "b"], "fit", (str,) * 2))
+        # an ndarray column spanning three bounded runs writes each cell as str() does
+        v = np.random.default_rng(0).standard_normal(2 * TRACE_CHUNK + 1)
+        v[[0, TRACE_CHUNK, 2 * TRACE_CHUNK]] = [-0.0, math.inf, 5e-324]
+        write_csv(p, ["k", "v", "d"], [range(len(v)), v, None])
+        with open(p, newline="") as fh:
+            assert fh.read() == "k,v,d\n" + "".join(f"{k},{x},\n" for k, x in enumerate(v))
 
     @pytest.mark.parametrize("reader, header, good", [
         (read_trace_csv, "k,gamma,omega,norm_F_x,norm_F_xhat,dist_sq", "0,1,1,1,1,1"),
