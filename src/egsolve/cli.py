@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import math
 import os
 import re
@@ -32,7 +33,7 @@ from .core import (
     spectral_norm,  # unused here; perfbench/layers.py still wraps cli.spectral_norm by name
     vec,
 )
-from .stepsize import NuKind, POLICY_KEY_HELP, StepSizePolicy, parse_policy, solve_nu
+from .stepsize import NuKind, POLICY_KEY_HELP, PolicyKind, StepSizePolicy, parse_policy, solve_nu
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -180,6 +181,11 @@ def cmd_sweep(args) -> int:
     c0s, c1s = _numbers("--c0", args.c0), _numbers("--c1", args.c1)
     if not c0s or not c1s:
         raise _UsageError("--c0 and --c1 grids must be non-empty")
+    # each grid alone against the adaptive policy's checks (the other at a valid
+    # value), so an out-of-range entry names its flag
+    adaptive = lambda c0, c1: StepSizePolicy(kind=PolicyKind.ADAPTIVE, c0=c0, c1=c1)
+    _flag("--c0", args.c0, lambda: [adaptive(c0, 0.0) for c0 in c0s])
+    _flag("--c1", args.c1, lambda: [adaptive(1.0, c1) for c1 in c1s])
     x0 = parse_x0(args.x0, op.dim, args.seed)
     _flag("--iters", args.iters, check_iters, args.iters)
     # with --iters in range, only --tol can fail here with a ValueError
@@ -200,7 +206,12 @@ def cmd_verify(args) -> int:
     if any(v is not None for v in given):
         if any(v is None for v in given):
             raise _UsageError("--alpha, --L0, --L1 must be given together")
-        s = SmoothnessParams(alpha=args.alpha, L0=args.L0, L1=args.L1)
+        # each flag alone against the constants' checks (the others at a valid 1),
+        # so an out-of-range value names its flag; the joint L0 + L1 > 0 names both
+        _flag("--alpha", args.alpha, SmoothnessParams, args.alpha, 1.0, 1.0)
+        _flag("--L0", args.L0, SmoothnessParams, 1.0, args.L0, 1.0)
+        _flag("--L1", args.L1, SmoothnessParams, 1.0, 1.0, args.L1)
+        s = _flag(f"--L0 {args.L0} --L1", args.L1, SmoothnessParams, *given)
     elif op.smoothness is not None:
         s = op.smoothness
     else:
@@ -275,7 +286,10 @@ def _add_common(p, iters_default, tol_default):
     p.add_argument("--tol", type=float, default=tol_default)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The CLI's parser, built once per process: `parse_args` keeps no state
+    between calls, and `_apply_config` only reads `commands`."""
     ap = _Parser(prog="egsolve", description=__doc__,
                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--config", help="INI file; section [SUBCOMMAND] supplies flag defaults")

@@ -135,8 +135,9 @@ class SmoothnessParams:
     def __post_init__(self):
         if not (0.0 < self.alpha <= 1.0):
             raise InvalidAlpha(f"alpha must lie in (0, 1], got {self.alpha}")
-        if not (0.0 <= self.L0 < math.inf and 0.0 <= self.L1 < math.inf):
-            raise ValueError(f"L0, L1 must be finite and nonnegative, got ({self.L0}, {self.L1})")
+        for name, v in (("L0", self.L0), ("L1", self.L1)):
+            if not 0.0 <= v < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative, got {v}")
         if self.L0 + self.L1 <= 0:
             raise ValueError("L0 + L1 must be positive")
 
@@ -442,7 +443,10 @@ class SolveTrace:
     dist_sq_k / dist_sq_0 <= `SolveConfig.rel_tol`, -1 if none; None when the
     run had no rel_tol or no root. `rows` is always a TraceColumns: `solve`
     fills it, a summary-only run leaves it empty, and `SolveTrace()` starts
-    with an empty one (dim 0, as `read_trace_csv` fills it).
+    with an empty one (dim 0, as `read_trace_csv` fills it). `n_F_evals` is
+    the number of operator evaluations the run made: two per iteration, one
+    for a stopping row that takes no step, and for a partial trace those made
+    before the raise (0 for a trace read from CSV).
     """
     rows: TraceColumns = field(default_factory=TraceColumns)
     iterations_run: int = 0
@@ -455,6 +459,7 @@ class SolveTrace:
     reason: str = ""
     kind: Optional[enum.Enum] = None
     first_rel_hit: Optional[int] = None
+    n_F_evals: int = 0
 
     def recomputed_minima(self):
         """Recompute (min ||F(x_k)||, min ||F(xhat_k)||) from rows. As Python's
@@ -475,21 +480,26 @@ def write_csv(out: Union[str, TextIO], header: Sequence[str], columns: Iterable,
     and then `footer` verbatim to a path or an open text stream.
 
     A column is an ndarray (converted by `.tolist()` TRACE_CHUNK rows at a
-    time), any other sequence, or None (empty cells). Cells go to `csv.writer`
-    as they are: `str()` of a Python or numpy float is its shortest repr, so
-    every number reads back exactly and identical runs write identical bytes.
+    time), any other sequence, or None (empty cells). A cell is a number or
+    None. Each data row is the `","`-join of its cells' `str()` (`""` for
+    None), written one row at a time: the bytes `csv.writer` writes, which
+    quotes no number and only a lone empty cell (as `""`). `str()` of a
+    Python or numpy float is its shortest repr, so every number reads back
+    exactly and identical runs write identical bytes.
     """
     columns = list(columns)
     n = max((len(c) for c in columns if c is not None), default=0)
     with open(out, "w", newline="") if isinstance(out, str) else nullcontext(out) as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        write = fh.write
         for a in range(0, n, TRACE_CHUNK):
             run = slice(a, a + TRACE_CHUNK)
-            w.writerows(zip(*(repeat(None) if c is None else
-                              c[run].tolist() if isinstance(c, np.ndarray) else c[run]
-                              for c in columns)))
-        fh.write(footer)
+            for row in zip(*(repeat(None) if c is None else
+                             c[run].tolist() if isinstance(c, np.ndarray) else c[run]
+                             for c in columns)):
+                line = ",".join(["" if c is None else str(c) for c in row])
+                write((line or '""') + "\n")
+        write(footer)
 
 
 def read_csv(path: str, header: Sequence[str], what: str,

@@ -114,17 +114,18 @@ def solve(F: OperatorInstance, policy: StepSizePolicy, cfg: SolveConfig,
           force: bool = False) -> SolveTrace:
     """Iterate until ||F(x_k)|| <= stop_tol or the budget runs out.
 
-    Each iteration evaluates F twice, at x_k and at xhat_k. The stopping
-    iterate still gets a trace row (so minima and plots include it) but is
-    not updated; `final_x` is then that iterate. A non-finite iterate or
-    evaluation, or a step gamma_k that underflows to 0 (its denominator
-    overflowed), raises NonFiniteIterate carrying the partial trace on its
-    `trace` attribute and the offending index on `k`.
+    Each iteration evaluates F twice, at x_k and at xhat_k, through `F(x)`;
+    `n_F_evals` counts them. The stopping iterate still gets a trace row (so
+    minima and plots include it) but is not updated; `final_x` is then that
+    iterate. A non-finite iterate or evaluation, or a step gamma_k that
+    underflows to 0 (its denominator overflowed), raises NonFiniteIterate
+    carrying the partial trace on its `trace` attribute and the offending
+    index on `k`.
 
     A stopping iterate where the rule has no step (MissingConstant: a root
     where its denominator is 0, or a Vankov cap that overflows) still stops;
-    its row takes no step: gamma = omega = 0 and xhat = x. Elsewhere that
-    MissingConstant propagates.
+    its row takes no step (gamma = omega = 0 and xhat = x) and costs one
+    evaluation. Elsewhere that MissingConstant propagates.
 
     With `cfg.rel_tol` and a declared root, `first_rel_hit` is the first k
     whose row has dist_sq / dist_sq_0 <= rel_tol, also when no rows are kept;
@@ -145,7 +146,8 @@ def solve(F: OperatorInstance, policy: StepSizePolicy, cfg: SolveConfig,
     # every NonFiniteIterate
     min_f, arg_f, min_h, arg_h, hit = math.inf, -1, math.inf, -1, -1
 
-    def _finish(k: int, reason: str, d2: Optional[float]) -> SolveTrace:
+    def _finish(k: int, reason: str, d2: Optional[float], n_evals: int) -> SolveTrace:
+        tr.n_F_evals = n_evals
         tr.min_norm_F_x, tr.argmin_norm_F_x = min_f, arg_f
         tr.min_norm_F_xhat, tr.argmin_norm_F_xhat = min_h, arg_h
         tr.first_rel_hit = None if rel_tol is None else hit
@@ -155,18 +157,21 @@ def solve(F: OperatorInstance, policy: StepSizePolicy, cfg: SolveConfig,
         tr.final_dist_sq = d2
         return tr
 
-    def _fail(k: int, what: str) -> NonFiniteIterate:
+    def _fail(k: int, what: str, n_evals: int) -> NonFiniteIterate:
         err = NonFiniteIterate(f"{what} at iteration {k}", k=k)
-        err.trace = _finish(k, "nonfinite", None)
+        err.trace = _finish(k, "nonfinite", None, n_evals)
         return err
 
     with overflow_as_data():
         d2 = d20 = _dist_sq(x, xstar) if rel_tol is None else rel_err_base(x, xstar)
         for k in range(cfg.max_iters):
+            # norm() inlined: the same dot over the same contiguous vector (a strided
+            # output is copied by ravel) and the same sqrt, without its call
             F_x = F(x)
-            nfx = norm(F_x)
+            v = F_x.ravel()
+            nfx = math.sqrt(v.dot(v))
             if not math.isfinite(nfx):
-                raise _fail(k, "non-finite operator value")
+                raise _fail(k, "non-finite operator value", 2 * k + 1)
             try:   # costs nothing until the rule raises
                 g = rule(nfx)
             except MissingConstant:
@@ -177,14 +182,15 @@ def solve(F: OperatorInstance, policy: StepSizePolicy, cfg: SolveConfig,
                 xhat, nfxh = x, nfx
             else:
                 if not g > 0:
-                    raise _fail(k, f"step gamma_k underflowed to {g}")
+                    raise _fail(k, f"step gamma_k underflowed to {g}", 2 * k + 1)
                 xhat = x - g * F_x
                 F_xhat = F(xhat)
                 w = update(g, F_xhat, x, xhat)
-                nfxh = norm(F_xhat)
+                v = F_xhat.ravel()
+                nfxh = math.sqrt(v.dot(v))
             stop = nfx <= stop_tol
             if not stop and not math.isfinite(nfxh):
-                raise _fail(k, "non-finite operator value at extrapolation point")
+                raise _fail(k, "non-finite operator value at extrapolation point", 2 * k + 2)
             if append is not None:
                 append(x, xhat, g, w, nfx, nfxh, d2)
             if rel_tol is not None and hit < 0 and d2 / d20 <= rel_tol:
@@ -193,15 +199,17 @@ def solve(F: OperatorInstance, policy: StepSizePolicy, cfg: SolveConfig,
                 min_f, arg_f = nfx, k
             if nfxh < min_h:    # a non-finite nfxh (terminal row only) never wins
                 min_h, arg_h = nfxh, k
-            if stop:
-                return _finish(k, "stop_tol", d2)
+            if stop:   # a row that took no step (g = 0) evaluated F once
+                return _finish(k, "stop_tol", d2, 2 * k + (2 if g else 1))
             x = x - w * F_xhat
             # a finite sum of squares, ||x - x*||^2 when the root is known, proves
             # every entry finite; only one that overflows needs the entrywise check
-            d2 = _dist_sq(x, xstar)
+            if xstar is not None:
+                e = x - xstar
+                d2 = float(e.dot(e))
             if not math.isfinite(x.dot(x) if d2 is None else d2) and not np.isfinite(x).all():
-                raise _fail(k + 1, "non-finite iterate")
-        return _finish(cfg.max_iters, "max_iters", d2)
+                raise _fail(k + 1, "non-finite iterate", 2 * k + 2)
+        return _finish(cfg.max_iters, "max_iters", d2, 2 * cfg.max_iters)
 
 
 # ---------------------------------------------------------------------------

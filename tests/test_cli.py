@@ -265,35 +265,47 @@ _NUMBER = st.floats(-1e3, 1e3).map(repr)
 
 
 @st.composite
-def _list_with_non_number(draw):
+def _list_with_bad_entry(draw, bad=_NON_NUMBER):
     entries = draw(st.lists(_NUMBER, max_size=3))
-    entries.insert(draw(st.integers(0, len(entries))), draw(_NON_NUMBER))
+    entries.insert(draw(st.integers(0, len(entries))), draw(bad))
     return ",".join(entries)
 
 
 _BAD_ITERS = st.one_of(st.integers(max_value=0),
                        st.integers(min_value=MAX_TRACE_ROWS + 1, max_value=10 ** 30)).map(str)
 _BAD_TOL = st.one_of(st.floats(max_value=-1e-300), st.just(math.nan)).map(repr)
+# numbers outside a constant's range: c0 > 0; c1, L0, L1 >= 0; alpha in (0, 1]; all finite
+_NOT_POSITIVE = st.one_of(st.floats(max_value=0.0), st.sampled_from([math.nan, math.inf])).map(repr)
+_NEGATIVE = st.one_of(st.floats(max_value=-5e-324), st.sampled_from([math.nan, math.inf])).map(repr)
+_BAD_ALPHA = st.one_of(st.floats(max_value=0.0), st.floats(min_value=1.0, exclude_min=True),
+                       st.just(math.nan)).map(repr)
 
 # (base argv, flag, strategy for a value that flag must refuse)
 _BAD_NUMBER_FLAGS = [
     (["solve", "--op", "quadratic", "--x0", "1,1", "--policy", "thm3"], "--x0",
-     st.one_of(_list_with_non_number(), _NON_NUMBER.map("rand:{}".format),
+     st.one_of(_list_with_bad_entry(), _NON_NUMBER.map("rand:{}".format),
                st.lists(_NUMBER, max_size=5).filter(lambda v: len(v) != 2).map(",".join))),
     (["solve", "--op", "quadratic", "--x0", "1,1", "--policy", "thm3"], "--iters", _BAD_ITERS),
     (["solve", "--op", "quadratic", "--x0", "1,1", "--policy", "thm3"], "--tol", _BAD_TOL),
     (["solve", "--op", "cubicRd", "--x0", "1,1", "--policy", "thm3"], "--op",
      _NON_NUMBER.map("cubicRd:d={}".format)),
     (["estimate", "--op", "quadratic", "--policy", "thm3"], "--iters", _BAD_ITERS),
-    (["estimate", "--op", "quadratic", "--policy", "thm3"], "--x0", _list_with_non_number()),
+    (["estimate", "--op", "quadratic", "--policy", "thm3"], "--x0", _list_with_bad_entry()),
     (["estimate", "--op", "quadratic", "--from-grid", "--grid", "3"], "--alphas",
-     _list_with_non_number()),
+     _list_with_bad_entry()),
     (["sweep", "--op", "quadratic", "--x0", "1,1", "--c0", "10", "--c1", "0"], "--c0",
-     _list_with_non_number()),
+     _list_with_bad_entry()),
     (["sweep", "--op", "quadratic", "--x0", "1,1", "--c0", "10", "--c1", "0"], "--c1",
-     _list_with_non_number()),
+     _list_with_bad_entry()),
     (["sweep", "--op", "quadratic", "--x0", "1,1", "--c0", "10", "--c1", "0"], "--x0",
      _NON_NUMBER.map("rand:{}".format)),
+    (["sweep", "--op", "quadratic", "--x0", "1,1", "--c0", "10", "--c1", "0"], "--c0",
+     _list_with_bad_entry(_NOT_POSITIVE)),
+    (["sweep", "--op", "quadratic", "--x0", "1,1", "--c0", "10", "--c1", "0"], "--c1",
+     _list_with_bad_entry(_NEGATIVE)),
+    (["verify", "--op", "forsaken", "--L0", "1", "--L1", "1"], "--alpha", _BAD_ALPHA),
+    (["verify", "--op", "forsaken", "--alpha", "1", "--L1", "1"], "--L0", _NEGATIVE),
+    (["verify", "--op", "forsaken", "--alpha", "1", "--L0", "1"], "--L1", _NEGATIVE),
 ]
 
 
@@ -311,6 +323,13 @@ class TestNumberFlags:
         assert len(err.splitlines()) == 1 and err.startswith(f"{flag} ")
         assert not out_dir.exists()
 
+    def test_zero_constants_name_both_flags(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, "verify", "--op", "forsaken", "--alpha", "1", "--L0", "0",
+                             "--L1", "-0.0", "--out", str(out_dir))
+        assert (code, out, err) == (1, "", "--L0 0.0 --L1 -0.0: L0 + L1 must be positive\n")
+        assert not out_dir.exists()
+
 
 class TestParserWiring:
     # solve, sweep, verify and estimate share one parent parser's --op, --seed
@@ -325,6 +344,19 @@ class TestParserWiring:
     def test_default_seed_and_out(self, argv, seed):
         args = _build_parser().parse_args(argv)
         assert (args.seed, args.out) == (seed, "egsolve-out")
+
+    def test_one_parser_per_process_prints_as_a_fresh_process(self, tmp_path, capsys):
+        # main reuses the parser: a usage error must leave nothing behind for the next call
+        calls = [["solve", "--op", "quadratic", "--x0", "1,1", "--policy", "thm3", "--iters", "x"],
+                 ["solve", "--op", "quadratic", "--x0", "1,1", "--policy", "thm3",
+                  "--out", str(tmp_path / "out")]]
+        in_process = [run(capsys, *argv) for argv in calls]
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(egsolve.__file__)))
+        fresh = [subprocess.run([sys.executable, "-m", "egsolve.cli", *argv], capture_output=True,
+                                text=True, timeout=60, env=env) for argv in calls]
+        assert in_process == [(p.returncode, p.stdout, p.stderr) for p in fresh]
+        assert [code for code, _, _ in in_process] == [1, 0]
+        assert _build_parser() is _build_parser()
 
     # numpy's generators refuse a negative seed only when first used, which for
     # verify and reproduce fig4 comes after --out exists
@@ -686,24 +718,36 @@ class TestWarnings:
         assert code == 3 and err == ""
 
 
+def _benchmark_run(tmp_path, *argv) -> dict:
+    """The result line of perfbench/run.py run on a copy of the checkout, so
+    nothing is written into it."""
+    root = os.path.dirname(os.path.dirname(os.path.dirname(egsolve.__file__)))
+    for name in ("src", "perfbench"):
+        shutil.copytree(os.path.join(root, name), tmp_path / name,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(os.path.join(root, "BENCHMARK.json"), tmp_path)
+    proc = subprocess.run([sys.executable, "perfbench/run.py", *argv],
+                          capture_output=True, text=True, timeout=300, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 class TestBenchmarkTrace:
     def test_traced_verify_grid_run_passes(self, tmp_path):
         # perfbench/layers.py wraps egsolve names that src/ itself may not use
         # (cli.spectral_norm, solver.gamma, each module's norm, ...): deleting
-        # one breaks every --trace 1 run. The run works on a copy of the
-        # checkout, so nothing is written into it.
-        root = os.path.dirname(os.path.dirname(os.path.dirname(egsolve.__file__)))
-        for name in ("src", "perfbench"):
-            shutil.copytree(os.path.join(root, name), tmp_path / name,
-                            ignore=shutil.ignore_patterns("__pycache__"))
-        shutil.copy(os.path.join(root, "BENCHMARK.json"), tmp_path)
-        proc = subprocess.run(
-            [sys.executable, "perfbench/run.py", "--workload", "verify-grid", "--seed", "42",
-             "--seconds", "0", "--trace", "1"],
-            capture_output=True, text=True, timeout=300, cwd=tmp_path)
-        assert proc.returncode == 0, proc.stderr
-        result = json.loads(proc.stdout.splitlines()[-1])
+        # one breaks every --trace 1 run
+        result = _benchmark_run(tmp_path, "--workload", "verify-grid", "--seed", "42",
+                                "--seconds", "0", "--trace", "1")
         assert result["correct"] is True and result["failed"] == 0
+
+    def test_untraced_experiments_2d_run_counts_its_iterations(self, tmp_path):
+        # the benchmark counts EG work only from the traces solver.solve returns:
+        # a figure whose solves bypass it would read work_per_s = 0
+        result = _benchmark_run(tmp_path, "--workload", "experiments-2d", "--seed", "42",
+                                "--seconds", "0", "--trace", "0")
+        assert result["correct"] is True and result["failed"] == 0
+        assert result["metrics"]["work_per_s"]["value"] > 0
 
 
 class TestVerify:

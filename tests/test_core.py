@@ -1,9 +1,11 @@
+import csv
+import io
 import math
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -184,7 +186,51 @@ class TestParams:
 TRACE_HEADER = "k,gamma,omega,norm_F_x,norm_F_xhat,dist_sq"
 
 
+_SPECIAL = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, -2.2250738585072014e-308])
+_FLOAT = st.one_of(_SPECIAL, st.floats())   # st.floats() also draws subnormals
+
+
+@st.composite
+def _csv_columns(draw):
+    """1 to 6 equal-length columns of each kind write_csv takes: a float64 ndarray,
+    a list mixing Python and numpy numbers with None, a range, or None; at least one
+    is not None. Each is a drawn run of cells repeated to a length that may cross a
+    TRACE_CHUNK boundary."""
+    n = draw(st.one_of(st.integers(1, 5), st.integers(TRACE_CHUNK - 2, 2 * TRACE_CHUNK + 2)))
+    cell = st.one_of(st.none(), st.integers(-10 ** 20, 10 ** 20), _FLOAT, _FLOAT.map(np.float64),
+                     st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64))
+    cols = []
+    for kind in draw(st.lists(st.sampled_from(["array", "list", "range", "none"]),
+                              min_size=1, max_size=6).filter(lambda k: set(k) != {"none"})):
+        if kind == "array":
+            cols.append(np.resize(np.array(draw(st.lists(_FLOAT, min_size=1, max_size=8))), n))
+        elif kind == "list":
+            run = draw(st.lists(cell, min_size=1, max_size=8))
+            cols.append([run[i % len(run)] for i in range(n)])
+        elif kind == "range":
+            a = draw(st.integers(-10 ** 6, 10 ** 6))
+            cols.append(range(a, a + n))
+        else:
+            cols.append(None)
+    return n, cols
+
+
 class TestCsv:
+    @given(_csv_columns())
+    @example((2, [[None, 1.0]]))   # a one-column row whose cell is empty
+    @settings(max_examples=100, deadline=None)
+    def test_writes_the_bytes_of_csv_writer(self, drawn):
+        # csv.writer is the reference: it also quotes a lone empty cell as ""
+        n, cols = drawn
+        header = [f"c{i}" for i in range(len(cols))]
+        want = io.StringIO()
+        ref = csv.writer(want, lineterminator="\n")
+        ref.writerow(header)
+        ref.writerows([None if c is None else c[i] for c in cols] for i in range(n))
+        got = io.StringIO()
+        write_csv(got, header, cols, footer="# end\n")
+        assert got.getvalue() == want.getvalue() + "# end\n"
+
     def test_cells_are_plain_numbers(self, tmp_path):
         p = str(tmp_path / "t.csv")
         write_csv(p, ["a", "b", "c"],

@@ -319,6 +319,29 @@ class TestEvaluationCount:
         assert tr.reason == "stop_tol" and tr.iterations_run == 117
         assert calls[0] == 2 * 117 + 2
 
+    @pytest.mark.parametrize("make_op, key, x0, iters, stop_tol, reason", [
+        (lambda: build("quadratic"), "thm3", [1.0, 1.0], 10, 0.0, "max_iters"),
+        (lambda: build("quadratic"), "egplus:0.1", [1.0, 1.0], 10, 0.0, "max_iters"),
+        (lambda: build("quadratic"), "pethick:0.1", [1.0, 1.0], 10, 0.0, "max_iters"),
+        (lambda: build("quadratic"), "thm3", [1.0, 1.0], 1000, 1e-14, "stop_tol"),
+        # a stopping row where the rule has no step evaluates F once
+        (lambda: build("logistic"), "thm5", [400.0, 400.0], 10, 1e-14, "stop_tol"),
+        # partial traces: F(x_2) overflows; F(xhat_1) overflows; x_2 overflows; gamma_0 underflows
+        (lambda: build("cubicRd", d=2), "const:1", [1e5] * 4, 100, 0.0, "nonfinite"),
+        (lambda: build("cubicRd", d=2), "const:1", [1e10] * 4, 100, 0.0, "nonfinite"),
+        (lambda: OperatorInstance(dim=1, fn=lambda x: -np.ones(1)), "const:1e308", [0.0], 10, 0.0,
+         "nonfinite"),
+        (lambda: build("quadratic"), "adaptive:1:1e200", [1e150, 1e150], 5, 0.0, "nonfinite"),
+    ], ids=["budget", "egplus", "pethick", "stop", "no-step", "F-x", "F-xhat", "iterate", "gamma"])
+    def test_trace_counts_its_evaluations(self, make_op, key, x0, iters, stop_tol, reason):
+        op = make_op()
+        calls = _counting(op)
+        try:
+            tr = solve(op, parse_policy(key), SolveConfig(max_iters=iters, x0=x0, stop_tol=stop_tol))
+        except NonFiniteIterate as e:
+            tr = e.trace
+        assert tr.reason == reason and tr.n_F_evals == calls[0] > 0
+
 
 _ENTRY = st.floats(-2.0, 2.0)
 _DECLARED_KEYS = ("pethick", "thm3", "cor1", "thm5", "thm8")
