@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import functools
 import math
 import os
 import re
@@ -108,6 +107,14 @@ def _flag(flag: str, value, check, *args, **kwargs):
         raise _UsageError(f"{flag} {value}: {e}") from None
 
 
+def _fields_error(e: Exception, args, fields) -> _UsageError:
+    """A library error about some of `fields` as '--field value: reason', naming
+    each field its message names ('L0 + L1 must be positive' names two)."""
+    said = set(re.findall(r"\w+", str(e)))
+    return _UsageError(" ".join(f"--{f} {getattr(args, f)}" for f in fields if f in said)
+                       + f": {e}")
+
+
 def _numbers(flag: str, text: str) -> List[float]:
     """The numbers of a flag's comma list (blank entries skipped), checked by `_flag`."""
     return _flag(flag, text, lambda: [float(v) for v in text.split(",") if v.strip()])
@@ -181,18 +188,17 @@ def cmd_sweep(args) -> int:
     c0s, c1s = _numbers("--c0", args.c0), _numbers("--c1", args.c1)
     if not c0s or not c1s:
         raise _UsageError("--c0 and --c1 grids must be non-empty")
-    # each grid alone against the adaptive policy's checks (the other at a valid
-    # value), so an out-of-range entry names its flag
-    adaptive = lambda c0, c1: StepSizePolicy(kind=PolicyKind.ADAPTIVE, c0=c0, c1=c1)
-    _flag("--c0", args.c0, lambda: [adaptive(c0, 0.0) for c0 in c0s])
-    _flag("--c1", args.c1, lambda: [adaptive(1.0, c1) for c1 in c1s])
+    try:
+        cells = [StepSizePolicy(kind=PolicyKind.ADAPTIVE, c0=c0, c1=c1)
+                 for c0 in c0s for c1 in c1s]
+    except ValueError as e:
+        raise _fields_error(e, args, ("c0", "c1")) from None
     x0 = parse_x0(args.x0, op.dim, args.seed)
     _flag("--iters", args.iters, check_iters, args.iters)
     # with --iters in range, only --tol can fail here with a ValueError
     cfg = _flag("--tol", args.tol, SolveConfig, max_iters=args.iters, x0=x0, stop_tol=0.0,
                 record_trace=False, rel_tol=args.tol)
     d20 = _flag("--x0", ",".join(map(str, x0)), solver.rel_err_base, x0, op.solution)
-    cells = [(c0, c1) for c0 in c0s for c1 in c1s]
     for c0, c1, it, fr in experiments.sweep_cells(op, cells, cfg, d20, args.out):
         tag = "diverged" if it == -1 and math.isinf(fr) else f"relerr={fr}"
         print(f"cell ({c0},{c1}): iters_to_tol={it} {tag}")
@@ -206,12 +212,10 @@ def cmd_verify(args) -> int:
     if any(v is not None for v in given):
         if any(v is None for v in given):
             raise _UsageError("--alpha, --L0, --L1 must be given together")
-        # each flag alone against the constants' checks (the others at a valid 1),
-        # so an out-of-range value names its flag; the joint L0 + L1 > 0 names both
-        _flag("--alpha", args.alpha, SmoothnessParams, args.alpha, 1.0, 1.0)
-        _flag("--L0", args.L0, SmoothnessParams, 1.0, args.L0, 1.0)
-        _flag("--L1", args.L1, SmoothnessParams, 1.0, 1.0, args.L1)
-        s = _flag(f"--L0 {args.L0} --L1", args.L1, SmoothnessParams, *given)
+        try:
+            s = SmoothnessParams(*given)
+        except (ValueError, EgsolveError) as e:
+            raise _fields_error(e, args, ("alpha", "L0", "L1")) from None
     elif op.smoothness is not None:
         s = op.smoothness
     else:
@@ -286,10 +290,7 @@ def _add_common(p, iters_default, tol_default):
     p.add_argument("--tol", type=float, default=tol_default)
 
 
-@functools.cache
 def _build_parser() -> _Parser:
-    """The CLI's parser, built once per process: `parse_args` keeps no state
-    between calls, and `_apply_config` only reads `commands`."""
     ap = _Parser(prog="egsolve", description=__doc__,
                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--config", help="INI file; section [SUBCOMMAND] supplies flag defaults")

@@ -3,7 +3,7 @@
 Each FIGURES entry holds the operator key `op` and start rule `x0` as --op and
 --x0 spell them (the caller builds both), the default budget `iters`, the gnuplot terminal `size` and
 `plot` body, its extra meta.txt lines `meta`, its `checks`, and either the
-adaptive `cells` (c0, c1) it sweeps or the `runs` {name: policy} it compares
+adaptive policies `cells` it sweeps or the `runs` {name: policy} it compares
 (`force`: outside a policy's class) in the comparison.csv column `col` of
 `metric`(trace columns, ||x0 - x*||^2). Every solve and trace write calls the module
 attributes `solver.solve` and `solver.write_trace_csv`, which perfbench wraps.
@@ -30,15 +30,14 @@ def first_hit(rows, metric, tol: float) -> int:
 
 
 def sweep_cells(op, cells, cfg: SolveConfig, d20: float, out: str) -> List[tuple]:
-    """Run adaptive cells 1/(c0 + c1*||F||) (c1 = 0: step 1/c0) in order under cfg,
-    a summary-only config with a rel_tol; d20 = ||x0 - x*||^2. Every cell is checked
-    before out is created and the first runs. Write sweep.csv and return its rows
-    (c0, c1, iters_to_tol, final_relerr); a cell that diverged or ended above 10x its
-    start reads (-1, inf)."""
-    policies = [StepSizePolicy(kind=PolicyKind.ADAPTIVE, c0=c0, c1=c1) for c0, c1 in cells]
+    """Run the cells, adaptive policies 1/(c0 + c1*||F||) (c1 = 0: step 1/c0), in
+    order under cfg, a summary-only config with a rel_tol; d20 = ||x0 - x*||^2.
+    Write sweep.csv and return its rows (c0, c1, iters_to_tol, final_relerr); a
+    cell that diverged or ended above 10x its start reads (-1, inf)."""
     os.makedirs(out, exist_ok=True)
     rows = []
-    for cell, policy in zip(cells, policies):
+    for policy in cells:
+        cell = (policy.c0, policy.c1)
         try:
             tr = solver.solve(op, policy, cfg)
         except NonFiniteIterate:
@@ -172,8 +171,9 @@ FIGURES = {
               "unset multiplot\n")),
     "fig4": dict(
         op="cubicRd:d=10,seed=42,scale=5", x0="rand:1000", iters=20000, size="900,500",
-        cells=[(c, 0.0) for c in (1e2, 1e3, 1e4, 1e5, 1e6, 1e7)]
-        + [(c0, c1) for c0 in (10.0, 100.0, 1000.0) for c1 in (0.1, 1.0, 10.0)],
+        cells=[StepSizePolicy(kind=PolicyKind.ADAPTIVE, c0=c0, c1=c1)
+               for c0, c1 in [(c, 0.0) for c in (1e2, 1e3, 1e4, 1e5, 1e6, 1e7)]
+               + [(c0, c1) for c0 in (10.0, 100.0, 1000.0) for c1 in (0.1, 1.0, 10.0)]],
         meta=(("rel_tol", "1e-8"),), checks=_fig4_checks,
         plot=("set logscale y\nset xlabel 'grid cell'\nset ylabel 'final relative squared error'\n"
               "set xtics rotate by -45\n"

@@ -146,8 +146,9 @@ def solve(F: OperatorInstance, policy: StepSizePolicy, cfg: SolveConfig,
     # every NonFiniteIterate
     min_f, arg_f, min_h, arg_h, hit = math.inf, -1, math.inf, -1, -1
 
-    def _finish(k: int, reason: str, d2: Optional[float], n_evals: int) -> SolveTrace:
-        tr.n_F_evals = n_evals
+    def _finish(k: int, reason: str, d2: Optional[float], extra: int = 0) -> SolveTrace:
+        # iterations 0..k-1 evaluated F twice each; `extra` counts iteration k's
+        tr.n_F_evals = 2 * k + extra
         tr.min_norm_F_x, tr.argmin_norm_F_x = min_f, arg_f
         tr.min_norm_F_xhat, tr.argmin_norm_F_xhat = min_h, arg_h
         tr.first_rel_hit = None if rel_tol is None else hit
@@ -157,9 +158,9 @@ def solve(F: OperatorInstance, policy: StepSizePolicy, cfg: SolveConfig,
         tr.final_dist_sq = d2
         return tr
 
-    def _fail(k: int, what: str, n_evals: int) -> NonFiniteIterate:
+    def _fail(k: int, what: str, extra: int = 0) -> NonFiniteIterate:
         err = NonFiniteIterate(f"{what} at iteration {k}", k=k)
-        err.trace = _finish(k, "nonfinite", None, n_evals)
+        err.trace = _finish(k, "nonfinite", None, extra)
         return err
 
     with overflow_as_data():
@@ -171,7 +172,7 @@ def solve(F: OperatorInstance, policy: StepSizePolicy, cfg: SolveConfig,
             v = F_x.ravel()
             nfx = math.sqrt(v.dot(v))
             if not math.isfinite(nfx):
-                raise _fail(k, "non-finite operator value", 2 * k + 1)
+                raise _fail(k, "non-finite operator value", 1)
             try:   # costs nothing until the rule raises
                 g = rule(nfx)
             except MissingConstant:
@@ -182,7 +183,7 @@ def solve(F: OperatorInstance, policy: StepSizePolicy, cfg: SolveConfig,
                 xhat, nfxh = x, nfx
             else:
                 if not g > 0:
-                    raise _fail(k, f"step gamma_k underflowed to {g}", 2 * k + 1)
+                    raise _fail(k, f"step gamma_k underflowed to {g}", 1)
                 xhat = x - g * F_x
                 F_xhat = F(xhat)
                 w = update(g, F_xhat, x, xhat)
@@ -190,7 +191,7 @@ def solve(F: OperatorInstance, policy: StepSizePolicy, cfg: SolveConfig,
                 nfxh = math.sqrt(v.dot(v))
             stop = nfx <= stop_tol
             if not stop and not math.isfinite(nfxh):
-                raise _fail(k, "non-finite operator value at extrapolation point", 2 * k + 2)
+                raise _fail(k, "non-finite operator value at extrapolation point", 2)
             if append is not None:
                 append(x, xhat, g, w, nfx, nfxh, d2)
             if rel_tol is not None and hit < 0 and d2 / d20 <= rel_tol:
@@ -200,7 +201,7 @@ def solve(F: OperatorInstance, policy: StepSizePolicy, cfg: SolveConfig,
             if nfxh < min_h:    # a non-finite nfxh (terminal row only) never wins
                 min_h, arg_h = nfxh, k
             if stop:   # a row that took no step (g = 0) evaluated F once
-                return _finish(k, "stop_tol", d2, 2 * k + (2 if g else 1))
+                return _finish(k, "stop_tol", d2, 2 if g else 1)
             x = x - w * F_xhat
             # a finite sum of squares, ||x - x*||^2 when the root is known, proves
             # every entry finite; only one that overflows needs the entrywise check
@@ -208,8 +209,8 @@ def solve(F: OperatorInstance, policy: StepSizePolicy, cfg: SolveConfig,
                 e = x - xstar
                 d2 = float(e.dot(e))
             if not math.isfinite(x.dot(x) if d2 is None else d2) and not np.isfinite(x).all():
-                raise _fail(k + 1, "non-finite iterate", 2 * k + 2)
-        return _finish(cfg.max_iters, "max_iters", d2, 2 * cfg.max_iters)
+                raise _fail(k + 1, "non-finite iterate")
+        return _finish(cfg.max_iters, "max_iters", d2)
 
 
 # ---------------------------------------------------------------------------

@@ -345,19 +345,6 @@ class TestParserWiring:
         args = _build_parser().parse_args(argv)
         assert (args.seed, args.out) == (seed, "egsolve-out")
 
-    def test_one_parser_per_process_prints_as_a_fresh_process(self, tmp_path, capsys):
-        # main reuses the parser: a usage error must leave nothing behind for the next call
-        calls = [["solve", "--op", "quadratic", "--x0", "1,1", "--policy", "thm3", "--iters", "x"],
-                 ["solve", "--op", "quadratic", "--x0", "1,1", "--policy", "thm3",
-                  "--out", str(tmp_path / "out")]]
-        in_process = [run(capsys, *argv) for argv in calls]
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(egsolve.__file__)))
-        fresh = [subprocess.run([sys.executable, "-m", "egsolve.cli", *argv], capture_output=True,
-                                text=True, timeout=60, env=env) for argv in calls]
-        assert in_process == [(p.returncode, p.stdout, p.stderr) for p in fresh]
-        assert [code for code, _, _ in in_process] == [1, 0]
-        assert _build_parser() is _build_parser()
-
     # numpy's generators refuse a negative seed only when first used, which for
     # verify and reproduce fig4 comes after --out exists
     @pytest.mark.parametrize("argv", [
