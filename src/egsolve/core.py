@@ -250,12 +250,18 @@ class OperatorInstance:
         # plain numpy evaluation: overflow warns here unless the caller holds
         # overflow_as_data(), as every library loop does. A float64 ndarray goes
         # to fn as it is, and fn's float64 vector of length dim comes back as it
-        # is (possibly strided); anything else is converted and reshaped.
+        # is (possibly strided); anything else goes through _vector. solve
+        # applies the same output rule to fn without this call.
         if type(x) is not np.ndarray or x.dtype is not _F64:
             x = np.asarray(x, dtype=np.float64)
         out = self.fn(x)
         if type(out) is np.ndarray and out.dtype is _F64 and out.shape == (self.dim,):
             return out
+        return self._vector(out)
+
+    def _vector(self, out) -> np.ndarray:
+        """fn's result as a float64 vector of length dim (converted and
+        reshaped), or DimensionMismatch."""
         out = np.asarray(out, dtype=np.float64).reshape(-1)
         if out.shape[0] != self.dim:
             raise DimensionMismatch(

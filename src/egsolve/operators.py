@@ -199,7 +199,9 @@ def cubicRd(d: int = 2, seed: int = 0, scale: float = 1.0) -> OperatorInstance:
         s, t = x[:d].dot(Aw1), x[d:].dot(Cw2)
         Aw1 *= math.sqrt(s) if s >= 0.0 else math.nan
         Cw2 *= math.sqrt(t) if t >= 0.0 else math.nan
-        return y[:2 * d] + y[2 * d:]
+        out = y[2 * d:]   # (B w2, -B^T w1) += (A w1, C w2) in place: the same sums
+        out += y[:2 * d]
+        return out
 
     # the block kernels: rows are points, so X @ M.T stacks the four mat-vecs
     def _scaled(X):

@@ -21,6 +21,7 @@ from .core import (
     SolveTrace,
     TRACE_CHUNK,
     TraceColumns,
+    _F64,
     norm,
     overflow_as_data,
     read_csv,
@@ -114,7 +115,9 @@ def solve(F: OperatorInstance, policy: StepSizePolicy, cfg: SolveConfig,
           force: bool = False) -> SolveTrace:
     """Iterate until ||F(x_k)|| <= stop_tol or the budget runs out.
 
-    Each iteration evaluates F twice, at x_k and at xhat_k, through `F(x)`;
+    Each iteration evaluates F twice, at x_k and at xhat_k, by calling `F.fn`
+    and applying `F(x)`'s output rule without the method call: a float64
+    vector of length dim as it is, anything else through `F._vector`;
     `n_F_evals` counts them. The stopping iterate still gets a trace row (so
     minima and plots include it) but is not updated; `final_x` is then that
     iterate. A non-finite iterate or evaluation, or a step gamma_k that
@@ -137,6 +140,10 @@ def solve(F: OperatorInstance, policy: StepSizePolicy, cfg: SolveConfig,
     if x.shape[0] != F.dim:
         x = vec(x, F.dim, what="x0")
     xstar = F.solution
+    # a root at the origin (entries +-0.0) needs no subtraction: x - x* differs
+    # from x at most in the sign of a zero entry, which its square drops
+    shift = xstar if xstar is not None and xstar.any() else None
+    fn, shape = F.fn, (F.dim,)
     rel_tol = cfg.rel_tol if xstar is not None else None
     stop_tol = cfg.stop_tol
     tr = SolveTrace(kind=policy.kind, rows=TraceColumns(F.dim, dist=xstar is not None))
@@ -166,9 +173,12 @@ def solve(F: OperatorInstance, policy: StepSizePolicy, cfg: SolveConfig,
     with overflow_as_data():
         d2 = d20 = _dist_sq(x, xstar) if rel_tol is None else rel_err_base(x, xstar)
         for k in range(cfg.max_iters):
-            # norm() inlined: the same dot over the same contiguous vector (a strided
-            # output is copied by ravel) and the same sqrt, without its call
-            F_x = F(x)
+            # F(x) inlined (x is a float64 vector here, so only the output is
+            # checked), then norm() inlined: the same dot over the same contiguous
+            # vector (a strided output is copied by ravel) and the same sqrt
+            F_x = fn(x)
+            if type(F_x) is not np.ndarray or F_x.dtype is not _F64 or F_x.shape != shape:
+                F_x = F._vector(F_x)
             v = F_x.ravel()
             nfx = math.sqrt(v.dot(v))
             if not math.isfinite(nfx):
@@ -185,7 +195,10 @@ def solve(F: OperatorInstance, policy: StepSizePolicy, cfg: SolveConfig,
                 if not g > 0:
                     raise _fail(k, f"step gamma_k underflowed to {g}", 1)
                 xhat = x - g * F_x
-                F_xhat = F(xhat)
+                F_xhat = fn(xhat)
+                if (type(F_xhat) is not np.ndarray or F_xhat.dtype is not _F64
+                        or F_xhat.shape != shape):
+                    F_xhat = F._vector(F_xhat)
                 w = update(g, F_xhat, x, xhat)
                 v = F_xhat.ravel()
                 nfxh = math.sqrt(v.dot(v))
@@ -206,7 +219,7 @@ def solve(F: OperatorInstance, policy: StepSizePolicy, cfg: SolveConfig,
             # a finite sum of squares, ||x - x*||^2 when the root is known, proves
             # every entry finite; only one that overflows needs the entrywise check
             if xstar is not None:
-                e = x - xstar
+                e = x if shift is None else x - shift
                 d2 = float(e.dot(e))
             if not math.isfinite(x.dot(x) if d2 is None else d2) and not np.isfinite(x).all():
                 raise _fail(k + 1, "non-finite iterate")

@@ -9,7 +9,9 @@ import contextlib
 import csv
 import hashlib
 import io
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -41,6 +43,7 @@ from egsolve.stepsize import (
 )
 
 SQ2 = math.sqrt(2.0)
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def report(n, detail):
@@ -231,8 +234,15 @@ def test_criterion_7_experiment_reproductions(tmp_path, capsys, fig4_seed42):
     assert max(float(r["gamma_ours"]) for r in rows) > 0.032
 
     with open(d4 / "sweep.csv", newline="") as fh:
-        cells = {(float(r["c0"]), float(r["c1"])): float(r["final_relerr"])
-                 for r in csv.DictReader(fh)}
+        rows4 = list(csv.DictReader(fh))
+    # every cell against the values the benchmark checks (perfbench/reference.json)
+    with open(os.path.join(REPO, "perfbench", "reference.json")) as fh:
+        want = json.load(fh)["fig4_cells"]["42"]
+    assert len(rows4) == len(want)
+    for r, (c0, c1, it, fr) in zip(rows4, want):
+        assert (float(r["c0"]), float(r["c1"]), int(r["iters_to_tol"])) == (c0, c1, it)
+        assert float(r["final_relerr"]) == pytest.approx(float(fr), rel=1e-9)
+    cells = {(float(r["c0"]), float(r["c1"])): float(r["final_relerr"]) for r in rows4}
     consts = {c0: v for (c0, c1), v in cells.items() if c1 == 0.0}
     assert min(consts, key=consts.get) == 1e5
     assert all(math.isinf(consts[c]) for c in (1e2, 1e3, 1e4))
@@ -247,7 +257,8 @@ def test_criterion_7_experiment_reproductions(tmp_path, capsys, fig4_seed42):
     assert hits["ours"] < hits["egplus"] and hits["ours"] < hits["pethick"]
     report(7, f"orderings re-derived: {hit_o}<{hit_v} to 1e-8; best constant 1e5, "
               f"small constants diverge, adaptive wins; hits {hits}; "
-              f"fig3/fig5 files match their frozen sha256")
+              f"fig3/fig5 files match their frozen sha256, fig4's {len(want)} cells "
+              f"the benchmark reference")
 
 
 def test_criterion_8_weak_minty_margin_grid():

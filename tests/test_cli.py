@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import egsolve
-from egsolve import analysis, solver
+from egsolve import analysis, cli, solver
 from egsolve.cli import _build_parser, main
 from egsolve.core import MAX_TRACE_ROWS, OperatorInstance
 from egsolve.solver import read_trace_csv
@@ -26,6 +26,22 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _refuse_evaluation(monkeypatch, before):
+    """Make every evaluation of an operator raise: its methods, and the raw `fn`
+    of each operator the CLI builds (solve calls `fn` without `__call__`)."""
+    def evaluate(*a, **kw):
+        raise AssertionError(f"an operator was evaluated before {before}")
+    for name in ("__call__", "jacobian_at", "call_batch", "jacobian_batch_at"):
+        monkeypatch.setattr(OperatorInstance, name, evaluate)
+    build = cli.parse_op_key
+
+    def refusing_build(text):
+        op = build(text)   # the root check at construction still evaluates
+        op.fn = evaluate
+        return op
+    monkeypatch.setattr(cli, "parse_op_key", refusing_build)
 
 
 # a 2x2 sweep on cubic1d whose cells cover a hit, a finite miss and divergence
@@ -507,10 +523,7 @@ class TestGridLimits:
     ], ids=[f"argv{i}" for i in range(10)])
     def test_bad_grid_exits_1_before_any_evaluation(self, argv, flag, tmp_path, capsys,
                                                     monkeypatch):
-        def evaluate(*a, **kw):
-            raise AssertionError("an operator was evaluated before the size check")
-        for name in ("__call__", "jacobian_at", "call_batch", "jacobian_batch_at"):
-            monkeypatch.setattr(OperatorInstance, name, evaluate)
+        _refuse_evaluation(monkeypatch, "the size check")
         code, out, err = run(capsys, *argv, "--out", str(tmp_path))
         assert code == 1 and out == ""
         assert len(err.splitlines()) == 1 and flag in err
@@ -530,10 +543,7 @@ class TestGridLimits:
     ], ids=["verify-inf", "verify-nan", "estimate-overflowing-width", "estimate-negative"])
     def test_ungriddable_box_exits_1_before_out_exists(self, argv, tmp_path, capsys,
                                                        monkeypatch):
-        def evaluate(*a, **kw):
-            raise AssertionError("an operator was evaluated before the box check")
-        for name in ("__call__", "jacobian_at", "call_batch", "jacobian_batch_at"):
-            monkeypatch.setattr(OperatorInstance, name, evaluate)
+        _refuse_evaluation(monkeypatch, "the box check")
         out_dir = tmp_path / "out"
         code, out, err = run(capsys, *argv, "--out", str(out_dir))
         assert code == 1 and out == ""
@@ -642,10 +652,7 @@ class TestOSErrors:
     ], ids=["solve", "sweep", "verify", "estimate", "fig5"])
     def test_out_below_a_file_exits_1_with_one_line(self, argv, tmp_path, capsys, monkeypatch):
         # every command creates --out before it evaluates the operator
-        def evaluate(*a, **kw):
-            raise AssertionError("an operator was evaluated before --out was created")
-        for name in ("__call__", "jacobian_at", "call_batch", "jacobian_batch_at"):
-            monkeypatch.setattr(OperatorInstance, name, evaluate)
+        _refuse_evaluation(monkeypatch, "--out was created")
         (tmp_path / "file").write_text("")
         code, out, err = run(capsys, *argv, "--out", str(tmp_path / "file" / "out"))
         assert code == 1 and out == ""
@@ -666,10 +673,7 @@ class TestRefusedPolicy:
     ], ids=["incompatible", "forced-bad-alpha", "estimate-incompatible", "forced-no-rho",
             "estimate-too-few-rows", "estimate-too-few-points"])
     def test_exits_1_before_out_exists(self, argv, match, tmp_path, capsys, monkeypatch):
-        def evaluate(*a, **kw):
-            raise AssertionError("an operator was evaluated before the policy check")
-        for name in ("__call__", "jacobian_at", "call_batch", "jacobian_batch_at"):
-            monkeypatch.setattr(OperatorInstance, name, evaluate)
+        _refuse_evaluation(monkeypatch, "the policy check")
         out_dir = tmp_path / "out"
         code, out, err = run(capsys, *argv, "--out", str(out_dir))
         assert code == 1 and out == ""

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from egsolve.core import (
     TRACE_CHUNK,
+    DimensionMismatch,
     EmptyTrace,
     IncompatiblePolicy,
     InvalidAlpha,
@@ -341,6 +342,77 @@ class TestEvaluationCount:
         except NonFiniteIterate as e:
             tr = e.trace
         assert tr.reason == reason and tr.n_F_evals == calls[0] > 0
+
+
+def _strided(v):
+    buf = np.zeros(2 * len(v))
+    buf[::2] = v
+    return buf[::2]
+
+
+# F(x) = M (x - x*) on R^3: M is the identity plus a skew part, so a 0.1 step converges
+_M3 = np.array([[1.0, 0.5, -0.25], [-0.5, 1.0, 0.75], [0.25, -0.75, 1.0]])
+
+
+class TestSolveOutputRule:
+    # solve calls fn and applies F(x)'s output rule itself; each other kind of
+    # output takes the slow path, which converts what fn returned once
+    @pytest.mark.parametrize("make", [
+        lambda v: [float(a) for a in v],              # a list
+        lambda v: v.reshape(-1, 1),                   # a (dim, 1) column
+        lambda v: v.astype(np.float32),               # float32
+        _strided,                                     # a strided float64 view
+    ], ids=["list", "column", "float32", "strided"])
+    def test_other_outputs_solve_as_their_float64_vector(self, make):
+        plain = OperatorInstance(
+            dim=3, fn=lambda x: np.asarray(make(_M3 @ x), dtype=np.float64).reshape(-1))
+        other = OperatorInstance(dim=3, fn=lambda x: make(_M3 @ x))
+        calls = _counting(other)
+        cfg = SolveConfig(max_iters=40, x0=[1.0, -2.0, 0.5], stop_tol=0.0)
+        want = solve(plain, parse_policy("const:0.1"), cfg)
+        got = solve(other, parse_policy("const:0.1"), cfg)
+        assert got.rows == want.rows and len(got.rows) == 40
+        assert np.array_equal(got.final_x, want.final_x)
+        assert got.n_F_evals == want.n_F_evals == calls[0] == 80
+
+    @pytest.mark.parametrize("bad", [np.zeros(4), [0.0, 0.0]], ids=["long-vector", "short-list"])
+    @pytest.mark.parametrize("at", [1, 2], ids=["F-x", "F-xhat"])
+    def test_wrong_length_raises_the_message_of_a_call(self, bad, at):
+        op = OperatorInstance(dim=3, fn=lambda x: bad, label="bad")
+        with pytest.raises(DimensionMismatch) as called:
+            op(np.ones(3))
+        calls = [0]
+
+        def fn(x):   # the at-th evaluation returns the wrong length
+            calls[0] += 1
+            return bad if calls[0] == at else _M3 @ x
+        op.fn = fn
+        with pytest.raises(DimensionMismatch) as solved:
+            solve(op, parse_policy("const:0.1"), SolveConfig(max_iters=5, x0=np.ones(3)))
+        assert str(solved.value) == str(called.value)
+        assert calls[0] == at
+
+
+class TestSolveDistances:
+    # with a root at the origin solve squares x itself, elsewhere x - x*: both
+    # must record what e = x - x*; e.dot(e) gives
+    @pytest.mark.parametrize("xstar", [[0.5, -1.0, 2.0], [-0.0, 0.0, -0.0]],
+                             ids=["away-from-origin", "signed-zero-origin"])
+    def test_recorded_distances_equal_a_direct_recomputation(self, xstar):
+        xstar = np.array(xstar)
+        op = OperatorInstance(dim=3, fn=lambda x: _M3 @ (x - xstar), solution=xstar)
+        tr = solve(op, parse_policy("const:0.1"),
+                   SolveConfig(max_iters=200, x0=[-0.0, 3.0, -1.0], stop_tol=0.0, rel_tol=1e-6))
+
+        def d2(x):
+            e = x - xstar
+            return float(e.dot(e))
+        h = float.hex
+        want = [d2(x) for x in tr.rows.x_k]
+        assert [h(float(v)) for v in tr.rows.dist_sq] == [h(v) for v in want]
+        assert h(tr.final_dist_sq) == h(d2(tr.final_x))
+        hit = next(k for k, v in enumerate(want) if v / want[0] <= 1e-6)
+        assert tr.first_rel_hit == hit > 0
 
 
 _ENTRY = st.floats(-2.0, 2.0)
