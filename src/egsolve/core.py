@@ -368,7 +368,9 @@ class TraceRow:
         return all(np.array_equal(getattr(self, f), getattr(other, f)) for f in self.__slots__)
 
 
-TRACE_CHUNK = 4096   # rows per bounded run of write_csv and check_descent_invariants
+# rows per bounded run of write_csv and check_descent_invariants; write_csv
+# holds a chunk's cells, rows and text at once, about 0.7 KB a trace row
+TRACE_CHUNK = 512
 _SCALARS = struct.Struct("5d")   # gamma, omega, norm_F_x, norm_F_xhat, dist_sq
 
 
@@ -485,27 +487,57 @@ def write_csv(out: Union[str, TextIO], header: Sequence[str], columns: Iterable,
     """Write the header row, one row per index of the equal-length `columns`
     and then `footer` verbatim to a path or an open text stream.
 
-    A column is an ndarray (converted by `.tolist()` TRACE_CHUNK rows at a
-    time), any other sequence, or None (empty cells). A cell is a number or
-    None. Each data row is the `","`-join of its cells' `str()` (`""` for
-    None), written one row at a time: the bytes `csv.writer` writes, which
-    quotes no number and only a lone empty cell (as `""`). `str()` of a
-    Python or numpy float is its shortest repr, so every number reads back
-    exactly and identical runs write identical bytes.
+    A column is an ndarray, any other sequence, or None (empty cells). A cell
+    is a number or None. Each data row is the `","`-join of its cells' `str()`
+    (`""` for None): the bytes `csv.writer` writes, which quotes no number and
+    only a lone empty cell (as `""`). `str()` of a Python or numpy float is its
+    shortest repr, so every number reads back exactly and identical runs write
+    identical bytes.
+
+    Rows go out TRACE_CHUNK at a time, one `write` each. In a float64 ndarray
+    column's chunk each run of bitwise-equal values (compared as int64, so
+    -0.0 is not 0.0) is formatted once, and a chunk bitwise equal to an
+    earlier column's reuses its strings.
     """
     columns = list(columns)
     n = max((len(c) for c in columns if c is not None), default=0)
+    empty = '""' if len(columns) == 1 else ""    # csv.writer quotes a lone empty cell
     with open(out, "w", newline="") if isinstance(out, str) else nullcontext(out) as fh:
         csv.writer(fh, lineterminator="\n").writerow(header)
         write = fh.write
         for a in range(0, n, TRACE_CHUNK):
             run = slice(a, a + TRACE_CHUNK)
-            for row in zip(*(repeat(None) if c is None else
-                             c[run].tolist() if isinstance(c, np.ndarray) else c[run]
-                             for c in columns)):
-                line = ",".join(["" if c is None else str(c) for c in row])
-                write((line or '""') + "\n")
+            done = []    # (int64 bits, strings) of this chunk's float64 columns
+            cells = []
+            for c in columns:
+                if c is None:
+                    cells.append(repeat(empty))
+                elif isinstance(c, np.ndarray) and c.dtype == np.float64:
+                    cells.append(_float_strings(c[run], done))
+                else:
+                    c = c[run].tolist() if isinstance(c, np.ndarray) else c[run]
+                    cells.append([empty if v is None else str(v) for v in c])
+            write("\n".join(map(",".join, zip(*cells))) + "\n")
         write(footer)
+
+
+def _float_strings(v: np.ndarray, done: list) -> list:
+    """str() of each float64 in v, calling str() once per run of bitwise-equal
+    values; reuses the strings of an entry of `done` whose bits equal v's, and
+    adds v's otherwise."""
+    bits = v.view(np.int64)
+    for b, s in done:
+        if np.array_equal(b, bits):
+            return s
+    starts = np.flatnonzero(bits[1:] != bits[:-1]) + 1
+    if len(v) - len(starts) <= 1:     # no repeats
+        s = list(map(str, v.tolist()))
+    else:
+        starts = np.concatenate(([0], starts))
+        firsts = np.array(list(map(str, v[starts].tolist())), dtype=object)
+        s = np.repeat(firsts, np.diff(starts, append=len(v))).tolist()
+    done.append((bits, s))
+    return s
 
 
 def read_csv(path: str, header: Sequence[str], what: str,

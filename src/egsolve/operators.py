@@ -45,8 +45,9 @@ def _coupled_2x2(a, b, c=1.0):
 
 def _instance(fn, jac_batch, fn_batch=None, **declared) -> OperatorInstance:
     """An operator from its field and its block Jacobian (rows are points). The
-    per-point Jacobian is the kernel's one-row case; the block field defaults to
-    fn, which must work elementwise, on the transposed block."""
+    per-point Jacobian is the kernel's one-row case. The block field is
+    `fn_batch` when given, else fn on the transposed block, which then must
+    work elementwise."""
     return OperatorInstance(fn=fn, jacobian=lambda x: jac_batch(x[None])[0],
                             fn_batch=fn_batch or (lambda X: fn(X.T).T),
                             jacobian_batch=jac_batch, **declared)
@@ -132,8 +133,15 @@ def signpower(mu: Optional[float] = None) -> OperatorInstance:
     0; pass `mu` to declare a strong-monotonicity modulus anyway when a
     baseline needs one. Constants (1, 1 + 2*sqrt(2), 2*sqrt(2)).
     """
+    def field(a, b):
+        return a * abs(a) + b, b * abs(b) - a
+
     def fn(x):
-        return np.array([x[0] * abs(x[0]) + x[1], x[1] * abs(x[1]) - x[0]])
+        # on Python floats, which round as np.float64 does and overflow to inf
+        return np.array(field(*x.tolist()))
+
+    def fn_batch(X):
+        return np.stack(field(X[:, 0], X[:, 1]), axis=1)
 
     def jac_batch(X):
         return _coupled_2x2(2.0 * np.abs(X[:, 0]), 2.0 * np.abs(X[:, 1]))
@@ -141,7 +149,7 @@ def signpower(mu: Optional[float] = None) -> OperatorInstance:
     mono = (MonotonicityParams(MonotoneClass.STRONGLY_MONOTONE, mu=mu)
             if mu is not None else MonotonicityParams(MonotoneClass.MONOTONE))
     return _instance(
-        fn, jac_batch, dim=2, solution=np.zeros(2),
+        fn, jac_batch, fn_batch, dim=2, solution=np.zeros(2),
         smoothness=SmoothnessParams(1.0, 1.0 + 2.0 * SQ2, 2.0 * SQ2),
         monotonicity=mono,
         label="signpower",
@@ -335,6 +343,8 @@ def forsaken() -> OperatorInstance:
         return (20.0 / 7.0) * w ** 4 - 4.0 * w ** 2 + 2.0 / 3.0
 
     def fn(x):
+        # on numpy scalars: Python's w ** 5 raises OverflowError where
+        # np.float64 overflows to inf, which solve reports as divergence
         return np.array([x[1] + psi_p(x[0]), psi_p(x[1]) - x[0]])
 
     def jac_batch(X):

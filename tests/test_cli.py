@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from contextlib import nullcontext
 
 import pytest
@@ -100,6 +101,19 @@ class TestExitCodes:
                              "--out", str(tmp_path))
         assert code == 2 and err == ""
         assert out.startswith("diverged: non-finite operator value at iteration 0")
+
+    @pytest.mark.parametrize("op, x0", [("signpower", "1e200,1e200"), ("forsaken", "1e70,1")])
+    def test_overflowing_start_exits_2_without_a_warning(self, op, x0, tmp_path, capsys):
+        # signpower's square overflows to inf on Python floats; forsaken's w ** 5
+        # would raise OverflowError there, so its field stays on numpy scalars
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "solve", "--op", op, "--x0", x0,
+                                 "--policy", "adaptive:1:1", "--out", str(tmp_path))
+        assert code == 2 and err == ""
+        assert len(out.splitlines()) == 1
+        assert out.startswith("diverged: non-finite operator value at iteration 0")
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_bad_policy_exits_1(self, tmp_path, capsys):
         for policy in ("bogus", "const:inf", "vankov:nan"):

@@ -190,19 +190,34 @@ _SPECIAL = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, -2.2250
 _FLOAT = st.one_of(_SPECIAL, st.floats())   # st.floats() also draws subnormals
 
 
+_NAN_PAYLOAD = float(np.array([0x7FF8000000000001]).view(np.float64)[0])   # a second NaN
+_RUN_VALUE = st.one_of(st.sampled_from([0.0, -0.0, math.nan, _NAN_PAYLOAD]), _FLOAT)
+
+
 @st.composite
 def _csv_columns(draw):
     """1 to 6 equal-length columns of each kind write_csv takes: a float64 ndarray,
     a list mixing Python and numpy numbers with None, a range, or None; at least one
     is not None. Each is a drawn run of cells repeated to a length that may cross a
-    TRACE_CHUNK boundary."""
+    TRACE_CHUNK boundary. A "runs" array repeats each drawn value up to a chunk and
+    more (0.0 beside -0.0, NaN beside NaN); an "alias" column is an earlier array
+    column again: the same object, an equal copy, or its np.abs."""
     n = draw(st.one_of(st.integers(1, 5), st.integers(TRACE_CHUNK - 2, 2 * TRACE_CHUNK + 2)))
     cell = st.one_of(st.none(), st.integers(-10 ** 20, 10 ** 20), _FLOAT, _FLOAT.map(np.float64),
                      st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64))
     cols = []
-    for kind in draw(st.lists(st.sampled_from(["array", "list", "range", "none"]),
-                              min_size=1, max_size=6).filter(lambda k: set(k) != {"none"})):
-        if kind == "array":
+    kinds = st.sampled_from(["array", "runs", "alias", "list", "range", "none"])
+    for kind in draw(st.lists(kinds, min_size=1, max_size=6).filter(lambda k: set(k) != {"none"})):
+        arrays = [c for c in cols if isinstance(c, np.ndarray)]
+        if kind == "alias" and arrays:
+            a = draw(st.sampled_from(arrays))
+            cols.append(draw(st.sampled_from([a, a.copy(), np.abs(a)])))
+        elif kind in ("runs", "alias"):
+            values = draw(st.lists(_RUN_VALUE, min_size=1, max_size=6))
+            sizes = draw(st.lists(st.integers(1, TRACE_CHUNK + 2),
+                                  min_size=len(values), max_size=len(values)))
+            cols.append(np.resize(np.repeat(values, sizes), n))
+        elif kind == "array":
             cols.append(np.resize(np.array(draw(st.lists(_FLOAT, min_size=1, max_size=8))), n))
         elif kind == "list":
             run = draw(st.lists(cell, min_size=1, max_size=8))
@@ -215,9 +230,17 @@ def _csv_columns(draw):
     return n, cols
 
 
+# runs of 0.0, -0.0 and two NaNs across a chunk boundary, as one array twice and a
+# copy; and zeros beside their abs, which compares equal but is not the same bits
+_RUNS = np.repeat([0.0, -0.0, math.nan, _NAN_PAYLOAD, -0.0], [TRACE_CHUNK - 1, 2, 1, 1, 3])
+_ZEROS = np.repeat([-0.0, 0.0, 2.0, -0.0], [3, TRACE_CHUNK, 2, 1])
+
+
 class TestCsv:
     @given(_csv_columns())
     @example((2, [[None, 1.0]]))   # a one-column row whose cell is empty
+    @example((len(_RUNS), [_RUNS, _RUNS, range(len(_RUNS)), _RUNS.copy(), None]))
+    @example((len(_ZEROS), [_ZEROS, np.abs(_ZEROS)]))
     @settings(max_examples=100, deadline=None)
     def test_writes_the_bytes_of_csv_writer(self, drawn):
         # csv.writer is the reference: it also quotes a lone empty cell as ""

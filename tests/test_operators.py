@@ -4,12 +4,16 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from egsolve.core import (
     MonotoneClass,
     OperatorInstance,
     finite_diff_jacobian,
     norm,
+    overflow_as_data,
     spectral_norm,
 )
 from egsolve.operators import ZOO, build, default_box
@@ -261,5 +265,36 @@ def test_batch_kernels_match_rows(key, params):
     assert FX.shape == X.shape and JX.shape == (X.shape[0], op.dim, op.dim)
     for x, f, J in zip(X, FX, JX):
         want_f, want_J = op.fn(x), op.jacobian(x)
-        assert norm(f - want_f) <= 1e-12 * norm(want_f)
+        if key == "signpower":   # one field on Python floats and on columns
+            assert f.tobytes() == want_f.tobytes()
+        else:
+            assert norm(f - want_f) <= 1e-12 * norm(want_f)
         assert norm(J - want_J) <= 1e-12 * norm(want_J)
+
+
+def _signpower_on_numpy_scalars(x):
+    """signpower's point field as written on np.float64 scalars."""
+    return np.array([x[0] * abs(x[0]) + x[1], x[1] * abs(x[1]) - x[0]])
+
+
+_HUGE = st.floats(1e155, 1.7e308)   # the square overflows
+_SIGNPOWER_COORD = st.one_of(
+    st.floats(), _HUGE, _HUGE.map(lambda v: -v),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     math.inf, -math.inf, math.nan]))
+
+
+@given(hnp.arrays(np.float64, st.tuples(st.integers(1, 6), st.just(2)),
+                  elements=_SIGNPOWER_COORD))
+@settings(max_examples=300, deadline=None)
+def test_signpower_fields_equal_the_numpy_scalar_formula(X):
+    # bit for bit, except which NaN: when an operand is NaN, Python floats, numpy
+    # scalars and numpy arrays may each return another operand's NaN or sign (the
+    # block field on the transposed block already did), and every NaN writes "nan"
+    op = build("signpower")
+    bits = lambda v: np.where(np.isnan(v), math.nan, v).tobytes()
+    with overflow_as_data():
+        rows = op.fn_batch(X)
+        for x, row in zip(X, rows):
+            want = bits(_signpower_on_numpy_scalars(x))
+            assert bits(op.fn(x)) == want and bits(row) == want

@@ -941,6 +941,14 @@ def _invariants_by_row(trace, m, cls, tol):
     return n_trans, checked, viol, worst
 
 
+def _fig3_cor1_trace():
+    """fig3's cor1 run: 20,000 recorded rows with distances."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)   # fig3 forces cor1 on signpower
+        return solve(build("signpower"), parse_policy("cor1"),
+                     SolveConfig(max_iters=20_000, x0=[5.0, 5.0], stop_tol=0.0), force=True)
+
+
 class TestTraceColumns:
     def test_memory_per_recorded_row(self):
         # about 470 bytes a row as one TraceRow object per row; 5 float64
@@ -1027,12 +1035,9 @@ class TestTraceColumns:
         assert (SolveTrace().rows.dim, len(SolveTrace().rows)) == (0, 0)
 
     def test_reading_a_trace_holds_about_the_store(self, tmp_path):
-        # fig3's cor1 trace; holding the file's cells as strings peaked near 14x the store
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)   # fig3 forces cor1 on signpower
-            tr = solve(build("signpower"), parse_policy("cor1"),
-                       SolveConfig(max_iters=20_000, x0=[5.0, 5.0], stop_tol=0.0), force=True)
+        # holding the file's cells as strings peaked near 14x the store
         p = str(tmp_path / "trace.csv")
+        tr = _fig3_cor1_trace()
         write_trace_csv(tr, p)
         del tr
         gc.collect()
@@ -1047,6 +1052,19 @@ class TestTraceColumns:
         held = sum(c.nbytes for c in (rows.gamma, rows.omega, rows.norm_F_x, rows.norm_F_xhat,
                                       rows.dist_sq))
         assert peak <= 2 * held
+
+    def test_writing_a_trace_peaks_below_0_75_mb(self, tmp_path):
+        # converting 4096 rows of floats to Python lists at a time peaked at 0.69 MB;
+        # the strings, rows and text of a chunk must fit in about as much
+        tr = _fig3_cor1_trace()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            write_trace_csv(tr, str(tmp_path / "trace.csv"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 750_000
 
     def test_invariants_match_the_per_row_loop(self, tmp_path):
         # more rows than one chunk, so transitions cross chunk boundaries
