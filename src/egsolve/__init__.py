@@ -20,7 +20,6 @@ from .core import (
     SmoothnessParams,
     SolveConfig,
     SolveTrace,
-    TraceRow,
     ZeroOperatorAtExtrapolation,
     finite_diff_jacobian,
     spectral_norm,

@@ -85,10 +85,14 @@ def parse_op_key(text: str):
 
 
 def parse_x0(text: str, dim: int, seed: int) -> np.ndarray:
-    """'v1,v2,...' or 'rand:RADIUS' (a seeded direction of that norm), checked under --x0."""
+    """'v1,v2,...' or 'rand:RADIUS' (a seeded direction of that norm, RADIUS >= 0),
+    checked under --x0."""
     if text.startswith("rand:"):
+        radius = _flag("--x0", text, float, text[5:])
+        if radius < 0:
+            raise _UsageError(f"--x0 {text}: a radius must be nonnegative, got {radius}")
         u = np.random.default_rng(seed).standard_normal(dim)
-        x0 = _flag("--x0", text, float, text[5:]) * u / norm(u)
+        x0 = radius * u / norm(u)
     else:
         x0 = _numbers("--x0", text)
     return _flag("--x0", text, vec, x0, dim, what="x0")

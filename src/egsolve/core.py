@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import enum
 import math
-import operator
 import struct
 from array import array
 from contextlib import nullcontext
@@ -327,10 +326,10 @@ def check_iters(n: int) -> None:
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Iteration budget, start and stopping tolerance; a recorded trace takes
-    at most MAX_TRACE_ROWS iterations, a summary-only run any number. With
-    `rel_tol` (finite, >= 0) and a declared root, `solve` records the trace's
-    `first_rel_hit`."""
+    """Iteration budget, start and stopping tolerance `stop_tol` (finite,
+    >= 0); a recorded trace takes at most MAX_TRACE_ROWS iterations, a
+    summary-only run any number. With `rel_tol` (finite, >= 0) and a declared
+    root, `solve` records the trace's `first_rel_hit`."""
     max_iters: int
     x0: np.ndarray
     stop_tol: float = 1e-14
@@ -342,30 +341,11 @@ class SolveConfig:
             check_iters(self.max_iters)
         elif self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not (self.stop_tol >= 0):
-            raise ValueError(f"stop_tol must be nonnegative, got {self.stop_tol}")
+        if not (0.0 <= self.stop_tol < math.inf):
+            raise ValueError(f"stop_tol must be finite and nonnegative, got {self.stop_tol}")
         if self.rel_tol is not None and not (0.0 <= self.rel_tol < math.inf):
             raise ValueError(f"rel_tol must be finite and nonnegative, got {self.rel_tol}")
         object.__setattr__(self, "x0", vec(self.x0, what="x0"))
-
-
-@dataclass(slots=True)
-class TraceRow:
-    """One row of a trace, as TraceColumns builds it on access."""
-    k: int
-    x_k: Optional[np.ndarray]
-    xhat_k: Optional[np.ndarray]
-    gamma_k: float
-    omega_k: float
-    norm_F_x: float
-    norm_F_xhat: float
-    dist_sq: Optional[float] = None
-
-    def __eq__(self, other):
-        # field by field with np.array_equal, so rows that carry vectors compare
-        if not isinstance(other, TraceRow):
-            return NotImplemented
-        return all(np.array_equal(getattr(self, f), getattr(other, f)) for f in self.__slots__)
 
 
 # rows per bounded run of write_csv and check_descent_invariants; write_csv
@@ -374,7 +354,7 @@ TRACE_CHUNK = 512
 _SCALARS = struct.Struct("5d")   # gamma, omega, norm_F_x, norm_F_xhat, dist_sq
 
 
-class TraceColumns(Sequence):
+class TraceColumns:
     """A trace's rows (every `SolveTrace.rows`) as columns: float64 `gamma`, `omega`,
     `norm_F_x`, `norm_F_xhat` and `dist_sq` (None without a root), and
     (n, dim) blocks `x_k`, `xhat_k` (None for a trace read from CSV, dim 0);
@@ -386,8 +366,8 @@ class TraceColumns(Sequence):
     after: every view is read-only, and while one lives the buffer cannot
     grow (BufferError).
 
-    As a Sequence it is a read-only list of TraceRows built on access: scalars
-    as np.float64, vectors as read-only views.
+    Row k is index k of every column. `len()` counts the rows, and an empty
+    store is false.
     """
     __slots__ = ("dim", "dist", "_buf")
 
@@ -418,30 +398,10 @@ class TraceColumns(Sequence):
     x_k = property(lambda self: self._table()[:, 5:5 + self.dim] if self.dim else None)
     xhat_k = property(lambda self: self._table()[:, 5 + self.dim:] if self.dim else None)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        n = len(self)
-        i = operator.index(i)
-        if not -n <= i < n:
-            raise IndexError("trace row index out of range")
-        i %= n
-        r, d = self._table()[i], self.dim
-        g, w, nfx, nfxh, d2 = r[:5]
-        x, xhat = (r[5:5 + d], r[5 + d:]) if d else (None, None)
-        return TraceRow(i, x, xhat, g, w, nfx, nfxh, d2 if self.dist else None)
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-    __hash__ = None
-
 
 @dataclass
 class SolveTrace:
-    """Recorded run: per-iterate rows plus summary fields.
+    """Recorded run: per-iterate columns (`rows`) plus summary fields.
 
     The minima are over all visited iterates (extrapolation points for
     min_norm_F_xhat), first index wins ties. `final_x` is the iterate after the
@@ -468,14 +428,6 @@ class SolveTrace:
     kind: Optional[enum.Enum] = None
     first_rel_hit: Optional[int] = None
     n_F_evals: int = 0
-
-    def recomputed_minima(self):
-        """Recompute (min ||F(x_k)||, min ||F(xhat_k)||) from rows. As Python's
-        `min`: a NaN in the first row is the minimum, a later NaN never is."""
-        if not self.rows:
-            raise EmptyTrace("no rows recorded")
-        first_min = lambda c: c[0] if math.isnan(c[0]) else np.fmin.reduce(c)
-        return first_min(self.rows.norm_F_x), first_min(self.rows.norm_F_xhat)
 
 
 # ---------------------------------------------------------------------------

@@ -64,9 +64,10 @@ def logistic(a: Sequence[float] = (1.0, 1.0)) -> OperatorInstance:
     the loss decays to 0 along +a. Constants (alpha, L0, L1) = (1, 0, ||a||).
     """
     a = np.asarray(a, dtype=np.float64).reshape(-1)
-    na = float(la.norm(a))
+    with overflow_as_data():    # a norm that overflows is refused below
+        na = float(la.norm(a))
     if not 0.0 < na < math.inf:
-        raise ValueError(f"logistic: a must be finite and nonzero, got {a}")
+        raise ValueError(f"logistic: a must be nonzero with a finite norm, got {a}")
     d = a.shape[0]
 
     def fn(x):

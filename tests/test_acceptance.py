@@ -197,15 +197,15 @@ def test_criterion_5_per_iterate_invariants(quadratic_run, cubic_rd_run):
 def test_criterion_6_rate_envelopes(quadratic_run, cubic_rd_run):
     op_q, tr_q = quadratic_run
     bound = theoretical_bounds(op_q, PolicyKind.STRONG_MONO, [1.0, 1.0])
-    d0_sq = tr_q.rows[0].dist_sq
+    d0_sq = tr_q.rows.dist_sq[0]
     for K in (10, 100, 500):
-        dK_sq = tr_q.final_dist_sq if K == len(tr_q.rows) else tr_q.rows[K].dist_sq
+        dK_sq = tr_q.final_dist_sq if K == len(tr_q.rows) else tr_q.rows.dist_sq[K]
         assert dK_sq <= bound.rate ** K * d0_sq, f"envelope broken at K={K}"
 
     op_c, x0, tr_c = cubic_rd_run
     sub = theoretical_bounds(op_c, PolicyKind.MONO, x0)
     K = 1000
-    best_sq = min(r.norm_F_x for r in tr_c.rows[:K + 1]) ** 2
+    best_sq = min(tr_c.rows.norm_F_x[:K + 1]) ** 2
     assert best_sq * (K + 1) <= sub.sublinear_const
     report(6, f"linear rate {bound.rate:.6f} holds at K=10,100,500; "
               f"sublinear {best_sq * (K + 1):.3e} <= {sub.sublinear_const:.3e}")

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -73,7 +74,7 @@ class TestExitCodes:
         assert out.startswith("reason=stop_tol iters=0 min_normF=0.0@0")
         tr = read_trace_csv(str(tmp_path / "trace.csv"))
         assert (tr.reason, tr.iterations_run, len(tr.rows)) == ("stop_tol", 0, 1)
-        assert (tr.rows[0].gamma_k, tr.rows[0].omega_k) == (0.0, 0.0)
+        assert (tr.rows.gamma[0], tr.rows.omega[0]) == (0.0, 0.0)
 
     def test_divergence_exits_2_with_partial_trace(self, tmp_path, capsys):
         code, out, _ = run(capsys, "solve", "--op", "cubic1d", "--x0", "2,2",
@@ -91,7 +92,7 @@ class TestExitCodes:
         assert code == 2 and err == ""
         assert out.startswith("diverged: step gamma_k underflowed to 0.0 at iteration 0")
         tr = read_trace_csv(str(tmp_path / "trace.csv"))
-        assert (tr.rows, tr.iterations_run, tr.reason) == ([], 0, "nonfinite")
+        assert (len(tr.rows), tr.iterations_run, tr.reason) == (0, 0, "nonfinite")
 
     def test_overflowing_cubic_form_exits_2(self, tmp_path, capsys):
         # x[:d] . (A x[:d]) overflows to -inf here; the field is NaN, not a math error
@@ -303,7 +304,10 @@ def _list_with_bad_entry(draw, bad=_NON_NUMBER):
 
 _BAD_ITERS = st.one_of(st.integers(max_value=0),
                        st.integers(min_value=MAX_TRACE_ROWS + 1, max_value=10 ** 30)).map(str)
-_BAD_TOL = st.one_of(st.floats(max_value=-1e-300), st.just(math.nan)).map(repr)
+_BAD_TOL = st.one_of(st.floats(max_value=-1e-300).map(repr),
+                     st.sampled_from(["nan", "inf", "1e400"]))
+# a strictly negative rand: radius
+_NEGATIVE_RADIUS = st.floats(max_value=-5e-324).map("rand:{!r}".format)
 # numbers outside a constant's range: c0 > 0; c1, L0, L1 >= 0; alpha in (0, 1]; all finite
 _NOT_POSITIVE = st.one_of(st.floats(max_value=0.0), st.sampled_from([math.nan, math.inf])).map(repr)
 _NEGATIVE = st.one_of(st.floats(max_value=-5e-324), st.sampled_from([math.nan, math.inf])).map(repr)
@@ -313,7 +317,7 @@ _BAD_ALPHA = st.one_of(st.floats(max_value=0.0), st.floats(min_value=1.0, exclud
 # (base argv, flag, strategy for a value that flag must refuse)
 _BAD_NUMBER_FLAGS = [
     (["solve", "--op", "quadratic", "--x0", "1,1", "--policy", "thm3"], "--x0",
-     st.one_of(_list_with_bad_entry(), _NON_NUMBER.map("rand:{}".format),
+     st.one_of(_list_with_bad_entry(), _NON_NUMBER.map("rand:{}".format), _NEGATIVE_RADIUS,
                st.lists(_NUMBER, max_size=5).filter(lambda v: len(v) != 2).map(",".join))),
     (["solve", "--op", "quadratic", "--x0", "1,1", "--policy", "thm3"], "--iters", _BAD_ITERS),
     (["solve", "--op", "quadratic", "--x0", "1,1", "--policy", "thm3"], "--tol", _BAD_TOL),
@@ -328,7 +332,7 @@ _BAD_NUMBER_FLAGS = [
     (["sweep", "--op", "quadratic", "--x0", "1,1", "--c0", "10", "--c1", "0"], "--c1",
      _list_with_bad_entry()),
     (["sweep", "--op", "quadratic", "--x0", "1,1", "--c0", "10", "--c1", "0"], "--x0",
-     _NON_NUMBER.map("rand:{}".format)),
+     st.one_of(_NON_NUMBER.map("rand:{}".format), _NEGATIVE_RADIUS)),
     (["sweep", "--op", "quadratic", "--x0", "1,1", "--c0", "10", "--c1", "0"], "--c0",
      _list_with_bad_entry(_NOT_POSITIVE)),
     (["sweep", "--op", "quadratic", "--x0", "1,1", "--c0", "10", "--c1", "0"], "--c1",
@@ -359,6 +363,116 @@ class TestNumberFlags:
                              "--L1", "-0.0", "--out", str(out_dir))
         assert (code, out, err) == (1, "", "--L0 0.0 --L1 -0.0: L0 + L1 must be positive\n")
         assert not out_dir.exists()
+
+
+# values every number flag draws: small valid ones and boundary ones
+_REAL = st.sampled_from(["1", "0.5", "10", "2", "1e-3", "0", "-0", "1e-320", "1e300"])
+_REALS = st.lists(_REAL, min_size=1, max_size=3).map(",".join)
+
+
+@st.composite
+def _fuzz_op(draw):
+    """An operator key, or an unknown one, with at most one of its builder's
+    parameters or a bogus one; sizes (cubicRd's d, nplayer's n) stay below 4."""
+    key = draw(st.sampled_from(sorted(egsolve.ZOO) + ["nosuch"]))
+    if not draw(st.booleans()):
+        return key
+    known = egsolve.ZOO[key].builder if key in egsolve.ZOO else lambda: None
+    name = draw(st.sampled_from(list(inspect.signature(known).parameters) + ["bogus"]))
+    value = draw(st.sampled_from(["1", "2", "3", "0", "-1", "1.5", "1e300", "-1e300", "5e-324",
+                                  "nan", "inf"]))
+    return f"{key}:{name}={value}"
+
+
+# values each flag draws from; --iters, --grid and --pairs stay small, so that
+# every call finishes in milliseconds
+_FUZZ_VALUES = {
+    "--op": _fuzz_op(),
+    "--seed": st.sampled_from(["0", "1", "42", str(2 ** 64)]),
+    "--x0": st.one_of(_REALS, _REAL.map("rand:{}".format), st.sampled_from(
+        ["1,1", "1,1,1,1", "1e200,1e200", "1e70,1", "rand:-1"])),
+    "--iters": st.sampled_from(["1", "2", "7", "40", "0", str(MAX_TRACE_ROWS + 1)]),
+    "--tol": _REAL,
+    "--policy": st.one_of(
+        st.sampled_from(["thm3", "cor1", "thm4", "thm5", "thm7", "thm8", "thm9", "vankov",
+                         "STRONGLY-MONOTONE", "bogus", "thm3:1"]),
+        st.builds("{}:{}".format, st.sampled_from(["const", "adaptive", "vankov", "pethick",
+                                                     "egplus"]),
+                  st.lists(_REAL, min_size=1, max_size=3).map(":".join))),
+    "--force": None,
+    "--c0": _REALS,
+    "--c1": _REALS,
+    "--alpha": _REAL,
+    "--L0": _REAL,
+    "--L1": _REAL,
+    "--box": _REAL,
+    "--grid": st.sampled_from(["1", "2", "3", "5", str(10 ** 7)]),
+    "--pairs": st.sampled_from(["1", "2", "5", "9901"]),
+    "--from-grid": None,
+    "--alphas": _REALS,
+}
+_BOUNDED = {"--iters", "--grid", "--pairs"}    # their defaults run for seconds
+_TOGETHER = {"--L0": "--alpha", "--L1": "--alpha"}    # given together or not at all
+# malformed text; one argv in two puts one of these into one of its values
+_ODD = ["nan", "inf", "-inf", "1e400", "-1", "", ",", "x", "1,,1", ":", "="]
+
+
+@st.composite
+def _fuzz_argv(draw):
+    """A subcommand with its real flags, each drawn from _FUZZ_VALUES: the
+    bounded ones always, a required one nine times in ten and any other one
+    time in two. One argv in two has one value replaced by or joined with a
+    malformed entry; one in ten ends in a bogus flag or positional."""
+    parser = _build_parser()
+    cmd = draw(st.sampled_from(sorted(parser.commands.choices)))
+    argv, given = [cmd], {}
+    for action in parser.commands.choices[cmd]._actions:
+        flag = next((o for o in action.option_strings if o.startswith("--")), None)
+        if flag in (None, "--help", "--out"):
+            if action.choices is not None:    # reproduce's figure, nu's kind
+                argv.append(draw(st.sampled_from(sorted(action.choices))))
+            continue
+        if flag in _TOGETHER:
+            given[flag] = given[_TOGETHER[flag]]
+        else:
+            given[flag] = flag in _BOUNDED or draw(st.sampled_from(
+                [True] * (9 if action.required else 1) + [False]))
+        if given[flag]:
+            values = _FUZZ_VALUES[flag]
+            argv.append(flag if values is None else f"{flag}={draw(values)}")
+    if draw(st.booleans()):
+        i = draw(st.integers(1, len(argv) - 1))    # every argv has a value after cmd
+        head, eq, value = argv[i].rpartition("=") if "=" in argv[i] else ("", "", argv[i])
+        joint = draw(st.sampled_from([None, ",", ":", "=", ""]))
+        odd = draw(st.sampled_from(_ODD))
+        argv[i] = head + eq + (odd if joint is None else value + joint + odd)
+    return argv + draw(st.sampled_from(
+        [[]] * 9 + [["--bogus"], ["extra"], ["--config", "missing.ini"]]))
+
+
+class TestCliFuzz:
+    def test_every_flag_has_values(self):
+        parser = _build_parser()
+        flags = {o for p in parser.commands.choices.values() for a in p._actions
+                 for o in a.option_strings if o.startswith("--")}
+        assert flags - {"--help", "--out"} == _FUZZ_VALUES.keys()
+
+    @given(argv=_fuzz_argv())
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_any_argv_exits_with_one_line(self, argv, tmp_path, capsys):
+        if argv[0] != "nu":
+            argv = argv + ["--out", str(tmp_path / "out")]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            start = time.perf_counter()
+            code, out, err = run(capsys, *argv)
+            elapsed = time.perf_counter() - start
+        assert code in (0, 1, 2, 3)
+        assert len(err.splitlines()) <= 1, err
+        assert "Traceback" not in out + err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert elapsed < 5.0
 
 
 class TestParserWiring:

@@ -11,7 +11,6 @@ from hypothesis.extra import numpy as hnp
 
 from egsolve.core import (
     DimensionMismatch,
-    EmptyTrace,
     InvalidAlpha,
     MonotoneClass,
     MonotonicityParams,
@@ -19,9 +18,7 @@ from egsolve.core import (
     OperatorInstance,
     SmoothnessParams,
     SolveConfig,
-    SolveTrace,
     TRACE_CHUNK,
-    TraceRow,
     finite_diff_jacobian,
     norm,
     read_csv,
@@ -366,8 +363,9 @@ class TestOperatorInstance:
         tr = solve(op, parse_policy("const:0.01"),
                    SolveConfig(max_iters=200, x0=rng.standard_normal(n) * 100.0, stop_tol=0.0))
         h = float.hex
-        assert [(h(r.norm_F_x), h(r.norm_F_xhat)) for r in tr.rows] == [
-            (h(norm(op(r.x_k))), h(norm(op(r.xhat_k)))) for r in tr.rows]
+        rows = tr.rows
+        assert [(h(a), h(b)) for a, b in zip(rows.norm_F_x, rows.norm_F_xhat)] == [
+            (h(norm(op(x))), h(norm(op(xhat)))) for x, xhat in zip(rows.x_k, rows.xhat_k)]
 
     @pytest.mark.parametrize("out", [np.zeros(3), [0.0], np.zeros((2, 2))],
                              ids=["long-vector", "short-list", "square"])
@@ -405,23 +403,12 @@ class TestOperatorInstance:
 
 
 class TestSolveStructures:
-    def test_trace_rows_have_slots(self):
-        row = TraceRow(k=0, x_k=None, xhat_k=None, gamma_k=0.1, omega_k=0.1,
-                       norm_F_x=1.0, norm_F_xhat=1.0)
-        assert not hasattr(row, "__dict__")
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SolveConfig(max_iters=0, x0=[1.0])
         with pytest.raises(ValueError):
             SolveConfig(max_iters=5, x0=[1.0], stop_tol=-1.0)
+        with pytest.raises(ValueError):
+            SolveConfig(max_iters=5, x0=[1.0], stop_tol=math.inf)
         cfg = SolveConfig(max_iters=5, x0=[1.0, 2.0], stop_tol=0.0)
         assert not cfg.x0.flags.writeable
-
-    def test_recomputed_minima(self):
-        tr = SolveTrace()
-        with pytest.raises(EmptyTrace):
-            tr.recomputed_minima()
-        tr.rows.append(None, None, 0.1, 0.1, 2.0, 1.5, None)
-        tr.rows.append(None, None, 0.1, 0.1, 0.5, 0.7, None)
-        assert tr.recomputed_minima() == (0.5, 0.7)

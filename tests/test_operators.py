@@ -98,6 +98,9 @@ class TestHandValues:
         assert op.smoothness.L1 == pytest.approx(SQ2)
         # F = -a * sigmoid(-a.x); at x = 0 the factor is 1/2
         assert np.allclose(op([0.0, 0.0]), [-0.5, -0.5])
+        # a finite a whose norm overflows is refused, with no RuntimeWarning
+        with pytest.raises(ValueError, match="a must be nonzero with a finite norm"):
+            build("logistic", a=(1e300, 1e300))
 
     def test_power_reduces_to_signpower_on_axes(self):
         op = build("power", p=2.0)

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from egsolve.core import (
     TRACE_CHUNK,
     DimensionMismatch,
-    EmptyTrace,
     IncompatiblePolicy,
     InvalidAlpha,
     MissingConstant,
@@ -26,7 +25,6 @@ from egsolve.core import (
     SolveConfig,
     SolveTrace,
     TraceColumns,
-    TraceRow,
     norm,
 )
 from egsolve import solver as solver_module, stepsize
@@ -42,6 +40,14 @@ from egsolve.solver import (
     write_trace_csv,
 )
 from egsolve.stepsize import PolicyKind, StepSizePolicy, parse_policy
+
+
+def _row_cells(rows):
+    """Each row's (k, gamma, omega, norm_F_x, norm_F_xhat, dist_sq) from the
+    trace's columns, dist_sq None where the trace keeps no distances."""
+    d2 = rows.dist_sq if rows.dist_sq is not None else [None] * len(rows)
+    return list(zip(range(len(rows)), rows.gamma, rows.omega, rows.norm_F_x,
+                    rows.norm_F_xhat, d2))
 
 
 class TestEgStep:
@@ -112,11 +118,11 @@ class TestSolve:
         op = build("quadratic")
         cfg = SolveConfig(max_iters=1000, x0=[1.0, 1.0])
         tr = solve(op, parse_policy("thm3"), cfg)
-        last = tr.rows[-1]
-        assert last.k == tr.iterations_run
-        assert last.norm_F_x <= cfg.stop_tol
-        assert last.gamma_k > 0 and last.omega_k > 0
-        assert np.allclose(tr.final_x, last.x_k)
+        rows, last = tr.rows, len(tr.rows) - 1
+        assert last == tr.iterations_run
+        assert rows.norm_F_x[last] <= cfg.stop_tol
+        assert rows.gamma[last] > 0 and rows.omega[last] > 0
+        assert np.allclose(tr.final_x, rows.x_k[last])
         assert float(np.linalg.norm(op(tr.final_x))) <= cfg.stop_tol
 
     def test_budget_exhaustion_reason(self):
@@ -133,11 +139,10 @@ class TestSolve:
         op = build("quadratic")
         cfg = SolveConfig(max_iters=50, x0=[1.0, 1.0], stop_tol=0.0)
         tr = solve(op, parse_policy("thm5"), cfg)
-        mf, mh = tr.recomputed_minima()
+        mf, mh = min(tr.rows.norm_F_x), min(tr.rows.norm_F_xhat)
         assert tr.min_norm_F_x == mf
         assert tr.min_norm_F_xhat == mh
-        ks = [r.norm_F_x for r in tr.rows]
-        assert tr.argmin_norm_F_x == ks.index(mf)
+        assert tr.argmin_norm_F_x == tr.rows.norm_F_x.tolist().index(mf)
 
     def test_summary_only_run_keeps_minima(self):
         op = build("quadratic")
@@ -146,11 +151,9 @@ class TestSolve:
         lean = solve(op, parse_policy("thm3"),
                      SolveConfig(max_iters=50, x0=[1.0, 1.0], stop_tol=0.0,
                                  record_trace=False))
-        assert lean.rows == []
+        assert len(lean.rows) == 0
         assert lean.min_norm_F_x == full.min_norm_F_x
         assert lean.final_dist_sq == full.final_dist_sq
-        with pytest.raises(EmptyTrace):
-            lean.recomputed_minima()
 
     def test_divergence_raises_with_partial_trace(self):
         op = build("cubic1d")
@@ -161,7 +164,7 @@ class TestSolve:
         assert 0 < err.k <= 5
         assert err.trace.reason == "nonfinite"
         assert len(err.trace.rows) >= 1
-        assert all(math.isfinite(r.norm_F_x) for r in err.trace.rows)
+        assert np.isfinite(err.trace.rows.norm_F_x).all()
 
     def test_nonfinite_iterate_raises_with_partial_trace(self):
         # F = -1 everywhere: x_1 = 1e308 is finite, x_2 = 2e308 overflows
@@ -171,7 +174,7 @@ class TestSolve:
             solve(op, parse_policy("const:1e308"), cfg)
         tr = ei.value.trace
         assert ei.value.k == 2 and tr.reason == "nonfinite" and len(tr.rows) == 2
-        assert [r.norm_F_x for r in tr.rows] == [1.0, 1.0]
+        assert tr.rows.norm_F_x.tolist() == [1.0, 1.0]
 
     @pytest.mark.parametrize("op_key,x0,key", [
         ("logistic", [400.0, 400.0], "thm5"),      # F underflows to 0 at a declared class
@@ -192,9 +195,10 @@ class TestSolve:
             assert (tr.min_norm_F_xhat, tr.argmin_norm_F_xhat) == (0.0, 0)
             assert np.array_equal(tr.final_x, x0)
         # its one row takes no step: gamma = omega = 0 and xhat = x
-        (row,) = full.rows
-        assert (row.k, row.gamma_k, row.omega_k, row.norm_F_x, row.norm_F_xhat) == (0, 0.0, 0.0, 0.0, 0.0)
-        assert np.array_equal(row.xhat_k, row.x_k)
+        rows = full.rows
+        assert (len(rows), rows.gamma[0], rows.omega[0], rows.norm_F_x[0], rows.norm_F_xhat[0]) == (
+            1, 0.0, 0.0, 0.0, 0.0)
+        assert np.array_equal(rows.xhat_k, rows.x_k)
 
     def test_no_step_away_from_a_stop_still_raises(self):
         # L1 ||F|| = 2.8e-320 > 0, but the cap 1 / (2 sqrt(2) e L1 ||F||) overflows
@@ -214,7 +218,8 @@ class TestSolve:
                 solve(op, parse_policy("const:1"), cfg)
         tr = ei.value.trace
         assert ei.value.k == k and tr.reason == "nonfinite" and len(tr.rows) == k
-        assert (tr.min_norm_F_x, tr.min_norm_F_xhat) == tr.recomputed_minima()
+        assert (tr.min_norm_F_x, tr.min_norm_F_xhat) == (min(tr.rows.norm_F_x),
+                                                         min(tr.rows.norm_F_xhat))
         assert tr.argmin_norm_F_x == 0 and tr.argmin_norm_F_xhat == 0
 
     def test_eg_step_overflow_is_data(self):
@@ -245,7 +250,7 @@ class TestSolve:
         tr = solve(build("forsaken"), parse_policy(key),
                    SolveConfig(max_iters=50, x0=[1.0, 1.0], stop_tol=0.0))
         assert tr.iterations_run == 50
-        halved = all(r.omega_k == 0.5 * r.gamma_k for r in tr.rows)
+        halved = bool(np.all(tr.rows.omega == 0.5 * tr.rows.gamma))
         assert halved is (key != "pethick:0.1")
 
 
@@ -371,7 +376,9 @@ class TestSolveOutputRule:
         cfg = SolveConfig(max_iters=40, x0=[1.0, -2.0, 0.5], stop_tol=0.0)
         want = solve(plain, parse_policy("const:0.1"), cfg)
         got = solve(other, parse_policy("const:0.1"), cfg)
-        assert got.rows == want.rows and len(got.rows) == 40
+        assert _row_cells(got.rows) == _row_cells(want.rows) and len(got.rows) == 40
+        assert np.array_equal(got.rows.x_k, want.rows.x_k)
+        assert np.array_equal(got.rows.xhat_k, want.rows.xhat_k)
         assert np.array_equal(got.final_x, want.final_x)
         assert got.n_F_evals == want.n_F_evals == calls[0] == 80
 
@@ -463,13 +470,13 @@ def _affine(M, mu=None):
 
 
 def _assert_rows_replay_eg_step(op, x0, policy, tr):
-    x = x0
-    for r in tr.rows:
-        s = eg_step(op, x, policy, k=r.k)
-        assert np.array_equal(r.x_k, x)
-        assert r.gamma_k == s.gamma_k and r.omega_k == s.omega_k
-        assert np.array_equal(r.xhat_k, s.xhat)
-        assert r.norm_F_x == norm(s.F_x) and r.norm_F_xhat == norm(s.F_xhat)
+    x, rows = x0, tr.rows
+    for k in range(len(rows)):
+        s = eg_step(op, x, policy, k=k)
+        assert np.array_equal(rows.x_k[k], x)
+        assert rows.gamma[k] == s.gamma_k and rows.omega[k] == s.omega_k
+        assert np.array_equal(rows.xhat_k[k], s.xhat)
+        assert rows.norm_F_x[k] == norm(s.F_x) and rows.norm_F_xhat[k] == norm(s.F_xhat)
         x = s.next_x
     if tr.reason == "max_iters":
         assert np.array_equal(tr.final_x, x)
@@ -497,9 +504,9 @@ class TestSolveMatchesStepReplay:
         tol = 1e-3 * norm(op(x0))
         tr = solve(op, policy, SolveConfig(max_iters=5000, x0=x0, stop_tol=tol))
         assert tr.reason == "stop_tol"
-        last = tr.rows[-1]
-        assert last.k == tr.iterations_run and last.norm_F_x <= tol
-        assert np.array_equal(tr.final_x, last.x_k)
+        rows, last = tr.rows, len(tr.rows) - 1
+        assert last == tr.iterations_run and rows.norm_F_x[last] <= tol
+        assert np.array_equal(tr.final_x, rows.x_k[last])
         _assert_rows_replay_eg_step(op, x0, policy, tr)
 
 
@@ -676,14 +683,14 @@ class TestRatesOnRandomOperators:
         tr = solve(op, policy, SolveConfig(max_iters=300, x0=x0, stop_tol=0.0))
         bound = theoretical_bounds(op, policy.kind, x0)
         if key == "thm3":
-            d2 = np.array([r.dist_sq for r in tr.rows] + [tr.final_dist_sq])
+            d2 = np.append(tr.rows.dist_sq, tr.final_dist_sq)
             envelope = bound.rate ** np.arange(len(d2)) * d2[0]
             assert (d2 <= envelope * (1.0 + 1e-9)).all()
             return
         if bound.guarantee_void:
             assert key == "thm8"
             return
-        norms = [r.norm_F_xhat if key == "thm8" else r.norm_F_x for r in tr.rows]
+        norms = tr.rows.norm_F_xhat if key == "thm8" else tr.rows.norm_F_x
         best = np.minimum.accumulate(np.square(norms)) * np.arange(1, len(norms) + 1)
         assert (best <= bound.sublinear_const * (1.0 + 1e-9)).all()
 
@@ -700,11 +707,7 @@ class TestTraceCsv:
         assert back.reason == tr.reason
         assert back.min_norm_F_x == tr.min_norm_F_x
         assert len(back.rows) == len(tr.rows)
-        for a, b in zip(tr.rows, back.rows):
-            assert (a.k, a.gamma_k, a.omega_k) == (b.k, b.gamma_k, b.omega_k)
-            assert a.norm_F_x == b.norm_F_x
-            assert a.norm_F_xhat == b.norm_F_xhat
-            assert a.dist_sq == b.dist_sq
+        assert _row_cells(back.rows) == _row_cells(tr.rows)
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         op = build("quadratic")
@@ -723,14 +726,12 @@ class TestTraceCsv:
         op = build("cubicRd", d=2)
         cfg = SolveConfig(max_iters=30, x0=[1.0, -0.5, 0.25, 2.0], stop_tol=0.0)
         tr = solve(op, parse_policy("thm5"), cfg)
-        assert isinstance(tr.rows[0].gamma_k, np.floating)
+        assert isinstance(tr.rows.gamma[0], np.floating)
         p = tmp_path / "trace.csv"
         write_trace_csv(tr, str(p))
         assert "np." not in p.read_text()
         back = read_trace_csv(str(p))
-        cells = lambda t: [(r.k, r.gamma_k, r.omega_k, r.norm_F_x, r.norm_F_xhat, r.dist_sq)
-                           for r in t.rows]
-        assert cells(back) == cells(tr)
+        assert _row_cells(back.rows) == _row_cells(tr.rows)
         assert (back.iterations_run, back.min_norm_F_x, back.reason) == (
             tr.iterations_run, tr.min_norm_F_x, tr.reason)
 
@@ -784,8 +785,8 @@ class TestSummaryOnlyRuns:
                                          record_trace=record, rel_tol=tol)
         full, k_full = _solve_or_partial(op, policy, cfg(True))
         lean, k_lean = _solve_or_partial(op, policy, cfg(False))
-        assert lean.rows == [] and k_lean == k_full
-        d20 = full.rows[0].dist_sq if full.rows else None
+        assert len(lean.rows) == 0 and k_lean == k_full
+        d20 = full.rows.dist_sq[0] if full.rows and full.rows.dist else None
         if d20 is not None:
             e = x0 - op.solution
             assert d20 == float(e.dot(e))
@@ -831,7 +832,7 @@ class TestSummaryOnlyRuns:
             solve(op, policy, cfg)
         assert ei.value.k == 0
         tr = ei.value.trace
-        assert (tr.rows, tr.iterations_run, tr.reason) == ([], 0, "nonfinite")
+        assert (len(tr.rows), tr.iterations_run, tr.reason) == (0, 0, "nonfinite")
         assert np.array_equal(tr.final_x, [1e150, 1e150])
         # a single step keeps its ValueError
         with pytest.raises(ValueError, match="gamma_k must be positive, got 0.0"):
@@ -888,8 +889,7 @@ class TestTraceRoundTrip:
         write_trace_csv(back, again)
         assert again.getvalue() == first.getvalue()
         h = lambda v: None if v is None else float.hex(float(v))
-        cells = lambda t: [(r.k, h(r.gamma_k), h(r.omega_k), h(r.norm_F_x), h(r.norm_F_xhat),
-                            h(r.dist_sq)) for r in t.rows]
+        cells = lambda t: [(k, *map(h, c)) for k, *c in _row_cells(t.rows)]
         assert cells(back) == cells(tr)
         assert (back.iterations_run, h(back.min_norm_F_x), back.reason) == (
             tr.iterations_run, h(tr.min_norm_F_x), tr.reason)
@@ -899,7 +899,7 @@ class TestTraceRoundTrip:
         with pytest.warns(UserWarning):   # square declares no class
             tr = solve(build("square"), parse_policy("thm7"),
                        SolveConfig(max_iters=10, x0=[0.0, 1e-200]), force=True)
-        assert (tr.reason, len(tr.rows), tr.rows[0].gamma_k, tr.rows[0].omega_k) == (
+        assert (tr.reason, len(tr.rows), tr.rows.gamma[0], tr.rows.omega[0]) == (
             "stop_tol", 1, 0.0, 0.0)
         cfg = SolveConfig(max_iters=300, x0=[5.0] * 4, stop_tol=0.0)
         with pytest.raises(NonFiniteIterate) as ei:
@@ -917,13 +917,14 @@ def _invariants_by_row(trace, m, cls, tol):
     """The per-row loop check_descent_invariants ran before it read columns:
     the reference its columns must match bit for bit."""
     rows = trace.rows
-    d2 = [float(r.dist_sq) for r in rows] + [trace.final_dist_sq]
+    d2 = rows.dist_sq.tolist() + [trace.final_dist_sq]
+    gam, norm_x, norm_xhat = rows.gamma.tolist(), rows.norm_F_x.tolist(), rows.norm_F_xhat.tolist()
     n_trans = len(rows) - 1 if trace.reason == "stop_tol" else len(rows)
     if trace.final_dist_sq is None:
         n_trans = min(n_trans, len(rows) - 1)
     checked, viol, worst = 0, 0, -math.inf
     for i in range(n_trans):
-        g, nfx, nfxh = float(rows[i].gamma_k), float(rows[i].norm_F_x), float(rows[i].norm_F_xhat)
+        g, nfx, nfxh = gam[i], norm_x[i], norm_xhat[i]
         lhs = d2[i + 1]
         if cls is MonotoneClass.STRONGLY_MONOTONE:
             rhs = (1.0 - g * m.mu) * d2[i]
@@ -951,8 +952,8 @@ def _fig3_cor1_trace():
 
 class TestTraceColumns:
     def test_memory_per_recorded_row(self):
-        # about 470 bytes a row as one TraceRow object per row; 5 float64
-        # cells and two 2-vectors are 72 bytes
+        # 5 float64 cells and two 2-vectors are 72 bytes a row; the bound
+        # leaves room for the buffer's over-allocation
         op, policy = build("quadratic"), parse_policy("const:0.001")
         cfg = SolveConfig(max_iters=20_000, x0=[5.0, 5.0], stop_tol=0.0)
         solve(op, policy, SolveConfig(max_iters=2, x0=[5.0, 5.0]))
@@ -969,57 +970,31 @@ class TestTraceColumns:
     def test_rows_cannot_write_through_to_the_store(self):
         tr = solve(build("quadratic"), parse_policy("thm3"),
                    SolveConfig(max_iters=5, x0=[1.0, 1.0], stop_tol=0.0))
-        before = tr.rows[0].x_k.tobytes()
-        row = tr.rows[0]
+        rows = tr.rows
+        before = rows.x_k.tobytes()
         with pytest.raises(ValueError):
-            row.x_k[0] = 7.0
+            rows.x_k[0, 0] = 7.0
         with pytest.raises(ValueError):
-            row.xhat_k[:] = 0.0
+            rows.xhat_k[0] = 0.0
         with pytest.raises(ValueError):
-            row.x_k.flags.writeable = True
+            rows.x_k.flags.writeable = True
         with pytest.raises(ValueError):
-            tr.rows.gamma[0] = 1.0
+            rows.gamma[0] = 1.0
         with pytest.raises(TypeError):
-            tr.rows[0] = row
-        assert tr.rows[0].x_k.tobytes() == before
+            rows[0] = 1.0
+        assert rows.x_k.tobytes() == before
 
-    def test_a_read_only_list_of_rows(self, tmp_path):
+    def test_a_read_only_list_of_rows(self):
         op = build("forsaken")
         tr = solve(op, parse_policy("egplus:0.1"), SolveConfig(max_iters=9000, x0=[1.0, 1.0],
                                                                stop_tol=0.0))
         rows = tr.rows
         assert len(rows) == 9000 > TRACE_CHUNK
-        as_list = list(rows)
-        assert [r.k for r in as_list] == list(range(9000))
-        assert rows[-1].k == 8999 and rows[-9000].k == 0
-        with pytest.raises(IndexError):
-            rows[9000]
-        assert [r.k for r in rows[4090:4100:3]] == [4090, 4093, 4096, 4099]
-        r = rows[5000]
-        assert isinstance(r.gamma_k, np.float64) and isinstance(r.dist_sq, np.float64)
-        assert (r.gamma_k, r.norm_F_x, r.dist_sq) == (
-            rows.gamma[5000], rows.norm_F_x[5000], rows.dist_sq[5000])
-        assert np.array_equal(r.x_k, rows.x_k[5000]) and rows.x_k.shape == (9000, 2)
+        assert rows.x_k.shape == rows.xhat_k.shape == (9000, 2)
         # the stored iterates are the ones solve stepped through
         x0 = np.array([1.0, 1.0])
-        assert np.array_equal(rows[0].x_k, x0)
-        assert np.array_equal(rows[0].xhat_k, x0 - rows[0].gamma_k * op(x0))
-        out1 = io.StringIO()
-        write_trace_csv(tr, out1)
-        # rows compare as a list does (rows without vectors: read back from CSV)
-        (tmp_path / "t.csv").write_text(out1.getvalue())
-        back = read_trace_csv(str(tmp_path / "t.csv")).rows
-        assert back == list(back) and back != list(back)[:-1] and back[:0] == []
-
-    def test_rows_with_vectors_compare(self):
-        tr = solve(build("quadratic"), parse_policy("thm3"),
-                   SolveConfig(max_iters=5, x0=[1.0, 1.0], stop_tol=0.0))
-        assert tr.rows == list(tr.rows) and list(tr.rows[:3]) == list(tr.rows[:3])
-        row = tr.rows[2]
-        assert row == tr.rows[2] and row != tr.rows[1] and row != "row"
-        moved = TraceRow(row.k, row.x_k + 1.0, row.xhat_k, row.gamma_k, row.omega_k,
-                         row.norm_F_x, row.norm_F_xhat, row.dist_sq)
-        assert moved != row and tr.rows != list(tr.rows[:2]) + [moved] + list(tr.rows[3:])
+        assert np.array_equal(rows.x_k[0], x0)
+        assert np.array_equal(rows.xhat_k[0], x0 - rows.gamma[0] * op(x0))
 
     def test_every_trace_keeps_its_rows_as_columns(self, tmp_path):
         op, policy = build("quadratic"), parse_policy("thm3")
@@ -1100,18 +1075,8 @@ class TestTraceColumns:
         op = build("quadratic")
         tr = solve(op, parse_policy("const:0.001"), SolveConfig(max_iters=9000, x0=[5.0, 5.0],
                                                                 stop_tol=0.0))
-        d20 = tr.rows[0].dist_sq
+        d20 = tr.rows.dist_sq[0]
         for tol in (1.0, 0.5, 1e-3, 1e-4, 1e-30):
-            ref = next((r.k for r in tr.rows if r.dist_sq / d20 <= tol), -1)
+            ref = next((k for k, d2 in enumerate(tr.rows.dist_sq) if d2 / d20 <= tol), -1)
             assert first_hit(tr.rows, lambda r: r.dist_sq / d20, tol) == ref
         assert first_hit(tr.rows, lambda r: r.dist_sq / d20, 1e-4) > TRACE_CHUNK
-
-    def test_recomputed_minima_keep_python_min_on_nan(self):
-        def trace(*rows):
-            tr = SolveTrace()
-            for nfx, nfxh in rows:
-                tr.rows.append(None, None, 0.1, 0.1, nfx, nfxh, None)
-            return tr
-        assert trace((2.0, 1.0), (0.5, math.nan)).recomputed_minima() == (0.5, 1.0)
-        mf, mh = trace((math.nan, 1.0), (0.5, 0.25)).recomputed_minima()
-        assert math.isnan(mf) and mh == 0.25
