@@ -29,6 +29,7 @@ from .core import (
     SolveConfig,
     check_iters,
     norm,
+    overflow_as_data,
     spectral_norm,  # unused here; perfbench/layers.py still wraps cli.spectral_norm by name
     vec,
 )
@@ -92,7 +93,8 @@ def parse_x0(text: str, dim: int, seed: int) -> np.ndarray:
         if radius < 0:
             raise _UsageError(f"--x0 {text}: a radius must be nonnegative, got {radius}")
         u = np.random.default_rng(seed).standard_normal(dim)
-        x0 = radius * u / norm(u)
+        with overflow_as_data():   # an entry that overflows is refused below
+            x0 = radius * u / norm(u)
     else:
         x0 = _numbers("--x0", text)
     return _flag("--x0", text, vec, x0, dim, what="x0")
@@ -147,7 +149,7 @@ def _policy(args, op) -> StepSizePolicy:
             solver.check_policy_compat(op, policy)
     except (ValueError, IncompatiblePolicy) as e:
         raise _UsageError(str(e).replace("force=True", "--force")) from None
-    solver.resolve_policy(op, policy)
+    _flag("--policy", args.policy, solver.resolve_policy, op, policy)
     return policy
 
 

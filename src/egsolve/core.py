@@ -92,7 +92,8 @@ def vec(x, dim: Optional[int] = None, what: str = "vector") -> np.ndarray:
     if dim is not None and a.shape[0] != dim:
         raise DimensionMismatch(f"{what}: expected dimension {dim}, got {a.shape[0]}")
     if not np.all(np.isfinite(a)):
-        raise NonFiniteEvaluation(f"{what}: non-finite entries {a}")
+        i = int(np.isfinite(a).argmin())
+        raise NonFiniteEvaluation(f"{what}: non-finite entry {a[i]} at index {i}")
     a.setflags(write=False)
     return a
 

@@ -53,6 +53,28 @@ def _instance(fn, jac_batch, fn_batch=None, **declared) -> OperatorInstance:
                             jacobian_batch=jac_batch, **declared)
 
 
+def _coupled(f, df, floats=False, **declared) -> OperatorInstance:
+    """The 2-dim field F = (f(w1) + w2, f(w2) - w1) and its Jacobian
+    [[f'(w1), 1], [-1, f'(w2)]] from the elementwise map f and its derivative
+    df; root at the origin unless `solution` is declared. The point field runs
+    on Python floats when `floats` (they round as np.float64 does and overflow
+    to inf), else on numpy scalars, where a power such as w ** 5 overflows to
+    inf instead of raising OverflowError."""
+    def field(a, b):
+        return f(a) + b, f(b) - a
+
+    if floats:
+        def fn(x):
+            return np.array(field(*x.tolist()))
+    else:
+        def fn(x):
+            return np.array(field(x[0], x[1]))
+
+    return _instance(fn, lambda X: _coupled_2x2(df(X[:, 0]), df(X[:, 1])),
+                     lambda X: np.stack(field(X[:, 0], X[:, 1]), axis=1),
+                     **{"dim": 2, "solution": np.zeros(2), **declared})
+
+
 # ---------------------------------------------------------------------------
 # builders
 # ---------------------------------------------------------------------------
@@ -91,13 +113,8 @@ def quadratic() -> OperatorInstance:
     F(x) = (w1 + w2, w2 - w1), constant Jacobian [[1, 1], [-1, 1]] of spectral
     norm sqrt(2); 1-strongly monotone, root at the origin.
     """
-    J = np.array([[1.0, 1.0], [-1.0, 1.0]])
-
-    def fn(x):
-        return np.array([x[0] + x[1], x[1] - x[0]])
-
-    return _instance(
-        fn, lambda X: np.repeat(J[None], X.shape[0], axis=0), dim=2, solution=np.zeros(2),
+    return _coupled(
+        lambda w: w, lambda w: np.ones(w.shape),
         smoothness=SmoothnessParams(1.0, SQ2, 0.0),
         monotonicity=MonotonicityParams(MonotoneClass.STRONGLY_MONOTONE, mu=1.0),
         label="quadratic",
@@ -112,14 +129,8 @@ def cubic1d() -> OperatorInstance:
     constants (1, 10, 10) hold globally; (1, 1, 0.1) provably fails and is used
     as the negative control in verification tests.
     """
-    def fn(x):
-        return np.array([x[0] * x[0] + x[1], x[1] * x[1] - x[0]])
-
-    def jac_batch(X):
-        return _coupled_2x2(2.0 * X[:, 0], 2.0 * X[:, 1])
-
-    return _instance(
-        fn, jac_batch, dim=2, solution=np.zeros(2),
+    return _coupled(
+        lambda w: w * w, lambda w: 2.0 * w,
         smoothness=SmoothnessParams(1.0, 10.0, 10.0),
         monotonicity=None,
         label="cubic1d",
@@ -134,23 +145,10 @@ def signpower(mu: Optional[float] = None) -> OperatorInstance:
     0; pass `mu` to declare a strong-monotonicity modulus anyway when a
     baseline needs one. Constants (1, 1 + 2*sqrt(2), 2*sqrt(2)).
     """
-    def field(a, b):
-        return a * abs(a) + b, b * abs(b) - a
-
-    def fn(x):
-        # on Python floats, which round as np.float64 does and overflow to inf
-        return np.array(field(*x.tolist()))
-
-    def fn_batch(X):
-        return np.stack(field(X[:, 0], X[:, 1]), axis=1)
-
-    def jac_batch(X):
-        return _coupled_2x2(2.0 * np.abs(X[:, 0]), 2.0 * np.abs(X[:, 1]))
-
     mono = (MonotonicityParams(MonotoneClass.STRONGLY_MONOTONE, mu=mu)
             if mu is not None else MonotonicityParams(MonotoneClass.MONOTONE))
-    return _instance(
-        fn, jac_batch, fn_batch, dim=2, solution=np.zeros(2),
+    return _coupled(
+        lambda w: w * abs(w), lambda w: 2.0 * np.abs(w), floats=True,
         smoothness=SmoothnessParams(1.0, 1.0 + 2.0 * SQ2, 2.0 * SQ2),
         monotonicity=mono,
         label="signpower",
@@ -343,16 +341,9 @@ def forsaken() -> OperatorInstance:
     def psi_pp(w):
         return (20.0 / 7.0) * w ** 4 - 4.0 * w ** 2 + 2.0 / 3.0
 
-    def fn(x):
-        # on numpy scalars: Python's w ** 5 raises OverflowError where
-        # np.float64 overflows to inf, which solve reports as divergence
-        return np.array([x[1] + psi_p(x[0]), psi_p(x[1]) - x[0]])
-
-    def jac_batch(X):
-        return _coupled_2x2(psi_pp(X[:, 0]), psi_pp(X[:, 1]))
-
-    return _instance(
-        fn, jac_batch, dim=2, solution=np.zeros(2),
+    # numpy scalars: w ** 5 on a Python float raises OverflowError, not inf
+    return _coupled(
+        psi_p, psi_pp,
         smoothness=SmoothnessParams(1.0, 2.5, 5.0),
         monotonicity=MonotonicityParams(MonotoneClass.WEAK_MINTY, rho=FORSAKEN_RHO),
         label="forsaken",
@@ -378,15 +369,9 @@ def bilinear(R: float = 5.0) -> OperatorInstance:
         s = _sigmoid(-w)
         return s * (1.0 - s)
 
-    def fn(x):
-        return np.array([fp(x[0]) + x[1], fp(x[1]) - x[0]])
-
-    def jac_batch(X):
-        return _coupled_2x2(fpp(X[:, 0]), fpp(X[:, 1]))
-
     L0 = (1.0 + 2.0 * 1.0 * R) * 1.0
-    return _instance(
-        fn, jac_batch, dim=2, solution=None,
+    return _coupled(
+        fp, fpp, solution=None,
         smoothness=SmoothnessParams(1.0, L0, SQ2),
         monotonicity=MonotonicityParams(MonotoneClass.MONOTONE),
         label=f"bilinear(R={R:g})",

@@ -117,10 +117,14 @@ class TestExitCodes:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_bad_policy_exits_1(self, tmp_path, capsys):
-        for policy in ("bogus", "const:inf", "vankov:nan"):
+        out_dir = tmp_path / "out"
+        for policy in ("bogus", "const:inf", "vankov:nan", "thm4", "thm7", "thm9"):
             code, out, err = run(capsys, "solve", "--op", "quadratic", "--x0", "1,1",
-                                 "--policy", policy, "--out", str(tmp_path))
+                                 "--policy", policy, "--out", str(out_dir))
             assert code == 1 and out == "" and len(err.splitlines()) == 1
+            assert not out_dir.exists()
+            if policy.startswith("thm"):   # quadratic's alpha = 1 leaves no rule to build
+                assert err.startswith(f"--policy {policy}: ")
 
     @pytest.mark.parametrize("argv", [
         ["verify", "--op", "quadratic", "--alpha", "1", "--L0", "nan", "--L1", "0",
@@ -319,6 +323,9 @@ _BAD_NUMBER_FLAGS = [
     (["solve", "--op", "quadratic", "--x0", "1,1", "--policy", "thm3"], "--x0",
      st.one_of(_list_with_bad_entry(), _NON_NUMBER.map("rand:{}".format), _NEGATIVE_RADIUS,
                st.lists(_NUMBER, max_size=5).filter(lambda v: len(v) != 2).map(",".join))),
+    # a start that overflows, and a long vector with a non-finite entry
+    (["solve", "--op", "cubicRd:d=10", "--x0", "0", "--policy", "adaptive:1:1"], "--x0",
+     st.sampled_from(["rand:1e308", ",".join(["1e400"] + ["1"] * 19)])),
     (["solve", "--op", "quadratic", "--x0", "1,1", "--policy", "thm3"], "--iters", _BAD_ITERS),
     (["solve", "--op", "quadratic", "--x0", "1,1", "--policy", "thm3"], "--tol", _BAD_TOL),
     (["solve", "--op", "cubicRd", "--x0", "1,1", "--policy", "thm3"], "--op",

@@ -275,29 +275,42 @@ def test_batch_kernels_match_rows(key, params):
         assert norm(J - want_J) <= 1e-12 * norm(want_J)
 
 
-def _signpower_on_numpy_scalars(x):
-    """signpower's point field as written on np.float64 scalars."""
-    return np.array([x[0] * abs(x[0]) + x[1], x[1] * abs(x[1]) - x[0]])
+def _sigmoid(z):
+    return 1.0 / (1.0 + np.exp(-z))
 
 
-_HUGE = st.floats(1e155, 1.7e308)   # the square overflows
-_SIGNPOWER_COORD = st.one_of(
+def _psi_p(w):
+    return (4.0 / 7.0) * w ** 5 - (4.0 / 3.0) * w ** 3 + (2.0 / 3.0) * w
+
+
+# the 2-dim coupled fields written out by hand on x's numpy scalars; on the
+# transposed block x = X.T they give the block field
+_HAND_FIELDS = {
+    "quadratic": lambda x: np.array([x[0] + x[1], x[1] - x[0]]),
+    "cubic1d": lambda x: np.array([x[0] * x[0] + x[1], x[1] * x[1] - x[0]]),
+    "signpower": lambda x: np.array([x[0] * abs(x[0]) + x[1], x[1] * abs(x[1]) - x[0]]),
+    "forsaken": lambda x: np.array([x[1] + _psi_p(x[0]), _psi_p(x[1]) - x[0]]),
+    "bilinear": lambda x: np.array([-_sigmoid(-x[0]) + x[1], -_sigmoid(-x[1]) - x[0]]),
+}
+
+_HUGE = st.floats(1e155, 1.7e308)   # the square (and every higher power) overflows
+_COUPLED_COORD = st.one_of(
     st.floats(), _HUGE, _HUGE.map(lambda v: -v),
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
                      math.inf, -math.inf, math.nan]))
 
 
-@given(hnp.arrays(np.float64, st.tuples(st.integers(1, 6), st.just(2)),
-                  elements=_SIGNPOWER_COORD))
+@pytest.mark.parametrize("key", sorted(_HAND_FIELDS))
+@given(X=hnp.arrays(np.float64, st.tuples(st.integers(1, 6), st.just(2)),
+                    elements=_COUPLED_COORD))
 @settings(max_examples=300, deadline=None)
-def test_signpower_fields_equal_the_numpy_scalar_formula(X):
+def test_coupled_fields_equal_the_numpy_scalar_formula(key, X):
     # bit for bit, except which NaN: when an operand is NaN, Python floats, numpy
-    # scalars and numpy arrays may each return another operand's NaN or sign (the
-    # block field on the transposed block already did), and every NaN writes "nan"
-    op = build("signpower")
+    # scalars and numpy arrays may each return another operand's NaN or sign, an
+    # operand order may too, and every NaN writes "nan"
+    op, hand = build(key), _HAND_FIELDS[key]
     bits = lambda v: np.where(np.isnan(v), math.nan, v).tobytes()
     with overflow_as_data():
-        rows = op.fn_batch(X)
-        for x, row in zip(X, rows):
-            want = bits(_signpower_on_numpy_scalars(x))
-            assert bits(op.fn(x)) == want and bits(row) == want
+        assert bits(op.fn_batch(X)) == bits(hand(X.T).T)
+        for x in X:
+            assert bits(op.fn(x)) == bits(hand(x))
