@@ -23,7 +23,6 @@ from . import analysis, experiments, operators, solver
 from .core import (
     MAX_TRACE_ROWS,
     EgsolveError,
-    IncompatiblePolicy,
     NonFiniteIterate,
     SmoothnessParams,
     SolveConfig,
@@ -75,14 +74,11 @@ def parse_op_key(text: str):
         for item in rest.split(","):
             k, sep, v = item.partition("=")
             if not sep or not k:
-                raise _UsageError(f"bad operator parameter '{item}' (expected name=value)")
+                raise _UsageError(f"--op {text}: bad operator parameter '{item}' "
+                                  f"(expected name=value)")
             params[k.strip()] = _flag("--op", text, _number, v.strip())
-    try:
-        return operators.build(head.strip(), **params)
-    except KeyError as e:
-        raise _UsageError(str(e.args[0])) from None
-    except TypeError as e:
-        raise _UsageError(f"operator '{head}': {e}") from None
+    # a lambda, so that a parameter named flag, value or check reaches the builder
+    return _flag("--op", text, lambda: operators.build(head.strip(), **params))
 
 
 def parse_x0(text: str, dim: int, seed: int) -> np.ndarray:
@@ -109,16 +105,20 @@ def _flag(flag: str, value, check, *args, **kwargs):
     """Run the library check of a flag's value; its error becomes '--flag value: reason'."""
     try:
         return check(*args, **kwargs)
+    except (ValueError, TypeError, KeyError, EgsolveError) as e:   # TypeError: a bad parameter
+        reason = e.args[0] if isinstance(e, KeyError) else str(e)   # str() quotes a KeyError
+        raise _UsageError(f"{flag} {value}: {reason}".replace("force=True", "--force")) from None
+
+
+def _fields(args, fields, check, *a, **kw):
+    """Run a library check of several flags' values; its error becomes '--field value:
+    reason', naming each field the reason names ('L0 + L1 must be positive' names two)."""
+    try:
+        return check(*a, **kw)
     except (ValueError, EgsolveError) as e:
-        raise _UsageError(f"{flag} {value}: {e}") from None
-
-
-def _fields_error(e: Exception, args, fields) -> _UsageError:
-    """A library error about some of `fields` as '--field value: reason', naming
-    each field its message names ('L0 + L1 must be positive' names two)."""
-    said = set(re.findall(r"\w+", str(e)))
-    return _UsageError(" ".join(f"--{f} {getattr(args, f)}" for f in fields if f in said)
-                       + f": {e}")
+        said = set(re.findall(r"\w+", str(e)))
+        raise _UsageError(" ".join(f"--{f} {getattr(args, f)}" for f in fields if f in said)
+                          + f": {e}") from None
 
 
 def _numbers(flag: str, text: str) -> List[float]:
@@ -143,12 +143,9 @@ def _box(args, op):
 
 def _policy(args, op) -> StepSizePolicy:
     """--policy, with solve's checks on op (the class unless --force) run before --out exists."""
-    try:
-        policy = parse_policy(args.policy)
-        if not args.force:
-            solver.check_policy_compat(op, policy)
-    except (ValueError, IncompatiblePolicy) as e:
-        raise _UsageError(str(e).replace("force=True", "--force")) from None
+    policy = _flag("--policy", args.policy, parse_policy, args.policy)
+    if not args.force:
+        _flag("--policy", args.policy, solver.check_policy_compat, op, policy)
     _flag("--policy", args.policy, solver.resolve_policy, op, policy)
     return policy
 
@@ -189,16 +186,13 @@ def cmd_solve(args) -> int:
 def cmd_sweep(args) -> int:
     op = parse_op_key(args.op)
     if op.solution is None:
-        raise _UsageError(f"sweep needs an operator with a known root; "
+        raise _UsageError(f"--op {args.op}: sweep needs an operator with a known root; "
                           f"'{op.label}' declares none")
     c0s, c1s = _numbers("--c0", args.c0), _numbers("--c1", args.c1)
     if not c0s or not c1s:
         raise _UsageError("--c0 and --c1 grids must be non-empty")
-    try:
-        cells = [StepSizePolicy(kind=PolicyKind.ADAPTIVE, c0=c0, c1=c1)
-                 for c0 in c0s for c1 in c1s]
-    except ValueError as e:
-        raise _fields_error(e, args, ("c0", "c1")) from None
+    cells = _fields(args, ("c0", "c1"), lambda: [
+        StepSizePolicy(kind=PolicyKind.ADAPTIVE, c0=c0, c1=c1) for c0 in c0s for c1 in c1s])
     x0 = parse_x0(args.x0, op.dim, args.seed)
     _flag("--iters", args.iters, check_iters, args.iters)
     # with --iters in range, only --tol can fail here with a ValueError
@@ -218,10 +212,7 @@ def cmd_verify(args) -> int:
     if any(v is not None for v in given):
         if any(v is None for v in given):
             raise _UsageError("--alpha, --L0, --L1 must be given together")
-        try:
-            s = SmoothnessParams(*given)
-        except (ValueError, EgsolveError) as e:
-            raise _fields_error(e, args, ("alpha", "L0", "L1")) from None
+        s = _fields(args, ("alpha", "L0", "L1"), SmoothnessParams, *given)
     elif op.smoothness is not None:
         s = op.smoothness
     else:
@@ -381,13 +372,14 @@ def _apply_config(argv: List[str], parser: _Parser) -> List[str]:
     if not rest or rest[0].startswith("-"):
         raise _UsageError("--config requires the subcommand on the command line")
     if not os.path.exists(path):
-        raise _UsageError(f"config file not found: {path}")
+        raise _UsageError(f"--config {path}: config file not found")
     ini = configparser.ConfigParser()
     try:
         ini.read(path, encoding="utf-8")
     except (configparser.Error, UnicodeDecodeError) as e:
         # configparser's messages span lines; the CLI reports one
-        raise _UsageError(f"bad config file {path}: {' '.join(str(e).split())}") from None
+        raise _UsageError(f"--config {path}: bad config file: "
+                          f"{' '.join(str(e).split())}") from None
     cmd = rest[0]
     tokens: List[str] = []
     if ini.has_section(cmd) and cmd in parser.commands.choices:

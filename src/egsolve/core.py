@@ -269,9 +269,11 @@ class OperatorInstance:
         return out
 
     def jacobian_at(self, x) -> np.ndarray:
-        """Analytic Jacobian when declared, else central finite differences."""
+        """Analytic Jacobian when declared (a (dim, dim) matrix, else
+        DimensionMismatch), else central finite differences."""
         if self.jacobian is not None:
-            return np.asarray(self.jacobian(np.asarray(x, dtype=np.float64)), dtype=np.float64)
+            return self._checked(self.jacobian(np.asarray(x, dtype=np.float64)),
+                                 (self.dim, self.dim))
         return finite_diff_jacobian(self.fn, x)
 
     def call_batch(self, X) -> np.ndarray:

@@ -1011,6 +1011,13 @@ class TestCsvRoundTrip:
             fit.alpha_hat, fit.L0_hat, fit.L1_hat)
         assert back.max_violation == fit.max_violation
 
+    def test_fit_csv_holds_one_row(self, tmp_path):
+        p = tmp_path / "fit.csv"
+        write_fit_csv(analysis.SmoothnessFit(1.0, 1.0, 1.0, max_violation=0.0), str(p))
+        p.write_text(p.read_text() + "0.5,2.0,0.0,0.0\n")
+        with pytest.raises(ValueError, match="a fit CSV holds one row, found 2"):
+            read_fit_csv(str(p))
+
     def test_fit_of_numpy_scalars(self, tmp_path):
         # cubicRd declares numpy float64 constants, which the fit echoes
         op = build("cubicRd", d=2)

@@ -14,7 +14,7 @@ import warnings
 from contextlib import nullcontext
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import egsolve
@@ -76,6 +76,13 @@ class TestExitCodes:
         assert (tr.reason, tr.iterations_run, len(tr.rows)) == ("stop_tol", 0, 1)
         assert (tr.rows.gamma[0], tr.rows.omega[0]) == (0.0, 0.0)
 
+    def test_estimate_divergence_exits_2(self, tmp_path, capsys):
+        code, out, err = run(capsys, "estimate", "--op", "quadratic", "--policy", "const:10",
+                             "--x0", "1,1", "--out", str(tmp_path))
+        assert code == 2 and out == ""
+        assert err.splitlines() == ["diverged: non-finite operator value at extrapolation "
+                                    "point at iteration 67"]
+
     def test_divergence_exits_2_with_partial_trace(self, tmp_path, capsys):
         code, out, _ = run(capsys, "solve", "--op", "cubic1d", "--x0", "2,2",
                            "--policy", "const:10", "--out", str(tmp_path))
@@ -118,13 +125,13 @@ class TestExitCodes:
 
     def test_bad_policy_exits_1(self, tmp_path, capsys):
         out_dir = tmp_path / "out"
-        for policy in ("bogus", "const:inf", "vankov:nan", "thm4", "thm7", "thm9"):
+        # thm4, thm7 and thm9: quadratic's alpha = 1 leaves no rule to build
+        for policy in ("bogus", "const:inf", "vankov:nan", "thm3:1", "thm4", "thm7", "thm9"):
             code, out, err = run(capsys, "solve", "--op", "quadratic", "--x0", "1,1",
                                  "--policy", policy, "--out", str(out_dir))
             assert code == 1 and out == "" and len(err.splitlines()) == 1
             assert not out_dir.exists()
-            if policy.startswith("thm"):   # quadratic's alpha = 1 leaves no rule to build
-                assert err.startswith(f"--policy {policy}: ")
+            assert err.startswith(f"--policy {policy}: ")
 
     @pytest.mark.parametrize("argv", [
         ["verify", "--op", "quadratic", "--alpha", "1", "--L0", "nan", "--L1", "0",
@@ -152,8 +159,25 @@ class TestExitCodes:
                              "--out", str(out_dir))
         assert code == 1 and out == ""
         assert len(err.splitlines()) == 1
-        assert err.startswith(f"error: {key}: {param.partition('=')[0]} ")
+        assert err.startswith(f"--op {spec}: {key}: {param.partition('=')[0]} ")
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("spec, reason", [
+        ("nosuch", "unknown operator 'nosuch'; valid keys: "),
+        ("signpower:bogus=1", "signpower() got an unexpected keyword argument 'bogus'"),
+        ("cubicRd:flag=1", "cubicRd() got an unexpected keyword argument 'flag'"),
+        ("cubicRd:d", "bad operator parameter 'd' (expected name=value)"),
+        ("cubicRd:=1", "bad operator parameter '=1' (expected name=value)"),
+    ], ids=["unknown-key", "unknown-parameter", "parameter-named-flag", "no-value", "no-name"])
+    def test_bad_operator_key_names_it(self, spec, reason, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "solve", "--op", spec, "--x0", "1,1",
+                                 "--policy", "thm3", "--out", str(out_dir))
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith(f"--op {spec}: {reason}")
+        assert not out_dir.exists() and not caught
 
     def test_missing_flag_exits_1(self, capsys):
         code, _, err = run(capsys, "solve", "--op", "quadratic")
@@ -254,6 +278,30 @@ class TestX0AndConfig:
         assert len(err.splitlines()) == 1
         assert str(cfg) in err
 
+    @pytest.mark.parametrize("argv, line", [
+        (["solve", "--config"], "--config needs a file path"),
+        (["--config", "run.ini"], "--config requires the subcommand on the command line"),
+        (["--config", "missing.ini", "solve"], "--config missing.ini: config file not found"),
+    ], ids=["no-path", "no-subcommand", "not-found"])
+    def test_config_refusal_names_the_flag(self, argv, line, capsys):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", line + "\n")
+
+    def test_config_switch(self, tmp_path, capsys):
+        # a switch key is given when its value reads as true, and left out otherwise
+        cfg = tmp_path / "run.ini"
+        argv = ["--config", str(cfg), "solve", "--op", "cubic1d", "--x0", "0.5,0.5",
+                "--policy", "thm3", "--iters", "5", "--out", str(tmp_path / "o")]
+        cfg.write_text("[solve]\nforce = yes\n")
+        with pytest.warns(UserWarning, match="policy 'strong-mono' assumes one of") as caught:
+            code, out, err = run(capsys, *argv)
+        assert code == 0 and err == "" and out.startswith("reason=max_iters iters=5 ")
+        assert len(caught) == 1
+        cfg.write_text("[solve]\nforce = no\n")
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("--policy thm3: ") and "(pass --force to run anyway)" in err
+
     def test_explicit_flag_beats_config(self, tmp_path, capsys):
         cfg = tmp_path / "run.ini"
         cfg.write_text("[solve]\nop = quadratic\nx0 = 1,1\npolicy = thm3\n"
@@ -342,6 +390,9 @@ _BAD_NUMBER_FLAGS = [
      st.one_of(_NON_NUMBER.map("rand:{}".format), _NEGATIVE_RADIUS)),
     (["sweep", "--op", "quadratic", "--x0", "1,1", "--c0", "10", "--c1", "0"], "--c0",
      _list_with_bad_entry(_NOT_POSITIVE)),
+    # a list with no number in it
+    (["sweep", "--op", "quadratic", "--x0", "1,1", "--c0", "10", "--c1", "0"], "--c0",
+     st.sampled_from([",", "", " , ,"])),
     (["sweep", "--op", "quadratic", "--x0", "1,1", "--c0", "10", "--c1", "0"], "--c1",
      _list_with_bad_entry(_NEGATIVE)),
     (["verify", "--op", "forsaken", "--L0", "1", "--L1", "1"], "--alpha", _BAD_ALPHA),
@@ -457,6 +508,11 @@ def _fuzz_argv(draw):
         [[]] * 9 + [["--bogus"], ["extra"], ["--config", "missing.ini"]]))
 
 
+# the exit-1 lines about several flags at once; each names every flag it is about
+_CROSS_FLAG = ("--alpha, --L0, --L1 must be given together",
+               "estimate needs --from-grid or --policy")
+
+
 class TestCliFuzz:
     def test_every_flag_has_values(self):
         parser = _build_parser()
@@ -465,6 +521,9 @@ class TestCliFuzz:
         assert flags - {"--help", "--out"} == _FUZZ_VALUES.keys()
 
     @given(argv=_fuzz_argv())
+    @example(argv=["solve", "--op=quadratic", "--x0=1,1", "--iters=1", "--policy=bogus"])
+    @example(argv=["verify", "--op=nosuch", "--grid=2", "--pairs=1"])
+    @example(argv=["estimate", "--op=cubicRd", "--policy=thm5", "--iters=40", "--grid=2"])
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_any_argv_exits_with_one_line(self, argv, tmp_path, capsys):
@@ -480,6 +539,15 @@ class TestCliFuzz:
         assert "Traceback" not in out + err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert elapsed < 5.0
+        if code == 1:
+            # a refusal names a flag of argv, or one whose default the command
+            # read (estimate's --x0 1,1); argparse's own lines name the program,
+            # and errors after the checks (evaluation, OS) are 'error: '
+            named = {a.partition("=")[0] for a in argv if a.startswith("--")}
+            named |= {o for a in _build_parser().commands.choices[argv[0]]._actions
+                      if a.default is not None for o in a.option_strings}
+            assert err.startswith((*(f"{f} " for f in named), "egsolve", "error: ",
+                                   *_CROSS_FLAG)), err
 
 
 class TestParserWiring:
@@ -805,8 +873,13 @@ class TestRefusedPolicy:
         # too few samples to fit: one a trace row, one a grid point
         (["estimate", "--op", "quadratic", "--policy", "thm3", "--iters", "2"], "--iters 2: "),
         (["estimate", "--op", "logistic:a=1", "--from-grid", "--grid", "2"], "--grid 2: "),
+        # the operator has no root to measure a sweep's relative error from
+        (["sweep", "--op", "logistic", "--x0", "1,1", "--c0", "1", "--c1", "1"],
+         "--op logistic: sweep needs an operator with a known root"),
+        (["verify", "--op", "quadratic", "--L0", "1"], "--alpha, --L0, --L1 must be given"),
     ], ids=["incompatible", "forced-bad-alpha", "estimate-incompatible", "forced-no-rho",
-            "estimate-too-few-rows", "estimate-too-few-points"])
+            "estimate-too-few-rows", "estimate-too-few-points", "sweep-without-root",
+            "verify-L0-alone"])
     def test_exits_1_before_out_exists(self, argv, match, tmp_path, capsys, monkeypatch):
         _refuse_evaluation(monkeypatch, "the policy check")
         out_dir = tmp_path / "out"
@@ -819,7 +892,7 @@ class TestRefusedPolicy:
     def test_refusal_names_the_cli_flag(self, command, tmp_path, capsys):
         code, _, err = run(capsys, *command, "--op", "square", "--policy", "thm3",
                            "--out", str(tmp_path / "o"))
-        assert code == 1
+        assert code == 1 and err.startswith("--policy thm3: ")
         assert "--force" in err and "force=True" not in err
 
 

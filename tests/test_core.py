@@ -400,12 +400,24 @@ class TestOperatorInstance:
         scalar_jac = OperatorInstance(dim=1, fn=lambda x: x, jacobian=lambda x: 1.0)
         with pytest.raises(DimensionMismatch):
             scalar_jac.jacobian_batch_at(np.zeros((2, 1)))
+        # a declared Jacobian of the wrong size is refused at a point too
+        wide_jac = OperatorInstance(dim=2, fn=lambda x: x, jacobian=lambda x: 3 * np.eye(3))
+        with pytest.raises(DimensionMismatch):
+            wide_jac.jacobian_at(np.zeros(2))
+        with pytest.raises(DimensionMismatch):
+            wide_jac.jacobian_batch_at(X)
+
+    def test_dimension_must_be_positive(self):
+        with pytest.raises(DimensionMismatch, match="dimension must be >= 1, got 0"):
+            OperatorInstance(dim=0, fn=lambda x: x)
 
 
 class TestSolveStructures:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SolveConfig(max_iters=0, x0=[1.0])
+        with pytest.raises(ValueError, match="max_iters must be >= 1, got 0"):
+            SolveConfig(max_iters=0, x0=[1.0], record_trace=False)
         with pytest.raises(ValueError):
             SolveConfig(max_iters=5, x0=[1.0], stop_tol=-1.0)
         with pytest.raises(ValueError):

@@ -17,6 +17,7 @@ from egsolve.core import (
     IncompatiblePolicy,
     InvalidAlpha,
     MissingConstant,
+    MissingSolution,
     MonotoneClass,
     MonotonicityParams,
     NonFiniteIterate,
@@ -105,6 +106,11 @@ class TestCompat:
 
 
 class TestSolve:
+    def test_x0_of_another_dimension_raises(self):
+        cfg = SolveConfig(max_iters=5, x0=[1.0, 1.0, 1.0])
+        with pytest.raises(DimensionMismatch, match="x0: expected dimension 2, got 3"):
+            solve(build("quadratic"), parse_policy("const:0.1"), cfg)
+
     def test_quadratic_norm_rule_hits_default_tolerance(self):
         op = build("quadratic")
         cfg = SolveConfig(max_iters=1000, x0=[1.0, 1.0])
@@ -571,6 +577,28 @@ class TestInvariants:
         assert back.kind is None
         rep = check_descent_invariants(back, op)
         assert rep.kind is MonotoneClass.STRONGLY_MONOTONE and rep.n_violations == 47
+
+    def test_missing_class_or_root_raises(self, tmp_path):
+        policy, cfg = parse_policy("const:0.1"), SolveConfig(max_iters=5, x0=[1.0, 1.0])
+        classless = OperatorInstance(dim=2, fn=lambda x: x, solution=np.zeros(2))
+        with pytest.raises(MissingConstant, match="no monotonicity class"):
+            check_descent_invariants(solve(classless, policy, cfg), classless)
+        rootless = build("logistic")
+        with pytest.raises(MissingSolution, match="no known solution"):
+            check_descent_invariants(solve(rootless, policy, cfg), rootless)
+        # a trace solved without a root keeps no distances, also read back from CSV
+        op = build("quadratic")
+        p = str(tmp_path / "trace.csv")
+        write_trace_csv(solve(OperatorInstance(dim=2, fn=op.fn), policy, cfg), p)
+        with pytest.raises(MissingSolution, match="carry no distances"):
+            check_descent_invariants(read_trace_csv(p), op)
+
+    def test_summary_only_trace_gives_an_empty_report(self):
+        op = build("quadratic")
+        cfg = SolveConfig(max_iters=5, x0=[1.0, 1.0], record_trace=False)
+        rep = check_descent_invariants(solve(op, parse_policy("const:0.1"), cfg), op)
+        assert (rep.n_transitions, rep.n_checked, rep.n_violations) == (0, 0, 0)
+        assert rep.max_excess == -math.inf
 
     def test_class_outside_the_policy_guarantee_raises(self):
         op = build("signpower")   # monotone; cor1 covers strongly monotone only

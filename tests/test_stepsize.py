@@ -67,6 +67,17 @@ class TestRoots:
 
     def test_bisect_endpoint_root(self):
         assert bisect(lambda v: v, 0.0, 1.0) == 0.0
+        assert bisect(lambda v: v - 1.0, 0.0, 1.0) == 1.0
+
+    def test_bisect_midpoint_root(self):
+        assert bisect(lambda v: v - 0.5, 0.0, 1.0) == 0.5
+
+    def test_bisect_stops_where_floats_are_wider_than_its_tolerance(self):
+        # floats near 1e16 are 2 apart, so hi - lo never falls to BISECT_TOL:
+        # the loop ends once the midpoint rounds onto an end of the bracket
+        calls = []
+        root = bisect(lambda v: calls.append(v) or (v - 1e16) - 3.0, 1e16, 1e16 + 8)
+        assert root == 1e16 + 4 and len(calls) == 4
 
 
 class TestKConstants:
@@ -327,6 +338,10 @@ class TestOmega:
     def test_bad_gamma_rejected(self):
         with pytest.raises(ValueError):
             omega(parse_policy("thm3"), 0.0)
+
+    def test_pethick_needs_the_extrapolation(self):
+        with pytest.raises(ValueError, match="Pethick rule needs F"):
+            omega(parse_policy("pethick:1.0:0.1"), 1.0, x_minus_xhat=np.ones(2))
 
 
 def _reference_omega(policy, gamma_k, F_xhat, x_minus_xhat, rho):
