@@ -247,8 +247,8 @@ def cmd_estimate(args) -> int:
         policy = _policy(args, op)
         _flag("--iters", args.iters, check_iters, args.iters)
         _flag("--iters", args.iters, analysis.check_fit_size, args.iters)   # a sample a row
-        cfg = SolveConfig(max_iters=args.iters, x0=parse_x0(args.x0, op.dim, args.seed),
-                          stop_tol=0.0)
+        x0 = np.ones(op.dim) if args.x0 is None else parse_x0(args.x0, op.dim, args.seed)
+        cfg = SolveConfig(max_iters=args.iters, x0=x0, stop_tol=0.0)
         sample = lambda: analysis.scatter_from_trace(
             op, solver.solve(op, policy, cfg, force=args.force))
     out = _ensure_out(args.out)
@@ -334,7 +334,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("estimate", parents=[base], help="fit constants from a grid or solve trace")
     p.add_argument("--from-grid", action="store_true", dest="from_grid")
     p.add_argument("--policy", help="trace source policy (when not --from-grid)")
-    p.add_argument("--x0", default="1,1")
+    p.add_argument("--x0", help="trace start: 'v1,v2,...' or 'rand:RADIUS' (seeded); "
+                                "default all ones")
     p.add_argument("--iters", type=int, default=200, help=_ITERS_HELP)
     p.add_argument("--grid", type=int,
                    help="points per axis with --from-grid (default 21; at most 10**6 points)")

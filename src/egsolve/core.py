@@ -385,6 +385,12 @@ class TraceColumns:
         row = _SCALARS.pack(g, w, nfx, nfxh, math.nan if d2 is None else d2)
         self._buf.frombytes(row + x.tobytes() + xhat.tobytes() if self.dim else row)
 
+    def append_cells(self, cells) -> None:
+        """Add row len(self) from its float cells in buffer order: gamma, omega,
+        norm_F_x, norm_F_xhat, dist_sq (NaN where none), then x and xhat where
+        the store keeps iterates."""
+        self._buf.extend(cells)
+
     def _table(self) -> np.ndarray:
         # over a read-only memoryview, so no view's flag can be switched back on
         return np.frombuffer(memoryview(self._buf).toreadonly(),

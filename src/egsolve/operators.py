@@ -53,22 +53,28 @@ def _instance(fn, jac_batch, fn_batch=None, **declared) -> OperatorInstance:
                             jacobian_batch=jac_batch, **declared)
 
 
-def _coupled(f, df, floats=False, **declared) -> OperatorInstance:
+def _coupled(f, df, **declared) -> OperatorInstance:
     """The 2-dim field F = (f(w1) + w2, f(w2) - w1) and its Jacobian
     [[f'(w1), 1], [-1, f'(w2)]] from the elementwise map f and its derivative
-    df; root at the origin unless `solution` is declared. The point field runs
-    on Python floats when `floats` (they round as np.float64 does and overflow
-    to inf), else on numpy scalars, where a power such as w ** 5 overflows to
-    inf instead of raising OverflowError."""
+    df; root at the origin unless `solution` is declared.
+
+    The point field runs on Python floats, which round as np.float64 does and
+    overflow to inf, except where a power such as w ** 5 raises OverflowError:
+    that point runs on numpy scalars, which give inf. `fn.field` is that map
+    from two floats to two floats; `solver.solve` iterates on it directly."""
     def field(a, b):
         return f(a) + b, f(b) - a
 
-    if floats:
-        def fn(x):
-            return np.array(field(*x.tolist()))
-    else:
-        def fn(x):
-            return np.array(field(x[0], x[1]))
+    def float_field(a, b):
+        try:
+            return field(a, b)
+        except OverflowError:
+            u, v = field(np.float64(a), np.float64(b))
+            return float(u), float(v)
+
+    def fn(x):
+        return np.array(float_field(*x.tolist()))
+    fn.field = float_field
 
     return _instance(fn, lambda X: _coupled_2x2(df(X[:, 0]), df(X[:, 1])),
                      lambda X: np.stack(field(X[:, 0], X[:, 1]), axis=1),
@@ -148,7 +154,7 @@ def signpower(mu: Optional[float] = None) -> OperatorInstance:
     mono = (MonotonicityParams(MonotoneClass.STRONGLY_MONOTONE, mu=mu)
             if mu is not None else MonotonicityParams(MonotoneClass.MONOTONE))
     return _coupled(
-        lambda w: w * abs(w), lambda w: 2.0 * np.abs(w), floats=True,
+        lambda w: w * abs(w), lambda w: 2.0 * np.abs(w),
         smoothness=SmoothnessParams(1.0, 1.0 + 2.0 * SQ2, 2.0 * SQ2),
         monotonicity=mono,
         label="signpower",
@@ -341,7 +347,6 @@ def forsaken() -> OperatorInstance:
     def psi_pp(w):
         return (20.0 / 7.0) * w ** 4 - 4.0 * w ** 2 + 2.0 / 3.0
 
-    # numpy scalars: w ** 5 on a Python float raises OverflowError, not inf
     return _coupled(
         psi_p, psi_pp,
         smoothness=SmoothnessParams(1.0, 2.5, 5.0),

@@ -28,7 +28,8 @@ from .core import (
     vec,
     write_csv,
 )
-from .stepsize import StepSizePolicy, gamma, omega  # gamma, omega unused; perfbench wraps them
+from .stepsize import (  # gamma, omega unused; perfbench wraps them
+    OmegaRule, StepSizePolicy, gamma, omega)
 
 
 @dataclass(frozen=True)
@@ -62,7 +63,7 @@ def eg_step(F: OperatorInstance, x_k, policy: StepSizePolicy, k: int = 0) -> Ite
             raise ValueError(f"gamma_k must be positive, got {g}")
         xhat = x - g * F_x
         F_xhat = F(xhat)
-        w = update(g, F_xhat, x, xhat)
+        w = update(g, float(F_xhat @ F_xhat), float(F_xhat @ (x - xhat)))
         next_x = x - w * F_xhat
     return IterationState(k=k, x=x, F_x=F_x, gamma_k=g, xhat=xhat,
                           F_xhat=F_xhat, omega_k=w, next_x=next_x)
@@ -79,7 +80,10 @@ def rel_err_base(x0: np.ndarray, xstar: np.ndarray) -> float:
     """||x0 - x*||^2, the base of the relative error ||x_k - x*||^2 / ||x0 - x*||^2;
     ValueError where that error is undefined: the base is 0 or overflows."""
     with overflow_as_data():
-        d20 = _dist_sq(x0, xstar)
+        return _rel_err_base(_dist_sq(x0, xstar))
+
+
+def _rel_err_base(d20: float) -> float:
     if not 0.0 < d20 < math.inf:
         why = "x0 is the root" if d20 == 0.0 else "||x0 - x*||^2 overflows"
         raise ValueError(f"{why}: the relative error ||x_k - x*||^2 / ||x0 - x*||^2 is undefined")
@@ -133,27 +137,33 @@ def solve(F: OperatorInstance, policy: StepSizePolicy, cfg: SolveConfig,
     With `cfg.rel_tol` and a declared root, `first_rel_hit` is the first k
     whose row has dist_sq / dist_sq_0 <= rel_tol, also when no rows are kept;
     ValueError before any evaluation when ||x0 - x*||^2 is 0 or overflows.
+
+    A 2-dim `F.fn` that carries a `field` attribute (the point field of
+    `operators._coupled`) runs the same iteration on Python floats through
+    that field, with every norm sqrt(a*a + b*b) and every inner product a
+    plain sum: the values an unfused BLAS `ddot` gives on 2-vectors, on any
+    CPU. Every other operator, and one whose `fn` was replaced, runs on numpy.
     """
     check_policy_compat(F, policy, force=force)
     rule, update = resolve_policy(F, policy)
+    pethick = policy.omega_rule is OmegaRule.PETHICK   # only its update reads <F(xhat), x - xhat>
     x = np.array(cfg.x0, dtype=np.float64)
     if x.shape[0] != F.dim:
         x = vec(x, F.dim, what="x0")
     xstar = F.solution
-    # a root at the origin (entries +-0.0) needs no subtraction: x - x* differs
-    # from x at most in the sign of a zero entry, which its square drops
-    shift = xstar if xstar is not None and xstar.any() else None
     fn, shape = F.fn, (F.dim,)
+    field = getattr(fn, "field", None) if F.dim == 2 else None
     rel_tol = cfg.rel_tol if xstar is not None else None
     stop_tol = cfg.stop_tol
     tr = SolveTrace(kind=policy.kind, rows=TraceColumns(F.dim, dist=xstar is not None))
-    append = tr.rows.append if cfg.record_trace else None
+    append = None if not cfg.record_trace else (
+        tr.rows.append_cells if field is not None else tr.rows.append)
     # running minima over the recorded rows, first index wins ties, and the
     # first relative hit; they are written to the trace on return and with
     # every NonFiniteIterate
     min_f, arg_f, min_h, arg_h, hit = math.inf, -1, math.inf, -1, -1
 
-    def _finish(k: int, reason: str, d2: Optional[float], extra: int = 0) -> SolveTrace:
+    def _finish(k: int, reason: str, d2: Optional[float], x, extra: int = 0) -> SolveTrace:
         # iterations 0..k-1 evaluated F twice each; `extra` counts iteration k's
         tr.n_F_evals = 2 * k + extra
         tr.min_norm_F_x, tr.argmin_norm_F_x = min_f, arg_f
@@ -161,17 +171,66 @@ def solve(F: OperatorInstance, policy: StepSizePolicy, cfg: SolveConfig,
         tr.first_rel_hit = None if rel_tol is None else hit
         tr.iterations_run = k
         tr.reason = reason
-        tr.final_x = x
+        tr.final_x = np.array(x, dtype=np.float64)
         tr.final_dist_sq = d2
         return tr
 
-    def _fail(k: int, what: str, extra: int = 0) -> NonFiniteIterate:
+    def _fail(k: int, what: str, x, extra: int = 0) -> NonFiniteIterate:
         err = NonFiniteIterate(f"{what} at iteration {k}", k=k)
-        err.trace = _finish(k, "nonfinite", None, extra)
+        err.trace = _finish(k, "nonfinite", None, x, extra)
         return err
 
     with overflow_as_data():
-        d2 = d20 = _dist_sq(x, xstar) if rel_tol is None else rel_err_base(x, xstar)
+        if field is not None:
+            x0, x1 = x.tolist()
+            s0, s1 = (0.0, 0.0) if xstar is None else xstar.tolist()
+            d2 = None if xstar is None else (x0 - s0) * (x0 - s0) + (x1 - s1) * (x1 - s1)
+            d20 = d2 if rel_tol is None else _rel_err_base(d2)
+            for k in range(cfg.max_iters):
+                f0, f1 = field(x0, x1)
+                nfx = math.sqrt(f0 * f0 + f1 * f1)
+                if not math.isfinite(nfx):
+                    raise _fail(k, "non-finite operator value", (x0, x1), 1)
+                try:
+                    g = rule(nfx)
+                except MissingConstant:
+                    if not nfx <= stop_tol:
+                        raise
+                    g = w = 0.0
+                    h0, h1, nfxh = x0, x1, nfx
+                else:
+                    if not g > 0:
+                        raise _fail(k, f"step gamma_k underflowed to {g}", (x0, x1), 1)
+                    h0, h1 = x0 - g * f0, x1 - g * f1
+                    p0, p1 = field(h0, h1)
+                    n2 = p0 * p0 + p1 * p1
+                    w = update(g, n2, p0 * (x0 - h0) + p1 * (x1 - h1) if pethick else None)
+                    nfxh = math.sqrt(n2)
+                stop = nfx <= stop_tol
+                if not stop and not math.isfinite(nfxh):
+                    raise _fail(k, "non-finite operator value at extrapolation point", (x0, x1), 2)
+                if append is not None:
+                    append((g, w, nfx, nfxh, math.nan if d2 is None else d2, x0, x1, h0, h1))
+                if rel_tol is not None and hit < 0 and d2 / d20 <= rel_tol:
+                    hit = k
+                if nfx < min_f:
+                    min_f, arg_f = nfx, k
+                if nfxh < min_h:
+                    min_h, arg_h = nfxh, k
+                if stop:
+                    return _finish(k, "stop_tol", d2, (x0, x1), 2 if g else 1)
+                x0, x1 = x0 - w * p0, x1 - w * p1
+                if xstar is not None:
+                    d2 = (x0 - s0) * (x0 - s0) + (x1 - s1) * (x1 - s1)
+                if not (math.isfinite(x0) and math.isfinite(x1)):
+                    raise _fail(k + 1, "non-finite iterate", (x0, x1))
+            return _finish(cfg.max_iters, "max_iters", d2, (x0, x1))
+
+        d2 = _dist_sq(x, xstar)
+        d20 = d2 if rel_tol is None else _rel_err_base(d2)
+        # a root at the origin (entries +-0.0) needs no subtraction: x - x* differs
+        # from x at most in the sign of a zero entry, which its square drops
+        shift = xstar if xstar is not None and xstar.any() else None
         for k in range(cfg.max_iters):
             # F(x) inlined (x is a float64 vector here, so only the output is
             # checked), then norm() inlined: the same dot over the same contiguous
@@ -182,7 +241,7 @@ def solve(F: OperatorInstance, policy: StepSizePolicy, cfg: SolveConfig,
             v = F_x.ravel()
             nfx = math.sqrt(v.dot(v))
             if not math.isfinite(nfx):
-                raise _fail(k, "non-finite operator value", 1)
+                raise _fail(k, "non-finite operator value", x, 1)
             try:   # costs nothing until the rule raises
                 g = rule(nfx)
             except MissingConstant:
@@ -193,18 +252,19 @@ def solve(F: OperatorInstance, policy: StepSizePolicy, cfg: SolveConfig,
                 xhat, nfxh = x, nfx
             else:
                 if not g > 0:
-                    raise _fail(k, f"step gamma_k underflowed to {g}", 1)
+                    raise _fail(k, f"step gamma_k underflowed to {g}", x, 1)
                 xhat = x - g * F_x
                 F_xhat = fn(xhat)
                 if (type(F_xhat) is not np.ndarray or F_xhat.dtype is not _F64
                         or F_xhat.shape != shape):
                     F_xhat = F._vector(F_xhat)
-                w = update(g, F_xhat, x, xhat)
                 v = F_xhat.ravel()
-                nfxh = math.sqrt(v.dot(v))
+                n2 = float(v.dot(v))
+                w = update(g, n2, float(F_xhat.dot(x - xhat)) if pethick else None)
+                nfxh = math.sqrt(n2)
             stop = nfx <= stop_tol
             if not stop and not math.isfinite(nfxh):
-                raise _fail(k, "non-finite operator value at extrapolation point", 2)
+                raise _fail(k, "non-finite operator value at extrapolation point", x, 2)
             if append is not None:
                 append(x, xhat, g, w, nfx, nfxh, d2)
             if rel_tol is not None and hit < 0 and d2 / d20 <= rel_tol:
@@ -214,7 +274,7 @@ def solve(F: OperatorInstance, policy: StepSizePolicy, cfg: SolveConfig,
             if nfxh < min_h:    # a non-finite nfxh (terminal row only) never wins
                 min_h, arg_h = nfxh, k
             if stop:   # a row that took no step (g = 0) evaluated F once
-                return _finish(k, "stop_tol", d2, 2 if g else 1)
+                return _finish(k, "stop_tol", d2, x, 2 if g else 1)
             x = x - w * F_xhat
             # a finite sum of squares, ||x - x*||^2 when the root is known, proves
             # every entry finite; only one that overflows needs the entrywise check
@@ -222,8 +282,8 @@ def solve(F: OperatorInstance, policy: StepSizePolicy, cfg: SolveConfig,
                 e = x if shift is None else x - shift
                 d2 = float(e.dot(e))
             if not math.isfinite(x.dot(x) if d2 is None else d2) and not np.isfinite(x).all():
-                raise _fail(k + 1, "non-finite iterate")
-        return _finish(cfg.max_iters, "max_iters", d2)
+                raise _fail(k + 1, "non-finite iterate", x)
+        return _finish(cfg.max_iters, "max_iters", d2, x)
 
 
 # ---------------------------------------------------------------------------

@@ -257,7 +257,8 @@ class StepSizePolicy:
         return ratio
 
     def update(self, rho: Optional[float] = None) -> Callable:
-        """The map (gamma_k, F(xhat_k), x_k, xhat_k) -> omega_k, resolved here, once.
+        """The map (gamma_k, ||F(xhat_k)||^2, <F(xhat_k), x_k - xhat_k>) -> omega_k,
+        resolved here, once; only Pethick reads the last two.
 
         Pethick: omega = gamma_k (rho + <F(xhat), x - xhat> / ||F(xhat)||^2), rho the
         policy's else the given (declared) one; relative to gamma_k, as an absolute step
@@ -265,18 +266,17 @@ class StepSizePolicy:
         update term is 0 either way: gamma_k."""
         rule = self.kind.omega_rule
         if rule is OmegaRule.EQUAL:
-            return lambda g, F_xhat, x, xhat: g
+            return lambda g, n2, ip: g
         if rule is OmegaRule.HALF:
-            return lambda g, F_xhat, x, xhat: 0.5 * g
+            return lambda g, n2, ip: 0.5 * g
         r = self.rho if self.rho is not None else rho
         if r is None:
             raise MissingConstant("Pethick rule needs rho (policy override or declared)")
 
-        def pethick(g: float, F_xhat, x, xhat) -> float:
-            n2 = float(F_xhat @ F_xhat)
+        def pethick(g: float, n2: float, ip: float) -> float:
             if n2 == 0.0:
                 return g
-            return g * (r + float(F_xhat @ (x - xhat)) / n2)
+            return g * (r + ip / n2)
         return pethick
 
 
@@ -298,9 +298,12 @@ def omega(policy: StepSizePolicy, gamma_k: float,
     if policy.omega_rule is OmegaRule.PETHICK and (F_xhat is None or x_minus_xhat is None):
         raise ValueError("Pethick rule needs F(xhat) and x - xhat")
     update = policy.update(rho)
-    if policy.omega_rule is OmegaRule.PETHICK and float(F_xhat @ F_xhat) == 0.0:
+    if policy.omega_rule is not OmegaRule.PETHICK:
+        return update(gamma_k, None, None)
+    n2 = float(F_xhat @ F_xhat)
+    if n2 == 0.0:
         raise ZeroOperatorAtExtrapolation("||F(xhat)|| = 0 in the adaptive update rule")
-    return update(gamma_k, F_xhat, x_minus_xhat, 0.0)  # x - 0.0 = x - xhat
+    return update(gamma_k, n2, float(F_xhat @ x_minus_xhat))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -78,25 +80,28 @@ def fig4_seed42(tmp_path_factory):
     return out
 
 
-# sha256 of every fig3 and fig5 output file at the default seed 42, recorded
-# from this implementation at commit 5bd7547: a byte-identity contract, not
-# an oracle value. fig4 is left to criterion 9 and its cell values: its
-# mat-vec goes through BLAS, whose rounding can differ across CPUs.
+# sha256 of every fig3 and fig5 output file at the default seed 42: a
+# byte-identity contract, not an oracle value. Recorded from the numpy EG loop
+# under OpenBLAS's Haswell kernel, whose dot of 2-vectors is the plain sum that
+# solve's 2-dim float loop computes; fig3 and fig5 now call no BLAS, so the
+# digests hold under every kernel (see the kernel-matrix test below). fig4 is
+# left to criterion 9 and its cell values: its gemv and ddot go through BLAS,
+# whose rounding differs across kernels, as does estimate's 2x2 LAPACK SVD.
 FROZEN_SHA256 = {
     "f3": {
-        "comparison.csv": "b700f84930e37f4b3c8e1c535302774d4e86149adb8d06f9055e3411101a7624",
+        "comparison.csv": "de59d67e653d8bf58e551e512c674452daf0f4d1ac42eb374892fbe166c7e65d",
         "fig3.gnuplot": "2054feb7ffeb6663b75253408b49e1ae244e2dabb4684f3609bf9751709efd8d",
         "meta.txt": "871c98e4714e938a0e65ddede2e5c067aeabf63eec39a4301f56b28bf66d8020",
-        "trace_ours.csv": "54c075f6906fd23e6db17379c6e6a10a0ea82d89e66204cc8d0a87896ff6704b",
-        "trace_vankov.csv": "d1c7054ede7d3e6a8156e0802c4a503d2175752ead4f9797a936b7daada92991",
+        "trace_ours.csv": "29d47f43c93f1c6a15efe0c8ba3c972f98f5d41f98beefe97f676ed8c5e9e445",
+        "trace_vankov.csv": "c669fda4fdef846ad0eba6165762a37a44ac4292b01e7eba3825476f6a5fe9f9",
     },
     "f5": {
-        "comparison.csv": "fe60c24809180715bf291fdb8a5a48b4a1b68204cb1c7d00588ccc6de0debe21",
+        "comparison.csv": "7b7b3985e4b0cf91908554769c83e13fafa8fac5b9e168ce9ee248394eb2fb4a",
         "fig5.gnuplot": "fc879b324518466ca36152eeddd9755a1ac459863658238978261f48affe3f8e",
         "meta.txt": "ff85e105c77998279533e307e6f5b5e385878aa0bcbb6bd5b62d87c9ac611992",
-        "trace_egplus.csv": "3c0bc41bd8ffcae2e139dc1db9e0a4916e79debf33c6cb3fd1c9e64410abfff4",
-        "trace_ours.csv": "a983f4cd9a846c2b6a7a95fdc15d80c3dff861248454e56d10d962bbf40097a6",
-        "trace_pethick.csv": "b96183fbc8bb6b3dd7075970f1c37e5f5cfd090f742e80231d7ee13685dde24a",
+        "trace_egplus.csv": "665a43202c7e3fa4d0a47b111710958dbaaf6cefe2335e9d9c3ed9815cca5186",
+        "trace_ours.csv": "c9d7f2cc285f8ccc2a9af97ac96ff48d03221b8a031ec8bc74ca6a6ccdb52482",
+        "trace_pethick.csv": "6f8617532ff2052b1537b437c1c1333adfad7a14ebd7b6ef4aa814ab23e3fca3",
     },
 }
 
@@ -259,6 +264,32 @@ def test_criterion_7_experiment_reproductions(tmp_path, capsys, fig4_seed42):
               f"small constants diverge, adaptive wins; hits {hits}; "
               f"fig3/fig5 files match their frozen sha256, fig4's {len(want)} cells "
               f"the benchmark reference")
+
+
+def test_criterion_7_frozen_bytes_under_every_blas_kernel(tmp_path):
+    # OPENBLAS_CORETYPE picks the kernel of a DYNAMIC_ARCH OpenBLAS at load time,
+    # so each kernel needs its own process: the default, then two without FMA dots
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    if "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
+        pytest.skip("numpy's BLAS is no DYNAMIC_ARCH OpenBLAS, so OPENBLAS_CORETYPE "
+                    "selects no other kernel to compare")
+    script = ("import sys\nfrom egsolve.cli import main\n"
+              "sys.exit(main(['reproduce', 'fig3', '--out', sys.argv[1] + '/f3'])"
+              " or main(['reproduce', 'fig5', '--out', sys.argv[1] + '/f5']))")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = os.path.join(REPO, "src")
+    for kernel in ("default", "Haswell", "Nehalem"):
+        out = tmp_path / kernel
+        extra = {} if kernel == "default" else {"OPENBLAS_CORETYPE": kernel}
+        proc = subprocess.run([sys.executable, "-c", script, str(out)], capture_output=True,
+                              text=True, timeout=120, env={**env, **extra})
+        assert proc.returncode == 0, proc.stderr
+        for d in ("f3", "f5"):
+            digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                       for p in (out / d).iterdir()}
+            assert digests == FROZEN_SHA256[d], f"{d} outputs differ under {kernel}"
+    report(7, "fig3/fig5 bytes equal their frozen sha256 under the default, "
+              "Haswell and Nehalem kernels")
 
 
 def test_criterion_8_weak_minty_margin_grid():

@@ -982,7 +982,7 @@ ESTIMATE_SHA256 = {
     },
     "trace": {
         "fit.csv": "04d63b5b6958d4c07e1401ad819acf2a692759e0bf04150580dc39cec163e486",
-        "scatter.csv": "d5d8e16eb43fef52d244e68a0b8f6780c1cf4a270fd3a356bae72354bba5be68",
+        "scatter.csv": "df43022f08dd93d711fca1e1cd0d9b723b8ef4146301791a09abdb1cb7c02f4e",
     },
 }
 
@@ -1023,6 +1023,17 @@ class TestEstimate:
         code, _, err = run(capsys, "estimate", "--op", "quadratic",
                            "--out", str(tmp_path))
         assert code == 1 and err
+
+    def test_default_start_is_all_ones_of_the_operator_dimension(self, tmp_path, capsys):
+        code, _, err = run(capsys, "estimate", "--op", "cubicRd", "--policy", "thm5",
+                           "--iters", "40", "--out", str(tmp_path / "d4"))
+        assert code == 0 and err == ""
+        # in 2 dims the default is the old default, 1,1
+        for name, x0 in (("default", []), ("ones", ["--x0", "1,1"])):
+            assert run(capsys, "estimate", "--op", "forsaken", "--policy", "thm8", *x0,
+                       "--iters", "50", "--out", str(tmp_path / name))[0] == 0
+        for f in ("scatter.csv", "fit.csv"):
+            assert (tmp_path / "default" / f).read_bytes() == (tmp_path / "ones" / f).read_bytes()
 
 
 class TestReproduceFig5:

@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -300,17 +300,26 @@ _COUPLED_COORD = st.one_of(
                      math.inf, -math.inf, math.nan]))
 
 
+# every pair of these: signed zeros, subnormals, a square that overflows above
+# 1e154 and a fifth power above 1e61 (forsaken's numpy-scalar fallback), inf, NaN
+_EDGES = [s * v for v in (0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e62, 1e155, 1e300,
+                          math.inf) for s in (1.0, -1.0)] + [math.nan]
+
+
 @pytest.mark.parametrize("key", sorted(_HAND_FIELDS))
 @given(X=hnp.arrays(np.float64, st.tuples(st.integers(1, 6), st.just(2)),
                     elements=_COUPLED_COORD))
+@example(X=np.array([(a, b) for a in _EDGES for b in _EDGES]))
 @settings(max_examples=300, deadline=None)
 def test_coupled_fields_equal_the_numpy_scalar_formula(key, X):
     # bit for bit, except which NaN: when an operand is NaN, Python floats, numpy
     # scalars and numpy arrays may each return another operand's NaN or sign, an
-    # operand order may too, and every NaN writes "nan"
+    # operand order may too, and every NaN writes "nan". `fn.field`, the map
+    # `solve` iterates on, takes Python floats.
     op, hand = build(key), _HAND_FIELDS[key]
     bits = lambda v: np.where(np.isnan(v), math.nan, v).tobytes()
     with overflow_as_data():
         assert bits(op.fn_batch(X)) == bits(hand(X.T).T)
         for x in X:
             assert bits(op.fn(x)) == bits(hand(x))
+            assert bits(np.array(op.fn.field(*x.tolist()))) == bits(hand(x))

@@ -1,7 +1,10 @@
+import copy
 import gc
 import io
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -939,6 +942,129 @@ class TestTraceRoundTrip:
         p.write_text("k,gamma,omega,norm_F_x,norm_F_xhat,dist_sq\n0,1,1,1,1,1\n2,1,1,1,1,1\n")
         with pytest.raises(ValueError, match="row 1 has k=2"):
             read_trace_csv(str(p))
+
+
+
+# the five 2-dim zoo fields that operators._coupled builds; `solve` runs them on
+# Python floats through `fn.field`
+_COUPLED_KEYS = ("quadratic", "cubic1d", "signpower", "forsaken", "bilinear")
+_NO_L0 = SmoothnessParams(1.0, 0.0, 1.0)
+# every policy kind; the last two have no step at a root, so a run that starts
+# there stops on a row that takes none
+_FLOAT_LOOP_POLICIES = [parse_policy(p) for p in _ROUND_TRIP_POLICIES
+                        + ("adaptive:1:1:0.5", "pethick:0.1:0.2")] + [
+    StepSizePolicy(kind=PolicyKind.MONO, smoothness=_NO_L0),
+    StepSizePolicy(kind=PolicyKind.VANKOV, mu=1e-310, smoothness=_NO_L0)]
+_BIG = st.floats(1e60, 1e300).flatmap(lambda v: st.sampled_from((v, -v)))
+
+
+@st.composite
+def _float_loop_runs(draw):
+    """(operator key, policy, config): a 2-dim coupled field, a policy its
+    constants resolve, and a start at the root, an ordinary one, or one whose
+    powers overflow."""
+    key = draw(st.sampled_from(_COUPLED_KEYS))
+    op = build(key)
+    runnable = []
+    for p in _FLOAT_LOOP_POLICIES:
+        try:
+            solver_module.resolve_policy(op, p)
+            runnable.append(p)
+        except (MissingConstant, InvalidAlpha):
+            pass
+    start = draw(st.sampled_from(("root", "ordinary", "overflow")))
+    if start == "root":
+        x0 = (0.0, 0.0)
+    elif start == "ordinary":
+        x0 = tuple(draw(st.floats(-3.0, 3.0)) * 10.0 ** draw(st.integers(-3, 2)) for _ in "ab")
+    else:
+        x0 = (draw(_BIG), draw(st.one_of(_BIG, st.floats(-3.0, 3.0))))
+    cfg = SolveConfig(max_iters=draw(st.integers(1, 60)), x0=x0,
+                      stop_tol=draw(st.sampled_from((0.0, 1e-8, 1e-2))),
+                      record_trace=draw(st.booleans()),
+                      rel_tol=draw(st.sampled_from((None, 0.0, 1e-4, 0.5))))
+    return key, draw(st.sampled_from(runnable)), cfg
+
+
+def _outcome(op, policy, cfg):
+    """What a solve leaves: its trace, summary and error, bit for bit (each NaN
+    as one NaN)."""
+    bits = lambda v: None if v is None else np.where(np.isnan(v), math.nan, v).tobytes()
+    try:
+        tr, err = solve(op, policy, cfg, force=True), None
+    except NonFiniteIterate as e:
+        tr, err = e.trace, (str(e), e.k)
+    except (MissingConstant, ValueError) as e:
+        return None, (type(e), str(e))
+    rows = tr.rows
+    cols = (rows.gamma, rows.omega, rows.norm_F_x, rows.norm_F_xhat, rows.dist_sq,
+            rows.x_k, rows.xhat_k)
+    return ([bits(c) for c in cols], tr.iterations_run, tr.reason, tr.kind, tr.n_F_evals,
+            bits(tr.min_norm_F_x), tr.argmin_norm_F_x, bits(tr.min_norm_F_xhat),
+            tr.argmin_norm_F_xhat, tr.first_rel_hit, bits(tr.final_dist_sq),
+            bits(tr.final_x)), err
+
+
+@settings(max_examples=200, deadline=None)
+@given(_float_loop_runs())
+# a root row that takes no step: no L0, then an infinite Vankov cap
+@example(("forsaken", _FLOAT_LOOP_POLICIES[-2], SolveConfig(max_iters=5, x0=(0.0, 0.0))))
+@example(("quadratic", _FLOAT_LOOP_POLICIES[-1], SolveConfig(max_iters=5, x0=(-0.0, 0.0))))
+# w ** 5 overflows at the start: the numpy-scalar fallback, then divergence at k = 0
+@example(("forsaken", parse_policy("egplus:0.1"), SolveConfig(max_iters=5, x0=(1e62, 1.0))))
+# no declared root, so no distances
+@example(("bilinear", parse_policy("pethick:0.1:0.2"), SolveConfig(max_iters=60, x0=(2.0, -1.0))))
+# a non-finite iterate at k = 1, with and without distances (the second starts next to the root)
+@example(("quadratic", parse_policy("const:1e160"), SolveConfig(max_iters=5, x0=(1e-8, 0.0))))
+@example(("bilinear", parse_policy("const:1e165"),
+          SolveConfig(max_iters=5, x0=(-0.35702064103985687, 0.5883190244246781), stop_tol=0.0)))
+def _float_loop_matches_numpy_loop(run):
+    key, policy, cfg = run
+    op = build(key)
+    assert op.fn.field is not None
+    twin = copy.copy(op)
+    twin.fn = lambda x, fn=op.fn: fn(x)   # no `field`: solve takes the numpy loop
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)   # force=True off the guaranteed class
+        assert _outcome(op, policy, cfg) == _outcome(twin, policy, cfg)
+
+
+def _ddot_is_fused() -> bool:
+    """Whether numpy's dot of two 2-vectors rounds as a fused multiply-add (the
+    AVX-512 kernels of OpenBLAS), not as the plain sum a*a + b*b."""
+    V = np.random.default_rng(0).standard_normal((200, 2))
+    return any(float(v.dot(v)) != a * a + b * b for v, (a, b) in zip(V, V.tolist()))
+
+
+class TestFloatLoop:
+    def test_float_loop_equals_numpy_loop(self):
+        # the numpy loop's norms and inner products are BLAS dots; they equal the
+        # float loop's plain sums only under a kernel that does not fuse them
+        if not _ddot_is_fused():
+            _float_loop_matches_numpy_loop()
+            return
+        assert os.environ.get("OPENBLAS_CORETYPE") != "Haswell", (
+            "numpy's dot still fuses under OPENBLAS_CORETYPE=Haswell")
+        blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+        if "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
+            pytest.skip("numpy's dot of 2-vectors fuses a multiply-add here, and its BLAS "
+                        "is no DYNAMIC_ARCH OpenBLAS, so OPENBLAS_CORETYPE selects no "
+                        "unfused kernel to compare under")
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             f"{os.path.abspath(__file__)}::TestFloatLoop::test_float_loop_equals_numpy_loop"],
+            capture_output=True, text=True, timeout=120, cwd=root,
+            env=dict(os.environ, OPENBLAS_CORETYPE="Haswell"))
+        last = proc.stdout.splitlines()[-1] if proc.stdout else ""
+        assert proc.returncode == 0 and last.startswith("1 passed"), proc.stdout[-3000:]
+
+    def test_coupled_fields_carry_their_float_field(self):
+        for key in _COUPLED_KEYS:
+            op = build(key)
+            assert op.fn.field(1.0, -2.0) == tuple(op.fn(np.array([1.0, -2.0])))
+        for key in sorted(set(ZOO) - set(_COUPLED_KEYS)):   # these run on numpy
+            assert not hasattr(build(key).fn, "field"), key
 
 
 def _invariants_by_row(trace, m, cls, tol):

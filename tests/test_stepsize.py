@@ -375,7 +375,7 @@ class TestUpdate:
                               smoothness=SmoothnessParams(1.0, 1.0, 1.0),
                               monotonicity=MonotonicityParams(MonotoneClass.WEAK_MINTY,
                                                               rho=declared))
-        got = resolve_policy(op, policy)[1](g, F_xhat, x, xhat)
+        got = resolve_policy(op, policy)[1](g, float(F_xhat @ F_xhat), float(F_xhat @ (x - xhat)))
         if policy.omega_rule is OmegaRule.PETHICK and float(F_xhat @ F_xhat) == 0.0:
             want = g    # the update term is zero: the step keeps gamma_k
             with pytest.raises(ZeroOperatorAtExtrapolation):
@@ -387,15 +387,15 @@ class TestUpdate:
         assert float(got).hex() == float(want).hex()
 
     def test_rho_comes_from_the_policy_else_the_declared_class(self):
-        F_xhat, x, xhat = np.array([1.0, 0.0]), np.array([1.0, 1.0]), np.array([0.5, 1.0])
-        assert parse_policy("pethick:1:0.3").update(0.25)(2.0, F_xhat, x, xhat) == 2.0 * 0.8
-        assert parse_policy("pethick:1").update(0.25)(2.0, F_xhat, x, xhat) == 2.0 * 0.75
+        # F(xhat) = (1, 0), x - xhat = (0.5, 0): ||F(xhat)||^2 = 1, <F(xhat), x - xhat> = 0.5
+        assert parse_policy("pethick:1:0.3").update(0.25)(2.0, 1.0, 0.5) == 2.0 * 0.8
+        assert parse_policy("pethick:1").update(0.25)(2.0, 1.0, 0.5) == 2.0 * 0.75
         with pytest.raises(MissingConstant, match="needs rho"):
             parse_policy("pethick:1").update()
 
     def test_zero_extrapolation_value_returns_gamma(self):
         update = parse_policy("pethick:1:0.1").update()
-        assert update(0.7, np.zeros(2), np.ones(2), np.zeros(2)) == 0.7
+        assert update(0.7, 0.0, 0.0) == 0.7
 
 
 class TestParsePolicy:
